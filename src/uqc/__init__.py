@@ -38,7 +38,6 @@ from .linalg import (
     commutator,
     embed_real,
     matrix_exp,
-    numerical_rank,
     operator_norm,
     unembed_real,
 )
@@ -50,7 +49,6 @@ from .universality import (
     build_coupling_graph,
     check_universality,
     connected_components,
-    reachable_from,
 )
 from .repair import (
     BridgeStyle,
@@ -83,7 +81,6 @@ __all__ = [
     "commutator",
     "operator_norm",
     "matrix_exp",
-    "numerical_rank",
     "embed_real",
     "unembed_real",
     # generators
@@ -104,7 +101,6 @@ __all__ = [
     "VerdictStatus",
     "build_coupling_graph",
     "connected_components",
-    "reachable_from",
     "check_universality",
     "block_partition",
     # repair

@@ -37,7 +37,7 @@ def _resolve_tolerances(file_overrides: dict, args) -> io.RunTolerances:
         tols.apply_profile(profile)
     tols.apply_overrides(file_overrides)
     if getattr(args, "tau_edge", None) is not None:
-        tols.tau_edge = args.tau_edge
+        tols.set("tau_edge", args.tau_edge, "flag --tau-edge")
     return tols
 
 
@@ -86,12 +86,11 @@ def _cmd_check(args) -> int:
 def _cmd_repair(args) -> int:
     gen_set, overrides = io.load_input_document(args.input)
     tols = _resolve_tolerances(overrides, args)
-    selection = "largest-inside" if args.selection == "paper-example" else args.selection
     plan = repair(
         gen_set,
         style=BridgeStyle(args.style),
         tau_edge=tols.tau_edge,
-        selection=selection,
+        selection=args.selection,
     )
     io.write_document(
         io.generator_set_to_document(plan.resulting_set, overrides or None),

@@ -10,6 +10,7 @@ phases, divided by 2*pi, are rationally independent together with 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -96,11 +97,34 @@ class GeneratorSet:
     def designated(self) -> Generator:
         return self.generators[self.general_index]
 
-    def matrices(self) -> list[np.ndarray]:
-        return [g.matrix for g in self.generators]
-
     def with_extra(self, extra: list[Generator]) -> "GeneratorSet":
         return replace(self, generators=self.generators + tuple(extra))
+
+
+def validate_tolerance(name: str, value, source: str = "argument"):
+    """Return ``value`` if it is admissible for tolerance ``name``.
+
+    ``tau_edge`` must be a finite number in (0, 1): at 0 or below every
+    stored entry becomes an edge, and at 1 or above no entry does, not even
+    a repair bridge.  ``tau_rank`` and ``tau_rel`` must be finite and
+    positive; ``relation_bound`` an integer >= 1.  Bools are rejected
+    everywhere.  ``source`` (flag, input file, profile, argument) is named
+    in the InvalidInput raised otherwise.
+    """
+    if name == "relation_bound":
+        want = "an integer >= 1"
+        ok = isinstance(value, numbers.Integral) and value >= 1
+    else:
+        want = "a finite number in (0, 1)" if name == "tau_edge" else "a finite number > 0"
+        ok = (
+            isinstance(value, numbers.Real)
+            and math.isfinite(value)
+            and value > 0
+            and (name != "tau_edge" or value < 1)
+        )
+    if not ok or isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{name} ({source}): expected {want}, got {value!r}")
+    return value
 
 
 class IndependenceStatus(Enum):
@@ -271,8 +295,8 @@ def check_general_direction(
     grid is small enough it is followed by an exhaustive sweep, whose best
     rejected residual is then reported.
     """
-    if bound < 1:
-        raise InvalidInput("relation coefficient bound must be >= 1")
+    validate_tolerance("relation_bound", bound)
+    validate_tolerance("tau_rel", tau_rel)
     x = _relation_vector(np.asarray(theta, dtype=float), algebra)
     n = len(x)
     if n == 1:

@@ -23,6 +23,7 @@ from .generators import (
     RELATION_BOUND,
     TAU_RELATION,
     validate_set,
+    validate_tolerance,
 )
 from .oracle import TAU_CLOSURE_RANK
 from .universality import TAU_EDGE, CouplingGraph, UniversalityVerdict
@@ -41,7 +42,9 @@ class RunTolerances:
 
     Resolution order: built-in defaults, then the UQC_TOLERANCE_PROFILE
     environment profile (edge threshold only), then the input document's
-    ``tolerances`` section, then explicit flags.
+    ``tolerances`` section, then explicit flags.  Every value is checked by
+    :func:`uqc.generators.validate_tolerance` as it is set, naming where it
+    came from.
     """
 
     tau_edge: float = TAU_EDGE
@@ -49,23 +52,25 @@ class RunTolerances:
     tau_rel: float = TAU_RELATION
     relation_bound: int = RELATION_BOUND
 
+    def set(self, name: str, value, source: str) -> "RunTolerances":
+        setattr(self, name, validate_tolerance(name, value, source))
+        return self
+
     def apply_profile(self, profile: str) -> "RunTolerances":
         if profile not in TOLERANCE_PROFILES:
             raise InvalidInput(
                 f"unknown tolerance profile {profile!r}; "
                 f"expected one of {sorted(TOLERANCE_PROFILES)}"
             )
-        self.tau_edge = TOLERANCE_PROFILES[profile]
-        return self
+        return self.set(
+            "tau_edge", TOLERANCE_PROFILES[profile], f"UQC_TOLERANCE_PROFILE={profile}"
+        )
 
     def apply_overrides(self, overrides: dict) -> "RunTolerances":
         for key, value in overrides.items():
-            if key == "relation_bound":
-                self.relation_bound = int(value)
-            elif key in ("tau_edge", "tau_rank", "tau_rel"):
-                setattr(self, key, float(value))
-            else:
+            if key not in ("tau_edge", "tau_rank", "tau_rel", "relation_bound"):
                 raise InvalidInput(f"tolerances: unknown key {key!r}")
+            self.set(key, value, "input file tolerances")
         return self
 
 
@@ -117,7 +122,7 @@ def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
     _require(kind in ("u", "su"), f"algebra: expected 'u' or 'su', got {kind!r}")
     d = obj["dimension"]
     _require(
-        isinstance(d, int) and d >= 1,
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1,
         f"dimension: expected a positive integer, got {d!r}",
     )
     algebra = Algebra(kind=kind, dim=d)
@@ -140,7 +145,9 @@ def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
 
     general_index = obj.get("general_index", 0)
     _require(
-        isinstance(general_index, int) and 0 <= general_index < len(generators),
+        isinstance(general_index, int)
+        and not isinstance(general_index, bool)
+        and 0 <= general_index < len(generators),
         f"general_index: expected an integer in [0, {len(generators)}), "
         f"got {general_index!r}",
     )

@@ -14,8 +14,6 @@ from .errors import InvalidInput, NumericalFailure
 
 #: relative tolerance for the skew-Hermitian symmetry defect
 TAU_SYM = 1e-12
-#: relative singular-value cutoff for rank decisions
-TAU_RANK = 1e-10
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -106,28 +104,3 @@ def unembed_real(v: np.ndarray, d: int) -> np.ndarray:
         raise InvalidInput(f"expected a vector of length {2 * d * d}, got {v.shape}")
     return v[: d * d].reshape(d, d) + 1j * v[d * d :].reshape(d, d)
 
-
-def numerical_rank(vectors, tau_rank: float = TAU_RANK):
-    """Numerical rank and an orthonormal basis of the span of real vectors.
-
-    Parameters
-    ----------
-    vectors : sequence of 1-d real arrays (or a 2-d array of rows)
-    tau_rank : float
-        Relative singular-value cutoff: values > ``tau_rank * s_max`` count.
-
-    Returns
-    -------
-    (rank, basis) : rank ``r`` and an (r, n) array of orthonormal rows
-        spanning the retained subspace.  Empty input gives ``(0, (0, 0))``.
-    """
-    if tau_rank <= 0:
-        raise InvalidInput("tau_rank must be positive")
-    M = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if M.size == 0:
-        return 0, np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
-    _, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, np.zeros((0, M.shape[1]))
-    r = int(np.sum(s > tau_rank * s[0]))
-    return r, Vt[:r]

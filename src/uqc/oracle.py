@@ -4,8 +4,12 @@
 by the set via iterated commutators, which gives an independent dimension
 count to compare against the graph verdict.  ``coordinate_subspace_scan``
 enumerates invariant coordinate subspaces directly, a second independent
-oracle for the connectivity reduction.  Both are desk-scale tools (closure
-is practical to d ~ 12, the scan to d = 20).
+oracle for the connectivity reduction.  Both read the coupling structure
+through the one edge rule of :mod:`uqc.universality`
+(``|A_rl| > tau_edge * max|A|``, via ``extract_coupling_graph``): the
+closure partition feeds it the closure basis, the scan every generator.
+Both are desk-scale tools (closure is practical to d ~ 12, the scan to
+d = 20).
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NumericalFailure
-from .generators import GeneratorSet, validate_set
-from .universality import TAU_EDGE
+from .generators import GeneratorSet, validate_set, validate_tolerance
+from .universality import TAU_EDGE, connected_components, extract_coupling_graph
 
 #: relative acceptance threshold for rank-increasing commutators
 TAU_CLOSURE_RANK = 1e-10
@@ -98,6 +102,7 @@ def lie_closure(
     (default d^2, the mathematical maximum); that signals a misconfigured
     tolerance, not a property of the input.
     """
+    validate_tolerance("tau_rank", tau_rank)
     gen_set = validate_set(gen_set, require_nondegenerate=False)
     d = gen_set.dim
     if max_dim_guard is None:
@@ -211,27 +216,8 @@ def closure_block_partition(
     nothing) and returns the connected components, ordered like the
     generator-level partition for direct comparison.
     """
-    d = report.dim
-    parent = list(range(d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for M in report.basis_matrices:
-        cut = tau_edge * linalg.max_abs(M)
-        mask = np.abs(M) > cut
-        np.fill_diagonal(mask, False)
-        for r, l in zip(*np.nonzero(mask)):
-            ra, rb = find(int(r)), find(int(l))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for v in range(d):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(groups[k])) for k in sorted(groups))
+    graph = extract_coupling_graph(report.dim, enumerate(report.basis_matrices), tau_edge)
+    return tuple(tuple(c) for c in connected_components(graph))
 
 
 def coordinate_subspace_scan(
@@ -239,11 +225,13 @@ def coordinate_subspace_scan(
 ) -> list[tuple[int, ...]]:
     """Enumerate all nontrivial proper invariant coordinate subspaces.
 
-    A 0-based index set S is invariant when no generator carries weight from
-    a column in S to a row outside S (by skew-Hermitian symmetry the reverse
-    direction is then also clean).  Checks all 2^d - 2 candidate subsets
-    with a vectorized cut test, independently of any connectivity reasoning;
-    the result must coincide with the unions of connected components.
+    A 0-based index set S is invariant when no generator carries weight
+    between S and its complement.  Every edge {r, l} of the coupling graph
+    of all generators (designated included) gives the two directed
+    constraints "l in S implies r in S" and its reverse.  Checks all
+    2^d - 2 candidate subsets with a vectorized cut test, independently of
+    any connectivity reasoning; the result must coincide with the unions of
+    connected components.
     """
     gen_set = validate_set(gen_set, require_nondegenerate=False)
     d = gen_set.dim
@@ -253,14 +241,10 @@ def coordinate_subspace_scan(
             f"d = {SCAN_DIM_LIMIT}; use the coupling-graph check instead"
         )
 
-    crossing: set[tuple[int, int]] = set()
-    for gen in gen_set.generators:
-        A = gen.matrix
-        cut = tau_edge * linalg.max_abs(A)
-        mask = np.abs(A) > cut
-        np.fill_diagonal(mask, False)
-        for r, l in zip(*np.nonzero(mask)):
-            crossing.add((int(r), int(l)))
+    graph = extract_coupling_graph(
+        d, ((j, g.matrix) for j, g in enumerate(gen_set.generators)), tau_edge
+    )
+    crossing = [*graph.edges, *((l, r) for r, l in graph.edges)]
 
     n_masks = 1 << d
     masks = np.arange(n_masks, dtype=np.uint32)

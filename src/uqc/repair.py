@@ -3,9 +3,9 @@
 A reducible set is fixed by appending elementary bridges Y_ab = E_ab - E_ba
 (or the imaginary-symmetric i(E_ab + E_ba)) between connected components
 until the coupling graph is a single component; a spanning tree of bridges,
-r - 1 of them for r components.  The same idea gives the minimal
-construction: one diagonal drift plus one nearest-neighbor chain already
-couples every basis index.
+r - 1 of them for r components, read off the component list in one pass.
+The same idea gives the minimal construction: one diagonal drift plus one
+nearest-neighbor chain already couples every basis index.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class BridgeStyle(Enum):
     SYMMETRIC_IMAGINARY = "sym"
 
 
-#: endpoint selection rules for repair bridges; "paper-example" is an alias
-#: kept for the CLI, selecting the largest index inside the start component
+#: endpoint selection rules for repair bridges; "paper-example", the CLI's
+#: name, is an alias of "largest-inside" and is resolved here only
 SELECTION_RULES = ("smallest", "largest-inside", "paper-example")
 
 
@@ -59,37 +59,33 @@ def repair(
     tau_edge: float = TAU_EDGE,
     selection: str = "smallest",
 ) -> RepairPlan:
-    """Append bridges until the coupling graph is connected.
+    """Append the bridges that make the coupling graph connected.
 
-    Each round picks ``a`` inside the component of vertex 0 (smallest index,
-    or largest under the "largest-inside"/"paper-example" rule) and ``b`` as
-    the smallest index outside, then appends the bridge and recomputes
-    components, so exactly one fewer component remains per round.  On an
-    already-connected set the plan is empty and the set is returned as-is.
+    With components C_0, C_1, ... ordered by smallest member, bridge k joins
+    ``a`` inside C_0 u ... u C_{k-1} to ``b = min C_k``: ``a = 0`` under the
+    "smallest" rule, ``a = max(C_0 u ... u C_{k-1})`` under "largest-inside"
+    (alias "paper-example").  These are the bridges of the round-by-round
+    procedure that joins the component of vertex 0 to the smallest index
+    outside it, because a bridge's unit entries are always edges for a
+    tau_edge in (0, 1).  On an already-connected set the plan is empty and
+    the set is returned as-is.
     """
     style = BridgeStyle(style)
     if selection not in SELECTION_RULES:
         raise InvalidInput(f"unknown selection rule {selection!r}")
-    pick_inside = min if selection == "smallest" else max
 
-    current = gen_set
+    comps = connected_components(build_coupling_graph(gen_set, tau_edge))
     bridges: list[tuple[int, int, BridgeStyle]] = []
-    added: list[Generator] = []
-    while True:
-        comps = connected_components(build_coupling_graph(current, tau_edge))
-        if len(comps) == 1:
-            break
-        inside = next(c for c in comps if 0 in c)
-        a = pick_inside(inside)
-        b = min(v for v in range(current.dim) if v not in inside)
-        gen = bridge_generator(a, b, current.dim, style)
-        bridges.append((a, b, style))
-        added.append(gen)
-        current = current.with_extra([gen])
+    inside_max = comps[0][-1]
+    for comp in comps[1:]:
+        a = 0 if selection == "smallest" else inside_max
+        bridges.append((a, comp[0], style))
+        inside_max = max(inside_max, comp[-1])
+    added = tuple(bridge_generator(a, b, gen_set.dim, style) for a, b, _ in bridges)
     return RepairPlan(
         bridges=tuple(bridges),
-        added_generators=tuple(added),
-        resulting_set=current,
+        added_generators=added,
+        resulting_set=gen_set.with_extra(added) if added else gen_set,
     )
 
 

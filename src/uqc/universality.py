@@ -5,6 +5,11 @@ wherever some non-designated generator has a nonzero (r, l) entry.  With a
 valid diagonal drift, a nontrivial invariant coordinate subspace exists if
 and only if this graph is disconnected, so the whole universality decision
 reduces to connected components plus the drift-spectrum scan.
+
+This module holds the package's single edge rule,
+:func:`extract_coupling_graph` (an off-diagonal entry is an edge when
+``|A_rl| > tau_edge * max|A|``), and its single components routine,
+:func:`connected_components`.  Repair and both oracles reuse them.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .generators import (
     phases_of,
     spectrum_is_degenerate,
     validate_set,
+    validate_tolerance,
 )
 
 #: relative entry-magnitude cutoff for graph edges
@@ -41,7 +47,9 @@ class CouplingGraph:
     """Undirected graph on 0-based basis indices.
 
     ``edges`` are (r, l) pairs with r < l; ``edge_source`` maps each edge to
-    the contributing (generator index, entry magnitude) pairs.
+    the contributing (source index, entry magnitude) pairs, where the source
+    index is the matrix's position in the list the graph was built from
+    (the generator list for :func:`build_coupling_graph`).
     """
 
     dim: int
@@ -78,87 +86,59 @@ class UniversalityVerdict:
     degenerate_spectrum: bool = False
 
 
-def build_coupling_graph(
-    gen_set: GeneratorSet,
-    tau_edge: float = TAU_EDGE,
-    absolute: bool = False,
-) -> CouplingGraph:
-    """Collect edges from off-diagonal support of non-designated generators.
+def extract_coupling_graph(dim: int, sources, tau_edge: float) -> CouplingGraph:
+    """The edge rule, applied to ``(source index, matrix)`` pairs.
 
-    The cutoff is ``tau_edge`` relative to each generator's max-entry
-    magnitude (or an absolute magnitude when ``absolute`` is set, for inputs
-    carrying physical noise).  The designated diagonal contributes nothing;
-    additional diagonal generators contribute nothing vacuously.
+    An off-diagonal entry of a matrix A is kept when ``|A_rl| > tau_edge *
+    max|A|``; kept entries are symmetrised into undirected edges (r < l),
+    and ``edge_source`` records each contributing source with the larger of
+    the two entry magnitudes.  Diagonal matrices contribute nothing.
     """
-    d = gen_set.dim
-    edges: set[tuple[int, int]] = set()
+    validate_tolerance("tau_edge", tau_edge)
     edge_source: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for j, gen in enumerate(gen_set.generators):
-        if j == gen_set.general_index:
-            continue
-        A = gen.matrix
-        cut = tau_edge if absolute else tau_edge * linalg.max_abs(A)
-        mask = np.abs(A) > cut
-        np.fill_diagonal(mask, False)
-        rr, ll = np.nonzero(np.triu(mask | mask.T))
+    for j, A in sources:
         mags = np.abs(A)
-        for r, l in zip(rr.tolist(), ll.tolist()):
-            e = (r, l)
-            edges.add(e)
-            edge_source.setdefault(e, []).append((j, float(max(mags[r, l], mags[l, r]))))
-    return CouplingGraph(dim=d, edges=frozenset(edges), edge_source=edge_source)
+        mags = np.maximum(mags, mags.T)
+        keep = np.triu(mags > tau_edge * linalg.max_abs(A), 1)
+        rr, ll = np.nonzero(keep)
+        for r, l, mag in zip(rr.tolist(), ll.tolist(), mags[rr, ll].tolist()):
+            edge_source.setdefault((r, l), []).append((j, mag))
+    return CouplingGraph(dim=dim, edges=frozenset(edge_source), edge_source=edge_source)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def build_coupling_graph(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> CouplingGraph:
+    """Coupling graph of the non-designated generators.
 
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    The designated diagonal contributes nothing, even through off-diagonal
+    roundoff; additional diagonal generators contribute nothing vacuously.
+    """
+    sources = (
+        (j, gen.matrix)
+        for j, gen in enumerate(gen_set.generators)
+        if j != gen_set.general_index
+    )
+    return extract_coupling_graph(gen_set.dim, sources, tau_edge)
 
 
 def connected_components(graph: CouplingGraph) -> list[list[int]]:
-    """Components ordered by smallest member, members ascending."""
-    uf = _UnionFind(graph.dim)
+    """Components ordered by smallest member, members ascending (union-find)."""
+    parent = list(range(graph.dim))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
     for r, l in graph.edges:
-        uf.union(r, l)
+        ra, rb = find(r), find(l)
+        if ra != rb:
+            # the smaller root wins, so every root is its component's minimum
+            parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
     for v in range(graph.dim):
-        groups.setdefault(uf.find(v), []).append(v)
-    return [sorted(groups[k]) for k in sorted(groups)]
-
-
-def reachable_from(graph: CouplingGraph, start: int) -> set[int]:
-    """Fixed-point expansion of {start} along edges (plain BFS).
-
-    Equals the connected component of ``start`` for any choice of start
-    vertex; kept as a separate code path so tests can confirm that.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in range(graph.dim)}
-    for r, l in graph.edges:
-        adj[r].append(l)
-        adj[l].append(r)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+        groups.setdefault(find(v), []).append(v)
+    return [groups[k] for k in sorted(groups)]
 
 
 def _partition_and_permutation(components: list[list[int]]):
@@ -172,32 +152,22 @@ def block_partition(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE):
 
     Returns ``(components, permutation)``; conjugating every generator by
     the permutation yields block-diagonal matrices with the component sizes,
-    which is verified entrywise before returning.
+    which is verified edge by edge before returning.
     """
     gen_set = validate_set(gen_set, require_nondegenerate=False)
     graph = build_coupling_graph(gen_set, tau_edge)
     components, perm, _ = _partition_and_permutation(connected_components(graph))
-    _verify_block_certificate(gen_set, components, perm, tau_edge)
+    _verify_block_certificate(graph, components)
     return components, perm
 
 
-def _verify_block_certificate(gen_set, components, perm, tau_edge):
-    d = gen_set.dim
-    block_of = np.empty(d, dtype=int)
-    for b, comp in enumerate(components):
-        for v in comp:
-            block_of[v] = b
-    order = np.asarray(perm)
-    same_block = block_of[order][:, None] == block_of[order][None, :]
-    for j, gen in enumerate(gen_set.generators):
-        if j == gen_set.general_index:
-            continue
-        P = gen.matrix[np.ix_(order, order)]
-        off = linalg.max_abs(np.where(same_block, 0.0, P))
-        if off > tau_edge * linalg.max_abs(gen.matrix):
+def _verify_block_certificate(graph: CouplingGraph, components):
+    block_of = {v: b for b, comp in enumerate(components) for v in comp}
+    for (r, l), sources in graph.edge_source.items():
+        if block_of[r] != block_of[l]:
             raise NumericalFailure(
-                f"block certificate violated by generator {j}: "
-                f"off-block magnitude {off:.3e}"
+                f"block certificate violated by generator {sources[0][0]}: "
+                f"edge ({r + 1}, {l + 1}) crosses blocks"
             )
 
 
@@ -206,7 +176,6 @@ def check_universality(
     tau_edge: float = TAU_EDGE,
     relation_bound: int = RELATION_BOUND,
     tau_rel: float = TAU_RELATION,
-    absolute: bool = False,
     spectrum_scan: bool | None = None,
 ) -> UniversalityVerdict:
     """Decide universality of a validated generator set.
@@ -220,6 +189,8 @@ def check_universality(
     ``spectrum_scan=None`` (auto) runs the scan for d <= SPECTRUM_SCAN_LIMIT
     and skips it above, where it would dominate the runtime.
     """
+    validate_tolerance("relation_bound", relation_bound)
+    validate_tolerance("tau_rel", tau_rel)
     gen_set = validate_set(gen_set, require_nondegenerate=False)
     theta = phases_of(gen_set.designated)
     degenerate = spectrum_is_degenerate(theta)
@@ -240,7 +211,7 @@ def check_universality(
                 IndependenceStatus.SKIPPED, None, 0, float("inf")
             )
 
-    graph = build_coupling_graph(gen_set, tau_edge, absolute)
+    graph = build_coupling_graph(gen_set, tau_edge)
     components, perm, sizes = _partition_and_permutation(connected_components(graph))
     connected = len(components) == 1
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 
 from uqc import Algebra, Generator, GeneratorSet, make_general_direction
@@ -78,3 +81,46 @@ def random_instance(
     for j in range(m - 1):
         gens.append(Generator(random_sparse_offdiag(rng, d, p), f"rand{j + 1}"))
     return GeneratorSet(algebra, tuple(gens))
+
+
+def reachable_from(graph, start: int) -> set[int]:
+    """Fixed-point expansion of {start} along edges (plain BFS).
+
+    Test-only reference for the union-find in ``connected_components``: it
+    equals the connected component of ``start`` for any start vertex.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in range(graph.dim)}
+    for r, l in graph.edges:
+        adj[r].append(l)
+        adj[l].append(r)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block after ``seconds`` instead of hanging.
+
+    Uses SIGALRM, so it works only in the main thread (where pytest runs
+    tests).
+    """
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

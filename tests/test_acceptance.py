@@ -25,13 +25,13 @@ from uqc import (
     make_general_direction,
     minimal_pair,
     phases_of,
-    reachable_from,
     repair,
 )
 
 from conftest import (
     random_instance,
     random_skew,
+    reachable_from,
     three_level_set,
     two_qubit_set,
 )

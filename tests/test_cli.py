@@ -7,7 +7,7 @@ from uqc import Algebra, Generator, GeneratorSet
 from uqc import io as uio
 from uqc.cli import main
 
-from conftest import three_level_set, two_qubit_set
+from conftest import three_level_set, time_limit, two_qubit_set
 
 
 @pytest.fixture()
@@ -230,6 +230,35 @@ def test_tolerance_profile_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
     code, out, _ = _run(capsys, ["check", str(path), "--tau-edge", "1e-12"])
     assert json.loads(out)["status"] == "universal"
+
+
+@pytest.mark.parametrize("command", ["check", "repair", "oracle"])
+@pytest.mark.parametrize("value", ["-1", "0", "2", "nan", "inf"])
+def test_bad_tau_edge_flag_exit2(capsys, u3_path, tmp_path, command, value):
+    # at the parent, `repair --tau-edge 2` never returned: bridges never
+    # became edges, so the repair loop grew without end
+    argv = [command, u3_path, "--tau-edge", value]
+    if command == "repair":
+        argv += ["--out", str(tmp_path / "out.json")]
+    with time_limit(10):
+        code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "tau_edge (flag --tau-edge)" in err
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"tau_edge": float("nan")}, {"tau_rank": -1.0}, {"relation_bound": True}],
+)
+def test_bad_file_tolerance_exit2(capsys, tmp_path, tolerances):
+    doc = uio.generator_set_to_document(three_level_set())
+    doc["tolerances"] = tolerances
+    path = tmp_path / "bad_tol.json"
+    path.write_text(json.dumps(doc))  # json writes NaN as a bare literal
+    code, _, err = _run(capsys, ["check", str(path), "--oracle"])
+    assert code == 2
+    assert f"{next(iter(tolerances))} (input file tolerances)" in err
 
 
 def test_version(capsys):

@@ -116,3 +116,32 @@ def test_tolerance_overrides():
     )
     with pytest.raises(InvalidInput, match="unknown key"):
         uio.RunTolerances().apply_overrides({"tau_typo": 1.0})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau_edge", -1.0),
+        ("tau_edge", 2.0),
+        ("tau_edge", float("nan")),
+        ("tau_edge", True),
+        ("tau_edge", "1e-12"),
+        ("tau_rank", 0.0),
+        ("tau_rank", float("inf")),
+        ("tau_rel", -1e-9),
+        ("relation_bound", 0),
+        ("relation_bound", True),
+        ("relation_bound", 10.0),
+    ],
+)
+def test_bad_tolerance_override_names_key_and_source(key, value):
+    with pytest.raises(InvalidInput, match=f"{key} \\(input file tolerances\\)"):
+        uio.RunTolerances().apply_overrides({key: value})
+
+
+@pytest.mark.parametrize("field", ["dimension", "general_index"])
+def test_bool_integer_fields_rejected(field):
+    doc = _doc()
+    doc[field] = True
+    with pytest.raises(InvalidInput, match=field):
+        uio.parse_input_document(doc)

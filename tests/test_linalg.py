@@ -133,40 +133,6 @@ def test_matrix_exp_rejects_non_skew():
         linalg.matrix_exp(np.array([[0, 1], [1, 0]], dtype=complex), 1.0)
 
 
-def test_numerical_rank_parallel_vectors():
-    v = np.array([1.0, 2.0, 3.0])
-    rank, basis = linalg.numerical_rank([v, 2 * v])
-    assert rank == 1
-    assert basis.shape == (1, 3)
-
-
-def test_numerical_rank_standard_basis():
-    rank, basis = linalg.numerical_rank(np.eye(3))
-    assert rank == 3
-    assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
-
-
-def test_numerical_rank_near_parallel():
-    # second singular value of [[1,0],[1,1e-14]] is about 7e-15, far below
-    # the relative cutoff 1e-10 * sqrt(2)
-    rank, _ = linalg.numerical_rank([[1.0, 0.0], [1.0, 1e-14]], tau_rank=1e-10)
-    assert rank == 1
-
-
-def test_numerical_rank_empty():
-    rank, basis = linalg.numerical_rank([])
-    assert rank == 0
-    assert basis.shape[0] == 0
-
-
-def test_numerical_rank_orthonormal_output():
-    rng = np.random.default_rng(19)
-    M = rng.standard_normal((5, 12))
-    rank, basis = linalg.numerical_rank(M)
-    assert rank == 5
-    assert np.allclose(basis @ basis.T, np.eye(5), atol=1e-12)
-
-
 def test_embed_real_roundtrip():
     rng = np.random.default_rng(23)
     A = random_skew(rng, 4)

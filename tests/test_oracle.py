@@ -183,3 +183,16 @@ def test_equivalence_spot_checks():
                 assert report.dimension == report.target_dimension
             else:
                 assert report.dimension < report.target_dimension
+
+
+def test_oracles_reject_bad_tolerances():
+    s = three_level_set()
+    for tau_rank in (0.0, -1e-10, float("nan"), True):
+        with pytest.raises(InvalidInput, match="tau_rank"):
+            lie_closure(s, tau_rank=tau_rank)
+    report = lie_closure(s)
+    for tau_edge in (0.0, 1.0, float("nan")):
+        with pytest.raises(InvalidInput, match="tau_edge"):
+            closure_block_partition(report, tau_edge=tau_edge)
+        with pytest.raises(InvalidInput, match="tau_edge"):
+            coordinate_subspace_scan(s, tau_edge=tau_edge)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from uqc import (
     GeneratorSet,
     VerdictStatus,
     antisymmetric_chain,
+    bridge_generator,
     build_coupling_graph,
     check_universality,
     connected_components,
@@ -19,7 +22,7 @@ from uqc import (
 )
 from uqc.errors import InvalidInput
 
-from conftest import three_level_set, two_qubit_set
+from conftest import random_instance, three_level_set, time_limit, two_qubit_set
 
 
 def test_three_level_smallest_rule():
@@ -92,6 +95,81 @@ def test_bridges_pass_generator_invariants():
     for style in ("antisym", "sym"):
         plan = repair(s, style=style)
         validate_set(plan.resulting_set)
+
+
+def test_repair_bad_tau_edge_fails_fast():
+    # at the parent, tau_edge >= 1 kept every bridge out of the graph and
+    # the round-by-round loop appended bridges forever
+    for tau_edge in (1.0, 2.0, 0.0, float("nan")):
+        with time_limit(10), pytest.raises(InvalidInput, match="tau_edge"):
+            repair(three_level_set(), tau_edge=tau_edge)
+
+
+def _repair_by_rounds(gen_set, style, selection):
+    """Reference: join the component of vertex 0 to the smallest index
+    outside it, rebuilding the coupling graph after every bridge."""
+    pick_inside = min if selection == "smallest" else max
+    current, bridges, added = gen_set, [], []
+    while True:
+        comps = connected_components(build_coupling_graph(current))
+        if len(comps) == 1:
+            return bridges, added
+        inside = next(c for c in comps if 0 in c)
+        a = pick_inside(inside)
+        b = min(v for v in range(current.dim) if v not in inside)
+        gen = bridge_generator(a, b, current.dim, BridgeStyle(style))
+        bridges.append((a, b, BridgeStyle(style)))
+        added.append(gen)
+        current = current.with_extra([gen])
+
+
+def _repair_cases():
+    rng = np.random.default_rng(59)
+    cases = []
+    while len(cases) < 40:
+        d = int(rng.integers(2, 13))
+        s = random_instance(rng, d, int(rng.integers(2, 5)), "u", p=float(rng.uniform(0.02, 0.2)))
+        if len(connected_components(build_coupling_graph(s))) > 1:
+            cases.append(s)
+    for d in (1, 2, 3, 5, 8, 13, 21, 34, 40):
+        algebra = Algebra("u", d)
+        cases.append(GeneratorSet(algebra, (make_general_direction(algebra),)))
+    return cases
+
+
+@pytest.mark.parametrize("selection", ["smallest", "largest-inside"])
+@pytest.mark.parametrize("style", ["antisym", "sym"])
+def test_one_pass_repair_matches_round_by_round(style, selection):
+    for s in _repair_cases():
+        plan = repair(s, style=style, selection=selection)
+        bridges, added = _repair_by_rounds(s, style, selection)
+        assert list(plan.bridges) == bridges
+        assert len(plan.added_generators) == len(added)
+        for got, want in zip(plan.added_generators, added):
+            assert got.label == want.label
+            assert np.array_equal(got.matrix, want.matrix)
+        assert plan.resulting_set.generators[len(s.generators):] == plan.added_generators
+
+
+def test_repair_builds_the_graph_once(monkeypatch):
+    repair_module = importlib.import_module("uqc.repair")
+    calls = []
+    build = repair_module.build_coupling_graph
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(repair_module, "build_coupling_graph", counting)
+    algebra = Algebra("u", 12)
+    for s in (
+        three_level_set(),
+        two_qubit_set(full=True),
+        GeneratorSet(algebra, (make_general_direction(algebra),)),
+    ):
+        calls.clear()
+        repair(s, selection="largest-inside")
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ from uqc import (
     check_universality,
     connected_components,
     make_general_direction,
-    reachable_from,
 )
-from uqc.errors import NotSkewHermitian
+from uqc.errors import InvalidInput, NotSkewHermitian
 
-from conftest import random_instance, three_level_set, two_qubit_set
+from conftest import random_instance, reachable_from, three_level_set, two_qubit_set
 
 
 # ---------------------------------------------------------------------------
@@ -48,17 +47,51 @@ def test_extra_diagonal_generator_contributes_nothing():
 
 
 def test_designated_excluded_even_if_offdiagonal_noise():
-    # absolute mode: entries at 1e-10 survive a 1e-12 absolute cutoff
+    # the cutoff is relative: 1e-18 is the max entry of 'weak', so it is an
+    # edge; scaling the matrix changes nothing
     A = np.zeros((3, 3), dtype=complex)
-    A[0, 2], A[2, 0] = 1e-10, -1e-10
+    A[0, 2], A[2, 0] = 1e-18, -1e-18
     s = three_level_set().with_extra([Generator(A, "weak")])
-    assert build_coupling_graph(s, 1e-12, absolute=True).edges == frozenset(
-        {(0, 1), (0, 2)}
+    assert build_coupling_graph(s).edges == frozenset({(0, 1), (0, 2)})
+    # off-diagonal roundoff on the designated drift (below its own diagonal
+    # check) is no edge, even at a cutoff that would keep it elsewhere
+    drift = s.generators[0].matrix.copy()
+    drift[1, 2], drift[2, 1] = 1e-13, -1e-13
+    noisy = GeneratorSet(s.algebra, (Generator(drift, "drift"), *s.generators[1:]))
+    assert build_coupling_graph(noisy, 1e-15).edges == frozenset({(0, 1), (0, 2)})
+
+
+_BAD_TAU_EDGE = [-1.0, 0.0, 1.0, 2.0, float("nan"), float("inf"), True, "1e-12"]
+
+
+@pytest.mark.parametrize("tau_edge", _BAD_TAU_EDGE)
+def test_bad_tau_edge_rejected(tau_edge):
+    # at the parent, tau_edge=-1 made every entry an edge: a REDUCIBLE set
+    # came back UNIVERSAL
+    with pytest.raises(InvalidInput, match="tau_edge"):
+        check_universality(three_level_set(), tau_edge=tau_edge)
+    with pytest.raises(InvalidInput, match="tau_edge"):
+        block_partition(three_level_set(), tau_edge=tau_edge)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"relation_bound": 0},
+        {"relation_bound": True},
+        {"relation_bound": 2.5},
+        {"tau_rel": 0.0},
+        {"tau_rel": float("nan")},
+        {"tau_rel": -1e-9},
+    ],
+)
+def test_bad_scan_tolerances_rejected(kwargs):
+    # rejected even when the scan would not run (constructed drift)
+    s = GeneratorSet(
+        Algebra("u", 3), (make_general_direction(Algebra("u", 3)),), constructed_general=True
     )
-    # relative mode (default): 1e-10 is the max entry of 'weak', so it is an
-    # edge there too; scaling the matrix changes nothing
-    s2 = three_level_set().with_extra([Generator(1e-8 * A, "weak")])
-    assert build_coupling_graph(s2).edges == frozenset({(0, 1), (0, 2)})
+    with pytest.raises(InvalidInput, match=next(iter(kwargs))):
+        check_universality(s, **kwargs)
 
 
 # ---------------------------------------------------------------------------
