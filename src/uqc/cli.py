@@ -2,7 +2,10 @@
 
 Subcommands: check | repair | construct | epsilon | oracle.  Documents are
 JSON (see :mod:`uqc.io`); exit code 0 means the analysis ran (whatever the
-verdict), 2 flags a parse/validation problem, 3 a numerical failure.  The
+verdict), 2 flags a parse/validation problem, 3 a numerical failure, and 141
+(128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe)
+means stdout was closed before the output was written, as in
+``uqc construct ... | head -1``; no traceback is printed then.  The
 environment variable UQC_TOLERANCE_PROFILE (strict | default | loose) picks
 the edge-threshold tier; the input file's ``tolerances`` section and the
 ``--tau-edge`` flag override it in that order.
@@ -28,6 +31,7 @@ from .universality import build_coupling_graph, check_universality, VerdictStatu
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _resolve_tolerances(file_overrides: dict, args) -> io.RunTolerances:
@@ -54,8 +58,16 @@ def _oracle_section(gen_set, verdict, tols):
     }
 
 
+def _print_json(doc: dict):
+    io.dump_json(doc, sys.stdout)
+    sys.stdout.write("\n")
+
+
 def _emit(args, doc: dict, text: str):
-    print(text if args.text else io.dump_json(doc))
+    if args.text:
+        print(text)
+    else:
+        _print_json(doc)
 
 
 def _cmd_check(args) -> int:
@@ -123,7 +135,7 @@ def _cmd_construct(args) -> int:
             f"{len(gen_set.generators)} generator(s)"
         )
     else:
-        print(io.dump_json(doc))
+        _print_json(doc)
     return EXIT_OK
 
 
@@ -156,7 +168,7 @@ def _cmd_epsilon(args) -> int:
                 )
         print("\n".join(lines))
     else:
-        print(io.dump_json(doc))
+        _print_json(doc)
     return EXIT_OK
 
 
@@ -177,7 +189,7 @@ def _cmd_oracle(args) -> int:
             f"closure partition: {comps}"
         )
     else:
-        print(io.dump_json(doc))
+        _print_json(doc)
     return EXIT_OK
 
 
@@ -261,6 +273,14 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so that
+        # the flush at interpreter exit does not fail a second time
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from mpmath import mp, mpf, pslq
 
 from . import linalg
 from .errors import (
@@ -266,6 +265,10 @@ def _exhaustive_relation(x: np.ndarray, bound: int):
 
 def _pslq_relation(x: np.ndarray, bound: int, tau_rel: float):
     """Lattice (PSLQ) search for an integer relation; None if not found."""
+    # imported here, so that runs that never scan (d > 32, construct,
+    # --version) do not pay for importing mpmath
+    from mpmath import mp, mpf, pslq
+
     with mp.workdps(_PSLQ_DPS):
         vec = [mpf(float(v)) for v in x]
         try:

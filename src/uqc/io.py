@@ -9,9 +9,11 @@ is a position in the generator list and stays 0-based, default 0.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,10 +91,16 @@ def _parse_entry(value, where: str) -> complex:
         isinstance(re, (int, float)) and isinstance(im, (int, float)),
         f"{where}: entries must be numbers, got {value!r}",
     )
-    return complex(re, im)
+    try:
+        z = complex(re, im)
+    except OverflowError:
+        raise InvalidInput(f"{where}: entry is outside the float64 range") from None
+    _require(cmath.isfinite(z), f"{where}: entries must be finite, got {value!r}")
+    return z
 
 
-def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
+def _walk_matrix(rows, d: int, where: str) -> np.ndarray:
+    """Entry-by-entry parse that names the first malformed row or entry."""
     _require(isinstance(rows, list), f"{where}: matrix must be a list of rows")
     _require(
         len(rows) == d, f"{where}: expected {d} rows, got {len(rows)}"
@@ -109,11 +117,36 @@ def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
     return M
 
 
+def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
+    """A d x d complex matrix from ``rows`` of [re, im] pairs.
+
+    A well-formed matrix is converted by one ``np.array`` call into a
+    (d, d, 2) real array, which is then viewed as complex without a copy.
+    Anything else (wrong shape, strings, bools only, integers beyond
+    float64) goes to :func:`_walk_matrix`, which applies the same checks
+    one entry at a time and names the first failing row and column.
+    """
+    pairs = None
+    if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+        try:
+            pairs = np.array(rows)
+        except (ValueError, TypeError):  # ragged or over-nested
+            pass
+    if pairs is None or pairs.shape != (d, d, 2) or pairs.dtype.kind not in "iuf":
+        return _walk_matrix(rows, d, where)
+    finite = np.isfinite(pairs)
+    if not finite.all():
+        i, k, _ = np.argwhere(~finite)[0]
+        _parse_entry(rows[i][k], f"{where} row {i + 1} column {k + 1}")
+    return pairs.astype(np.float64, copy=False).view(np.complex128).reshape(d, d)
+
+
 def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
     """Parse and validate one input document.
 
     Returns the validated generator set and the raw ``tolerances`` override
-    dict (empty when absent).  Errors always locate the offending field.
+    dict (empty when absent).  Errors always locate the offending field,
+    down to the row and column of a matrix entry.
     """
     _require(isinstance(obj, dict), "input document must be a JSON object")
     for key in ("algebra", "dimension", "generators"):
@@ -169,13 +202,15 @@ def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, integers past the digit limit, nesting too deep
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     return parse_input_document(obj)
 
 
 def matrix_to_pairs(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = None) -> dict:
@@ -261,13 +296,101 @@ def closure_report_to_document(report, partition=None) -> dict:
     return doc
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False)
+#: stands in for each matrix in the document skeleton that json renders
+_MATRIX_SLOT = "\x00uqc matrix\x00"
+
+
+def _skeleton(value, matrices: list):
+    """``value`` with every non-empty ``"matrix"`` list swapped for the slot.
+
+    The swapped-out lists are appended to ``matrices`` in the order json
+    meets their slots.
+    """
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if key == "matrix" and type(item) is list and item:
+                matrices.append(item)
+                out[key] = _MATRIX_SLOT
+            else:
+                out[key] = _skeleton(item, matrices)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_skeleton(item, matrices) for item in value]
+    return value
+
+
+def _row_floats(row):
+    """The entries of ``row`` as one flat tuple, if it is a non-empty list of
+    [re, im] lists of plain floats; None otherwise."""
+    if type(row) is not list or not row:
+        return None
+    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(row))
+    return flat if set(map(type, flat)) == {float} else None
+
+
+def _matrix_chunks(rows: list, pad: int):
+    """The text ``json.dumps(indent=2)`` gives ``rows`` at indent ``pad``,
+    one piece per row.
+
+    A row of float pairs goes through one ``%``-format (``%r`` is
+    ``float.__repr__`` for a float, as in json); any other row is left to
+    ``json.dumps`` and re-indented.
+    """
+    i1, i2, i3 = (" " * (pad + k) for k in (2, 4, 6))
+    first = f"[\n{i2}[\n{i3}%r,\n{i3}%r"
+    rest = f"\n{i2}],\n{i2}[\n{i3}%r,\n{i3}%r"
+    close = f"\n{i2}]\n{i1}]"
+    templates = {}
+    yield "["
+    for r, row in enumerate(rows):
+        text = None
+        flat = _row_floats(row)
+        if flat is not None:
+            n = len(row)
+            if n not in templates:
+                templates[n] = first + rest * (n - 1) + close
+            text = templates[n] % flat
+            # a finite float's repr has no "n"; nan and inf have one, and
+            # json must reject them
+            if "n" in text:
+                text = None
+        if text is None:
+            text = json.dumps(row, indent=2, allow_nan=False).replace("\n", "\n" + i1)
+        yield ("\n" if r == 0 else ",\n") + i1 + text
+    yield "\n" + " " * pad + "]"
+
+
+def _json_chunks(doc):
+    matrices = []
+    text = json.dumps(_skeleton(doc, matrices), indent=2, allow_nan=False)
+    pieces = text.split(json.dumps(_MATRIX_SLOT))
+    if len(pieces) != len(matrices) + 1:  # a string of the document holds the slot
+        yield json.dumps(doc, indent=2, allow_nan=False)
+        return
+    yield pieces[0]
+    for rows, before, after in zip(matrices, pieces, pieces[1:]):
+        line = before.rpartition("\n")[2]
+        yield from _matrix_chunks(rows, len(line) - len(line.lstrip(" ")))
+        yield after
+
+
+def dump_json(doc: dict, out):
+    """Write ``json.dumps(doc, indent=2, allow_nan=False)`` to the text
+    handle ``out``, byte for byte, piece by piece, never holding all of it.
+
+    json's own indented encoder runs in Python, one call per value, so the
+    matrices are rendered here instead: json lays out the rest of the
+    document, and each ``"matrix"`` is spliced in row by row.
+    """
+    out.writelines(_json_chunks(doc))
 
 
 def write_document(doc: dict, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(doc))
+        dump_json(doc, fh)
         fh.write("\n")
 
 

@@ -8,6 +8,7 @@ import signal
 import numpy as np
 
 from uqc import Algebra, Generator, GeneratorSet, make_general_direction
+from uqc.errors import InvalidInput
 
 
 def three_level_set() -> GeneratorSet:
@@ -104,6 +105,39 @@ def reachable_from(graph, start: int) -> set[int]:
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:
+    """Entry-by-entry parse of a ``matrix`` field, one ``complex()`` a time.
+
+    Test-only reference for the vectorised ``uqc.io._parse_matrix``: for
+    well-formed finite input both return the same matrix, and for malformed
+    input both raise InvalidInput with the same message.
+    """
+
+    def require(cond, message):
+        if not cond:
+            raise InvalidInput(message)
+
+    require(isinstance(rows, list), f"{where}: matrix must be a list of rows")
+    require(len(rows) == d, f"{where}: expected {d} rows, got {len(rows)}")
+    M = np.zeros((d, d), dtype=complex)
+    for i, row in enumerate(rows):
+        require(isinstance(row, list), f"{where} row {i + 1}: expected a list")
+        require(len(row) == d, f"{where} row {i + 1}: expected {d} entries, got {len(row)}")
+        for k, value in enumerate(row):
+            at = f"{where} row {i + 1} column {k + 1}"
+            require(
+                isinstance(value, (list, tuple)) and len(value) == 2,
+                f"{at}: expected an [re, im] pair, got {value!r}",
+            )
+            re, im = value
+            require(
+                isinstance(re, (int, float)) and isinstance(im, (int, float)),
+                f"{at}: entries must be numbers, got {value!r}",
+            )
+            M[i, k] = complex(re, im)
+    return M
 
 
 @contextlib.contextmanager

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqc
 from uqc import Algebra, Generator, GeneratorSet
 from uqc import io as uio
 from uqc.cli import main
@@ -266,3 +271,88 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "uqc" in capsys.readouterr().out
+
+
+def _uqc_env() -> dict:
+    paths = [str(Path(uqc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def _matrix_case(mutate):
+    def build():
+        doc = uio.generator_set_to_document(three_level_set())
+        mutate(doc["generators"][1]["matrix"])
+        return json.dumps(doc)  # writes NaN as a bare literal, as json.load reads it
+
+    return build
+
+
+def _set(i, k, value):
+    def mutate(rows):
+        rows[i][k] = value
+
+    return mutate
+
+
+def _ragged(rows):
+    rows[1] = rows[1][:2]
+
+
+@pytest.mark.parametrize(
+    "case, located",
+    [
+        ("ragged", "matrix row 2: expected 3 entries, got 2"),
+        ("triple", "matrix row 2 column 3: expected an [re, im] pair"),
+        ("string", "matrix row 2 column 3: expected an [re, im] pair, got '1+2j'"),
+        ("dict", "matrix row 2 column 3: expected an [re, im] pair, got {'re': 1.0}"),
+        ("over-nested", "matrix row 2 column 3: entries must be numbers"),
+        ("too few rows", "matrix: expected 3 rows, got 2"),
+        ("nan", "matrix row 2 column 3: entries must be finite, got [nan, 0.0]"),
+        ("huge integer", "matrix row 2 column 3: entry is outside the float64 range"),
+    ],
+)
+def test_malformed_matrix_exit2_located_without_traceback(tmp_path, case, located):
+    mutate = {
+        "ragged": _ragged,
+        "triple": _set(1, 2, [0.0, 1.0, 2.0]),
+        "string": _set(1, 2, "1+2j"),
+        "dict": _set(1, 2, {"re": 1.0}),
+        "over-nested": _set(1, 2, [[0.0, 1.0], 2.0]),
+        "too few rows": lambda rows: rows.pop(),
+        "nan": _set(1, 2, [float("nan"), 0.0]),
+        "huge integer": _set(1, 2, [10**400, 0]),
+    }[case]
+    path = tmp_path / "bad.json"
+    path.write_text(_matrix_case(mutate)())
+    result = subprocess.run(
+        [sys.executable, "-m", "uqc", "check", str(path)],
+        env=_uqc_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: generators[1] (rot12) {located}"), result.stderr
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # the JSON of a d=200 pair is megabytes, far past a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uqc", "construct", "--dim", "200",
+         "--out", str(tmp_path / "pair.json")],
+        env=_uqc_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == ""
+
+
+def test_importing_the_cli_leaves_mpmath_out():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uqc.cli; print('mpmath' in sys.modules)"],
+        env=_uqc_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,11 +1,23 @@
+import json
+from io import StringIO
+
 import numpy as np
 import pytest
 
-from uqc import Algebra, Generator, GeneratorSet, check_universality, epsilon_bound
+from uqc import (
+    Algebra,
+    BridgeStyle,
+    Generator,
+    GeneratorSet,
+    check_universality,
+    epsilon_bound,
+    make_general_direction,
+    repair,
+)
 from uqc import io as uio
 from uqc.errors import InvalidInput
 
-from conftest import three_level_set
+from conftest import parse_matrix_reference, random_instance, three_level_set, two_qubit_set
 
 
 def _doc(three=None):
@@ -93,7 +105,7 @@ def test_nonfinite_residual_serializes_as_null():
     # bound 25 pushes the grid past the exhaustive limit, leaving +inf
     doc = uio.verdict_to_document(verdict)
     assert doc["general_direction"]["residual"] is None
-    uio.dump_json(doc)  # must not emit bare Infinity
+    uio.dump_json(doc, StringIO())  # must not emit bare Infinity
 
 
 def test_tolerance_profile_mapping():
@@ -145,3 +157,219 @@ def test_bool_integer_fields_rejected(field):
     doc[field] = True
     with pytest.raises(InvalidInput, match=field):
         uio.parse_input_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised matrix codec against its per-entry reference
+
+_EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7, 2**53 + 1, -(2**63) + 1, 7]
+
+
+def _random_rows(rng, d: int, kind: str) -> list:
+    """d x d rows of [re, im] pairs made of plain Python ints and floats."""
+    if kind == "int":
+        return rng.integers(-9, 10, (d, d, 2)).tolist()
+    if kind == "float":
+        return rng.standard_normal((d, d, 2)).tolist()
+    if kind == "mixed":
+        ints = rng.integers(-9, 10, (d, d, 2)).tolist()
+        floats = rng.standard_normal((d, d, 2)).tolist()
+        pick = rng.random((d, d, 2)) < 0.5
+        return [
+            [[ints[i][k][p] if pick[i, k, p] else floats[i][k][p] for p in range(2)]
+             for k in range(d)]
+            for i in range(d)
+        ]
+    picks = rng.integers(0, len(_EXTREMES), (d, d, 2))
+    return [[[_EXTREMES[p] for p in pair] for pair in row] for row in picks]
+
+
+def _bits(M):
+    return np.ascontiguousarray(M).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "mixed", "extreme"])
+@pytest.mark.parametrize("seed", range(5))
+def test_vectorised_parse_matches_reference(kind, seed):
+    rng = np.random.default_rng([seed, 17])
+    for d in (1, 2, 3, int(rng.integers(4, 40))):
+        rows = _random_rows(rng, d, kind)
+        M = uio._parse_matrix(rows, d, "m")
+        R = parse_matrix_reference(rows, d, "m")
+        assert M.shape == (d, d) and M.dtype == np.complex128
+        assert np.array_equal(M, R)
+        assert np.array_equal(_bits(M), _bits(R))  # -0.0 keeps its sign
+
+
+_ROW = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        {"rows": 3},
+        "[[0, 1]]",
+        [_ROW, _ROW],
+        [_ROW, _ROW, _ROW, _ROW],
+        [_ROW, _ROW[:2], _ROW],
+        [_ROW, _ROW, _ROW + [[6.0, 7.0]]],
+        [_ROW, tuple(_ROW), _ROW],
+        [_ROW, _ROW, [[0.0, 1.0], [2.0, 3.0, 4.0], [4.0, 5.0]]],
+        [_ROW, [[0.0, 1.0], "1+2j", [4.0, 5.0]], _ROW],
+        [_ROW, [[0.0, 1.0], {"re": 1, "im": 2}, [4.0, 5.0]], _ROW],
+        [_ROW, [[0.0, 1.0], [[1.0, 2.0], 3.0], [4.0, 5.0]], _ROW],
+        [_ROW, [[0.0, 1.0], [None, 2.0], [4.0, 5.0]], _ROW],
+        [_ROW, [[0.0, 1.0], [1.0, "2"], [4.0, 5.0]], _ROW],
+        [_ROW, [[0.0, 1.0], [1j, 0.0], [4.0, 5.0]], _ROW],
+        [_ROW, [[0.0, 1.0], 2.0, [4.0, 5.0]], _ROW],
+        [_ROW, _ROW, [[0.0, 1.0], [2.0, 3.0], [4.0]]],
+    ],
+)
+def test_malformed_matrix_message_matches_reference(rows):
+    with pytest.raises(InvalidInput) as want:
+        parse_matrix_reference(rows, 3, "m")
+    with pytest.raises(InvalidInput) as got:
+        uio._parse_matrix(rows, 3, "m")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[True, False], [False, False]], [[False, True], [True, True]]],
+        [[[True, False], [1, 0.5]], [[0, 1], [False, 1.0]]],
+        [[(0.0, 1.0), (2.0, 3.0)], [(4.0, 5.0), (6.0, 7.0)]],
+        [[[2**70, 0], [0.5, 0]], [[0, 0], [0, -(2**70)]]],
+    ],
+)
+def test_entries_outside_the_fast_path_still_parse(rows):
+    # bools, tuple pairs and integers beyond int64 take the per-entry walk
+    assert np.array_equal(
+        uio._parse_matrix(rows, 2, "m"), parse_matrix_reference(rows, 2, "m")
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([float("nan"), 0.0], "entries must be finite, got [nan, 0.0]"),
+        ([0.0, float("-inf")], "entries must be finite, got [0.0, -inf]"),
+        ([10**400, 0], "entry is outside the float64 range"),
+        ([0.5, -(10**400)], "entry is outside the float64 range"),
+    ],
+)
+def test_nonfinite_and_huge_entries_are_located(bad, message):
+    rows = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+    rows[1][2] = bad
+    with pytest.raises(InvalidInput) as exc:
+        uio._parse_matrix(rows, 3, "m")
+    assert str(exc.value) == f"m row 2 column 3: {message}"
+
+
+_FUZZ_VALUES = [
+    "x", None, {}, {"re": 1.0, "im": 0.0}, 1.5, [], [1.0], [1.0, 2.0, 3.0],
+    [[1.0, 2.0], 3.0], [1.0, "2"], [None, 0.0], [True, [0]], [1j, 0.0],
+    [float("nan"), 0.0], [0.0, float("inf")], [10**400, 0],
+]
+
+
+def test_fuzzed_matrices_give_located_errors():
+    rng = np.random.default_rng(2024)
+    base = _doc()
+    for _ in range(400):
+        doc = json.loads(json.dumps(base))
+        j = int(rng.integers(0, 2))
+        label = doc["generators"][j]["label"]
+        rows = doc["generators"][j]["matrix"]
+        i, k = (int(v) for v in rng.integers(0, 3, 2))
+        bad = _FUZZ_VALUES[int(rng.integers(0, len(_FUZZ_VALUES)))]
+        mutation = int(rng.integers(0, 5))
+        if mutation == 0:
+            rows[i][k] = bad
+            where = f"row {i + 1} column {k + 1}: "
+        elif mutation == 1:
+            rows[i] = rows[i][: int(rng.integers(0, 3))] if rng.random() < 0.5 else rows[i] + [[0.0, 0.0]]
+            where = f"row {i + 1}: expected 3 entries"
+        elif mutation == 2:
+            del rows[i]
+            where = ": expected 3 rows, got 2"
+        elif mutation == 3:
+            rows[i] = [bad] if isinstance(bad, list) else bad
+            where = f"row {i + 1}: expected "
+        else:
+            doc["generators"][j]["matrix"] = [bad] if isinstance(bad, list) else bad
+            where = ": matrix must be a list of rows" if not isinstance(bad, list) else ": expected 3 rows"
+        with pytest.raises(InvalidInput) as exc:
+            uio.parse_input_document(doc)
+        assert str(exc.value).startswith(f"generators[{j}] ({label}) matrix"), exc.value
+        assert where in str(exc.value), (where, exc.value)
+
+
+def _reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _documents_to_dump():
+    rng = np.random.default_rng(5)
+    yield _doc()
+    yield uio.generator_set_to_document(two_qubit_set(full=True), {"tau_edge": 1e-10})
+    for d, m, kind in ((2, 2, "u"), (5, 3, "su"), (9, 4, "u")):
+        yield uio.generator_set_to_document(random_instance(rng, d, m, kind))
+    diagonal_only = GeneratorSet(Algebra("u", 6), (make_general_direction(Algebra("u", 6)),))
+    for gen_set in (three_level_set(), diagonal_only):
+        plan = repair(gen_set, style=BridgeStyle("sym"))
+        yield uio.verdict_to_document(
+            check_universality(plan.resulting_set),
+            epsilon_max=epsilon_bound(plan.resulting_set),
+            repair=uio.repair_plan_to_document(plan),
+        )
+    odd = _doc()
+    gens = odd["generators"]
+    gens[0]["matrix"] = _random_rows(rng, 3, "extreme")
+    gens[1]["matrix"] = _random_rows(rng, 3, "mixed")
+    gens.append({"label": "empty", "matrix": []})
+    gens.append({"label": "empty row", "matrix": [[], [[1.0, 2.0]]]})
+    gens.append({"label": "tuples", "matrix": [[(1.0, 2.0), [3.0, 4.5]], ((0.5, 0.25), [1.0, 2.0])]})
+    gens.append({"label": "not pairs", "matrix": [1.5, "x", None, {"a": [1.0]}]})
+    gens.append({"label": "flat", "matrix": [[1.0, 2.0], [3.0, 4.0]]})
+    gens.append({"label": "not floats", "matrix": [[[True, None]], [["re", 1.0]], [[1, 2.5]]]})
+    odd["matrix"] = [[[0.1, -0.0]]]
+    odd["nested"] = {"deeper": [{"matrix": [[[1e-300, 5e-324]]], "matrix2": [[[1.0, 2.0]]]}]}
+    odd["unicode"] = "phase θ → \U0001d70b"
+    yield odd
+    # a string that looks like the renderer's placeholder
+    slot = _doc()
+    slot["generators"][0]["label"] = uio._MATRIX_SLOT
+    yield slot
+
+
+def test_dump_json_is_byte_identical_to_json(tmp_path):
+    for n, doc in enumerate(_documents_to_dump()):
+        want = _reference_json(doc)
+        buf = StringIO()
+        uio.dump_json(doc, buf)
+        assert buf.getvalue() == want
+        path = tmp_path / f"doc{n}.json"
+        uio.write_document(doc, str(path))
+        assert path.read_bytes() == (want + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dump_json_rejects_nonfinite_matrix_entries_like_json(bad):
+    doc = _doc()
+    doc["generators"][1]["matrix"][2][1] = [0.0, bad]
+    with pytest.raises(ValueError) as want:
+        _reference_json(doc)
+    with pytest.raises(ValueError) as got:
+        uio.dump_json(doc, StringIO())
+    assert str(got.value) == str(want.value)
+
+
+def test_matrix_to_pairs_gives_plain_floats():
+    M = np.array([[1 + 2j, -0.0 - 0.0j], [5e-324j, 3]])
+    pairs = uio.matrix_to_pairs(M)
+    assert pairs == [[[1.0, 2.0], [-0.0, -0.0]], [[0.0, 5e-324], [3.0, 0.0]]]
+    assert {type(x) for row in pairs for pair in row for x in pair} == {float}
+    assert uio.matrix_to_pairs(np.eye(2, dtype=int)) == [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+    ]
