@@ -36,10 +36,10 @@ from .generators import (
 )
 from .linalg import (
     commutator,
-    embed_real,
+    from_skew_coords,
     matrix_exp,
     operator_norm,
-    unembed_real,
+    skew_coords,
 )
 from .universality import (
     CouplingGraph,
@@ -81,8 +81,8 @@ __all__ = [
     "commutator",
     "operator_norm",
     "matrix_exp",
-    "embed_real",
-    "unembed_real",
+    "skew_coords",
+    "from_skew_coords",
     # generators
     "Algebra",
     "Generator",

@@ -1,9 +1,12 @@
 """Dense complex linear algebra for skew-Hermitian operators.
 
 Everything here works on plain ``numpy`` arrays of shape (d, d) with complex
-dtype.  Matrices are "skew-Hermitian" when ``A + A.conj().T`` vanishes up to
-``TAU_SYM`` relative to the largest entry; all predicates and thresholds below
-are relative so the routines are scale-invariant.
+dtype; ``commutator``, ``skew_coords`` and ``from_skew_coords`` also take
+stacks of them.  ``skew_coords`` maps u(d) isometrically onto R^(d*d), the
+coordinates the closure oracle computes in.  Matrices are "skew-Hermitian"
+when ``A + A.conj().T`` vanishes up to ``TAU_SYM`` relative to the largest
+entry; all predicates and thresholds below are relative so the routines are
+scale-invariant.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from .errors import InvalidInput, NumericalFailure
 
 #: relative tolerance for the skew-Hermitian symmetry defect
 TAU_SYM = 1e-12
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -51,9 +56,11 @@ def is_skew_hermitian(A: np.ndarray, tau: float = TAU_SYM) -> bool:
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix commutator ``AB - BA``.
 
-    For skew-Hermitian inputs the result is again skew-Hermitian.
+    Either side may also be a stack of matrices, shape (k, d, d), commuted
+    pairwise with the other stack or each with the single matrix.  For
+    skew-Hermitian inputs the result is again skew-Hermitian.
     """
-    if A.shape != B.shape:
+    if A.shape[-2:] != B.shape[-2:] or A.ndim not in (2, 3) or B.ndim not in (2, 3):
         raise InvalidInput(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B - B @ A
 
@@ -88,19 +95,39 @@ def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (V * np.exp(1j * t * w)) @ V.conj().T
 
 
-def embed_real(A: np.ndarray) -> np.ndarray:
-    """Flatten a d x d complex matrix to a real vector of length 2*d*d.
+def skew_coords(A: np.ndarray) -> np.ndarray:
+    """Coordinates of the skew-Hermitian part of A in an orthonormal basis of u(d).
 
-    Layout is fixed (real parts row-major, then imaginary parts row-major) so
-    that rank computations are reproducible across modules.
+    The basis is the generalised Gell-Mann one, times i: ``i E_rr`` for the
+    diagonal, ``(E_rl - E_lr)/sqrt2`` and ``i (E_rl + E_lr)/sqrt2`` for
+    r < l.  The d*d real coordinates are laid out as ``Im M_rr`` (r = 0..d-1),
+    then ``sqrt2 Re M_rl`` and ``sqrt2 Im M_rl`` over r < l in row-major
+    order, where M = (A - A†)/2.  The map is the orthogonal projection onto
+    u(d) followed by an isometry, so Frobenius norms and inner products of
+    skew-Hermitian matrices are kept.  Takes a stack (..., d, d) and returns
+    (..., d*d).
     """
-    return np.concatenate([A.real.ravel(), A.imag.ravel()])
+    A = np.asarray(A)
+    r, l = np.triu_indices(A.shape[-1], 1)
+    upper = (A[..., r, l] - A[..., l, r].conj()) / _SQRT2
+    diag = np.diagonal(A, axis1=-2, axis2=-1).imag
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
-def unembed_real(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`embed_real`."""
+def from_skew_coords(v: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`skew_coords`: the skew-Hermitian matrix of ``v``.
+
+    Takes a stack (..., d*d) and returns (..., d, d); the result is exactly
+    skew-Hermitian.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (2 * d * d,):
-        raise InvalidInput(f"expected a vector of length {2 * d * d}, got {v.shape}")
-    return v[: d * d].reshape(d, d) + 1j * v[d * d :].reshape(d, d)
-
+    if v.shape[-1:] != (d * d,):
+        raise InvalidInput(f"expected coordinates of length {d * d}, got {v.shape}")
+    r, l = np.triu_indices(d, 1)
+    k = len(r)
+    upper = (v[..., d : d + k] + 1j * v[..., d + k :]) / _SQRT2
+    M = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    M[..., range(d), range(d)] = 1j * v[..., :d]
+    M[..., r, l] = upper
+    M[..., l, r] = -upper.conj()
+    return M

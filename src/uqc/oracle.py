@@ -2,14 +2,20 @@
 
 ``lie_closure`` grows an orthonormal basis of the real Lie algebra generated
 by the set via iterated commutators, which gives an independent dimension
-count to compare against the graph verdict.  ``coordinate_subspace_scan``
-enumerates invariant coordinate subspaces directly, a second independent
-oracle for the connectivity reduction.  Both read the coupling structure
-through the one edge rule of :mod:`uqc.universality`
-(``|A_rl| > tau_edge * max|A|``, via ``extract_coupling_graph``): the
-closure partition feeds it the closure basis, the scan every generator.
-Both are desk-scale tools (closure is practical to d ~ 12, the scan to
-d = 20).
+count to compare against the graph verdict.  Elements are held as d*d real
+coordinates in an orthonormal Hermitian (generalised Gell-Mann) basis of
+u(d) (``linalg.skew_coords``), so skew-Hermiticity holds by construction and
+Frobenius norms, hence every tolerance, keep their meaning.  Commutators are
+formed, projected off the basis and admitted a block of at most ``_BLOCK``
+at a time, which bounds the working memory whatever d is.
+``coordinate_subspace_scan`` enumerates invariant coordinate subspaces
+directly, a second independent oracle for the connectivity reduction.  Both
+read the coupling structure through the one edge rule of
+:mod:`uqc.universality` (``|A_rl| > tau_edge * max|A|``, via
+``extract_coupling_graph``): the closure partition feeds it the closure
+basis, the scan every generator.  Both are desk-scale tools with hard caps:
+the closure at d = CLOSURE_DIM_LIMIT (u(12) takes about 0.25 s, u(20) about
+11 s), the scan at d = SCAN_DIM_LIMIT.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ TAU_CLOSE = 1e-9
 TAU_GROWTH_FLOOR = 1e-6
 #: maximum certification/regrowth cycles before giving up
 _MAX_CERTIFY_CYCLES = 8
+#: commutators per block, in growth and in certification alike; it bounds
+#: the closure's working memory at a few blocks of d x d matrices
+_BLOCK = 64
+#: hard cap for lie_closure: the work grows about as d^8 (every pair of up
+#: to d^2 basis elements, each projected off that basis); u(20) takes about
+#: 11 s on a 2-core Xeon VM with one BLAS thread, u(24) would take ~45 s
+CLOSURE_DIM_LIMIT = 20
 #: hard cap for coordinate_subspace_scan (2^d subsets)
 SCAN_DIM_LIMIT = 20
 
@@ -43,8 +56,11 @@ SCAN_DIM_LIMIT = 20
 class LieClosureReport:
     """Orthonormal basis of the generated real Lie algebra.
 
-    ``basis`` holds orthonormal rows in the fixed real embedding (length
-    2*d*d); ``basis_matrices`` are the same elements in matrix form.
+    ``basis`` holds orthonormal rows of d*d real coordinates in the
+    Hermitian basis of :func:`uqc.linalg.skew_coords`; ``basis_matrices``
+    are the same elements in matrix form.  ``rounds`` counts frontier
+    generations: the elements added in one generation are commuted against
+    the basis in the next, over growth and every certification regrowth.
     ``residual_max`` is the largest relative component outside the final
     basis over all commutators of basis pairs; small values certify that the
     basis is actually closed under the bracket.
@@ -60,25 +76,142 @@ class LieClosureReport:
     residual_max: float
 
 
-def _orthogonalize(v: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Project v off the rows of ``basis`` with repeated re-projection."""
-    for _ in range(passes):
-        v = v - basis.T @ (basis @ v)
-    return v
+class _Basis:
+    """Orthonormal closure basis, in coordinates and as matrices.
 
-
-def _structure_project(M: np.ndarray, traceless: bool) -> np.ndarray:
-    """Pin a matrix to the structure space the closure lives in.
-
-    Every closure element is skew-Hermitian, and traceless in su mode; the
-    raw real embedding has room for neither constraint, so roundoff picked
-    up along the way is projected out before it can masquerade as rank.
+    Every element is a unit coordinate vector (see ``linalg.skew_coords``),
+    so skew-Hermiticity holds by construction; in su mode the identity
+    direction is projected off each candidate and each new element.
     """
-    M = (M - M.conj().T) / 2.0
-    if traceless:
-        d = M.shape[0]
-        M = M - (np.trace(M) / d) * np.eye(d)
-    return M
+
+    def __init__(self, d: int, traceless: bool, max_dim_guard: int):
+        self.d = d
+        self.traceless = traceless
+        self.max_dim_guard = max_dim_guard
+        self.n = 0
+        self.coords = np.zeros((d * d, d * d))
+        self.mats = np.zeros((d * d, d, d), dtype=complex)
+
+    def _pin(self, C: np.ndarray) -> np.ndarray:
+        if self.traceless:
+            C[..., : self.d] -= C[..., : self.d].mean(axis=-1, keepdims=True)
+        return C
+
+    def project(self, C: np.ndarray) -> np.ndarray:
+        """Rows of C minus their components along the basis, in two passes."""
+        B = self.coords[: self.n]
+        for _ in range(2):
+            C = C - (C @ B.T) @ B
+        return C
+
+    def commutators(self, lo: int, hi: int):
+        """Coordinates of [M_i, M_j] for lo <= i < hi and j < i, a block at a time.
+
+        Pair (i, j) is number i(i-1)/2 + j - lo(lo-1)/2 in the order yielded.
+        Each M_i is commuted against up to ``_BLOCK`` of the M_j at once, and
+        the pieces are gathered into blocks of up to ``_BLOCK`` rows.
+        """
+        pieces, rows = [], 0
+        for i in range(lo, hi):
+            for j in range(0, i, _BLOCK):
+                piece = linalg.commutator(self.mats[i], self.mats[j : min(i, j + _BLOCK)])
+                if rows + len(piece) > _BLOCK:
+                    yield linalg.skew_coords(np.concatenate(pieces))
+                    pieces, rows = [], 0
+                pieces.append(piece)
+                rows += len(piece)
+        if pieces:
+            yield linalg.skew_coords(np.concatenate(pieces))
+
+    def screen(self, lo: int, hi: int) -> np.ndarray:
+        """Leftover off the basis of every pair of :meth:`commutators`.
+
+        Each leftover is relative to ``max(1, |C|)``, the scale at which a
+        commutator of unit elements is produced.
+        """
+        ratios = [np.zeros(0)]
+        for C in self.commutators(lo, hi):
+            C = self._pin(C)
+            scale = np.maximum(1.0, np.linalg.norm(C, axis=1))
+            ratios.append(np.linalg.norm(self.project(C), axis=1) / scale)
+        return np.concatenate(ratios)
+
+    def admit_pairs(self, lo: int, ratio: np.ndarray, tau: float) -> None:
+        """Admit the screened pairs whose leftover exceeds ``tau``, largest first.
+
+        The commutators of those pairs are computed again, a block at a
+        time, and judged off the basis as it grows (see :meth:`admit`).  A
+        direction normalized from a large leftover carries the least
+        roundoff; pairs with smaller leftovers that held the same direction
+        then fall below ``tau`` and are dropped instead of being normalized.
+        """
+        live = np.flatnonzero(ratio > tau)
+        p = live[np.argsort(-ratio[live], kind="stable")] + lo * (lo - 1) // 2
+        i = ((1 + np.sqrt(8 * p + 1)) // 2).astype(int)
+        j = p - i * (i - 1) // 2
+        for b in range(0, len(p), _BLOCK):
+            I, J = i[b : b + _BLOCK], j[b : b + _BLOCK]
+            self.admit(linalg.skew_coords(linalg.commutator(self.mats[I], self.mats[J])), tau, 1.0)
+
+    def admit(self, C: np.ndarray, tau: float, scale: float | None) -> None:
+        """Add the rows of C that reach outside the span, largest leftover first.
+
+        A row joins when its leftover off the basis exceeds ``tau`` times
+        ``max(norm, scale)``.  ``scale`` is the magnitude at which the
+        candidate was produced: a commutator of two unit-Frobenius basis
+        elements has scale 1, so a near-zero result there is roundoff, not a
+        tiny new direction.  Seeds pass scale=None and are judged relative to
+        themselves.  Each accepted direction is projected off the remaining
+        rows, and rows that fall below their bound are dropped at once.
+        """
+        C = self._pin(C)
+        nrm = np.linalg.norm(C, axis=1)
+        ref = nrm if scale is None else np.maximum(nrm, scale)
+        bound = tau * ref
+        W = self.project(C)
+        left = np.linalg.norm(W, axis=1)
+        live = np.flatnonzero(left > bound)
+        while live.size:
+            pick = np.argmax(left[live] / ref[live])
+            a, live = live[pick], np.delete(live, pick)
+            u = self._append(W[a] / left[a])
+            if live.size:
+                W[live] -= np.outer(W[live] @ u, u)
+                left[live] = np.linalg.norm(W[live], axis=1)
+                live = live[left[live] > bound[live]]
+
+    def _append(self, u: np.ndarray) -> np.ndarray:
+        if self.n + 1 > self.max_dim_guard:
+            raise NumericalFailure(
+                f"closure dimension exceeded the guard {self.max_dim_guard}; "
+                "tau_rank is likely too small for this data"
+            )
+        # normalizing a small leftover amplifies its roundoff content, so
+        # re-pin the unit vector and re-orthogonalize it before it joins
+        # the basis; this keeps impurities from compounding
+        u = self.project(self._pin(u))
+        u /= np.linalg.norm(u)
+        if self.n == len(self.coords):  # only below the roundoff floor
+            self.coords = np.concatenate([self.coords, np.zeros_like(self.coords)])
+            self.mats = np.concatenate([self.mats, np.zeros_like(self.mats)])
+        self.coords[self.n] = u
+        self.mats[self.n] = linalg.from_skew_coords(u, self.d)
+        self.n += 1
+        return u
+
+    def grow(self, lo: int, tau: float) -> int:
+        """Commute each frontier generation against the basis; return the count.
+
+        The frontier starts as the elements from ``lo`` on; the elements a
+        generation adds are the next one.
+        """
+        generations = 0
+        while lo < self.n:
+            generations += 1
+            hi = self.n
+            self.admit_pairs(lo, self.screen(lo, hi), tau)
+            lo = hi
+        return generations
 
 
 def lie_closure(
@@ -88,119 +221,68 @@ def lie_closure(
 ) -> LieClosureReport:
     """Compute Lie_R<generators> by iterated commutators with rank tracking.
 
-    Seeds the basis with the generators, then sweeps: every element added in
-    the previous round is commuted against the full current basis, and
+    Seeds the basis with the generators, then grows it a frontier
+    generation at a time: the elements added in one generation are commuted
+    against the whole basis, a block of commutators at a time, and
     rank-increasing results join the basis.  Growth accepts off-span
     components above ``max(tau_rank, TAU_GROWTH_FLOOR)`` (see the floor's
-    note on roundoff amplification); once sweeps stabilize, a certification
-    pass measures every basis-pair commutator against the converged basis
-    and adopts anything still above ``tau_rank`` before certifying, so the
-    reported rank decisions are made at ``tau_rank`` while the growth path
-    stays numerically stable.
+    note on roundoff amplification); once growth stops, a certification
+    pass measures every basis-pair commutator against the converged basis;
+    if any is still above ``tau_rank``, the pass is repeated adopting those
+    at ``tau_rank`` and the basis regrows, so the reported rank decisions
+    are made at ``tau_rank`` while the growth path stays numerically stable.
 
-    Raises NumericalFailure if the dimension exceeds ``max_dim_guard``
-    (default d^2, the mathematical maximum); that signals a misconfigured
-    tolerance, not a property of the input.
+    Raises InvalidInput for d > CLOSURE_DIM_LIMIT, and NumericalFailure if
+    the dimension exceeds ``max_dim_guard`` (default d^2, the mathematical
+    maximum); that signals a misconfigured tolerance, not a property of the
+    input.
     """
     validate_tolerance("tau_rank", tau_rank)
     gen_set = validate_set(gen_set, require_nondegenerate=False)
     d = gen_set.dim
+    if d > CLOSURE_DIM_LIMIT:
+        raise InvalidInput(
+            f"the Lie-closure oracle is capped at d = {CLOSURE_DIM_LIMIT} "
+            f"(got d = {d}); use the coupling-graph check instead"
+        )
     if max_dim_guard is None:
         max_dim_guard = d * d
     if max_dim_guard < d * d:
         raise InvalidInput(f"max_dim_guard must be >= d^2 = {d * d}")
     tau_growth = max(tau_rank, TAU_GROWTH_FLOOR)
-    traceless = gen_set.algebra.kind == "su"
 
-    basis = np.zeros((0, 2 * d * d))
-    mats: list[np.ndarray] = []
-
-    def try_add(M: np.ndarray, tau: float, scale: float | None = None) -> bool:
-        # ``scale`` is the magnitude at which the candidate was produced:
-        # a commutator of two unit-Frobenius basis elements has scale 1, so
-        # a near-zero result there is roundoff, not a tiny new direction.
-        # Seeds pass scale=None and are judged relative to themselves.
-        nonlocal basis
-        v = linalg.embed_real(_structure_project(M, traceless))
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            return False
-        w = _orthogonalize(v, basis)
-        left = float(np.linalg.norm(w))
-        if left <= tau * (nrm if scale is None else max(nrm, scale)):
-            return False
-        if len(mats) + 1 > max_dim_guard:
-            raise NumericalFailure(
-                f"closure dimension exceeded the guard {max_dim_guard}; "
-                "tau_rank is likely too small for this data"
-            )
-        # normalizing a small leftover amplifies its roundoff content, so
-        # re-pin the unit vector to the structure space and re-orthogonalize
-        # before it joins the basis; this keeps impurities from compounding
-        u = w / left
-        u = linalg.embed_real(_structure_project(linalg.unembed_real(u, d), traceless))
-        u = _orthogonalize(u, basis)
-        u /= np.linalg.norm(u)
-        basis = np.vstack([basis, u])
-        mats.append(linalg.unembed_real(u, d))
-        return True
-
-    def sweep(frontier: list[int]) -> int:
-        count = 0
-        while frontier:
-            count += 1
-            new_frontier: list[int] = []
-            for i in frontier:
-                for j in range(len(mats)):
-                    if i == j:
-                        continue
-                    C = linalg.commutator(mats[i], mats[j])
-                    if try_add(C, tau_growth, scale=1.0):
-                        new_frontier.append(len(mats) - 1)
-            frontier = new_frontier
-        return count
-
-    seeds: list[int] = []
-    for gen in gen_set.generators:
-        if try_add(gen.matrix, tau_rank):
-            seeds.append(len(mats) - 1)
-    rounds = sweep(seeds)
+    basis = _Basis(d, gen_set.algebra.kind == "su", max_dim_guard)
+    basis.admit(
+        linalg.skew_coords(np.array([g.matrix for g in gen_set.generators])),
+        tau_rank,
+        scale=None,
+    )
+    rounds = basis.grow(0, tau_growth)
 
     # certification loop: measure every basis-pair commutator against the
     # converged basis; anything still above tau_rank is genuine marginal
     # rank the growth floor deferred, so adopt it and regrow
-    residual_max = 0.0
-    for cycle in range(_MAX_CERTIFY_CYCLES):
-        residual_max = 0.0
-        offenders: list[np.ndarray] = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                C = linalg.commutator(mats[i], mats[j])
-                v = linalg.embed_real(C)
-                nrm = float(np.linalg.norm(v))
-                left = float(np.linalg.norm(_orthogonalize(v, basis)))
-                residual_max = max(residual_max, left / max(1.0, nrm))
-                if left > tau_rank * max(1.0, nrm):
-                    offenders.append(C)
-        if not offenders:
+    for _ in range(_MAX_CERTIFY_CYCLES):
+        n = basis.n
+        ratio = basis.screen(0, n)
+        residual_max = float(ratio.max(initial=0.0))
+        if residual_max <= tau_rank:
             break
-        frontier = []
-        for C in offenders:
-            if try_add(C, tau_rank, scale=1.0):
-                frontier.append(len(mats) - 1)
-        rounds += sweep(frontier)
+        basis.admit_pairs(0, ratio, tau_rank)
+        rounds += basis.grow(n, tau_growth)
     else:
         raise NumericalFailure(
             "closure certification did not stabilize; rank decisions are "
             "ambiguous at this tau_rank"
         )
 
+    n = basis.n
     return LieClosureReport(
         dim=d,
         algebra_kind=gen_set.algebra.kind,
-        basis=basis,
-        basis_matrices=tuple(mats),
-        dimension=len(mats),
+        basis=basis.coords[:n],
+        basis_matrices=tuple(basis.mats[:n]),
+        dimension=n,
         target_dimension=gen_set.algebra.target_dimension,
         rounds=rounds,
         residual_max=residual_max,

@@ -7,8 +7,16 @@ import signal
 
 import numpy as np
 
-from uqc import Algebra, Generator, GeneratorSet, make_general_direction
-from uqc.errors import InvalidInput
+from uqc import (
+    Algebra,
+    Generator,
+    GeneratorSet,
+    LieClosureReport,
+    commutator,
+    make_general_direction,
+    validate_set,
+)
+from uqc.errors import InvalidInput, NumericalFailure
 
 
 def three_level_set() -> GeneratorSet:
@@ -138,6 +146,110 @@ def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:
             )
             M[i, k] = complex(re, im)
     return M
+
+
+def embed_real(A: np.ndarray) -> np.ndarray:
+    """Real parts row-major, then imaginary parts: an isometry C^(dxd) -> R^(2d^2)."""
+    return np.concatenate([A.real.ravel(), A.imag.ravel()])
+
+
+def lie_closure_reference(
+    gen_set: GeneratorSet, tau_rank: float = 1e-10, max_dim_guard: int | None = None
+) -> LieClosureReport:
+    """Per-pair Lie closure in the raw 2d^2 real embedding, one vector a time.
+
+    Test-only reference for the blocked ``uqc.lie_closure``: the same
+    growth, acceptance and certification rules (``TAU_GROWTH_FLOOR`` 1e-6,
+    eight certification cycles), one commutator and one two-pass
+    projection per pair.  Its ``basis`` rows live in the embedding of
+    :func:`embed_real`.
+    """
+    gen_set = validate_set(gen_set, require_nondegenerate=False)
+    d = gen_set.dim
+    if max_dim_guard is None:
+        max_dim_guard = d * d
+    tau_growth = max(tau_rank, 1e-6)
+    traceless = gen_set.algebra.kind == "su"
+
+    def unembed(v):
+        return v[: d * d].reshape(d, d) + 1j * v[d * d :].reshape(d, d)
+
+    def structure_project(M):
+        M = (M - M.conj().T) / 2.0
+        if traceless:
+            M = M - (np.trace(M) / d) * np.eye(d)
+        return M
+
+    def orthogonalize(v, basis):
+        for _ in range(2):
+            v = v - basis.T @ (basis @ v)
+        return v
+
+    basis = np.zeros((0, 2 * d * d))
+    mats: list[np.ndarray] = []
+
+    def try_add(M, tau, scale=None):
+        nonlocal basis
+        v = embed_real(structure_project(M))
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            return False
+        w = orthogonalize(v, basis)
+        left = float(np.linalg.norm(w))
+        if left <= tau * (nrm if scale is None else max(nrm, scale)):
+            return False
+        if len(mats) + 1 > max_dim_guard:
+            raise NumericalFailure("closure dimension exceeded the guard")
+        u = w / left
+        u = embed_real(structure_project(unembed(u)))
+        u = orthogonalize(u, basis)
+        u /= np.linalg.norm(u)
+        basis = np.vstack([basis, u])
+        mats.append(unembed(u))
+        return True
+
+    def sweep(frontier):
+        count = 0
+        while frontier:
+            count += 1
+            new_frontier = []
+            for i in frontier:
+                for j in range(len(mats)):
+                    if i != j and try_add(commutator(mats[i], mats[j]), tau_growth, 1.0):
+                        new_frontier.append(len(mats) - 1)
+            frontier = new_frontier
+        return count
+
+    seeds = [len(mats) - 1 for g in gen_set.generators if try_add(g.matrix, tau_rank)]
+    rounds = sweep(seeds)
+    for _ in range(8):
+        residual_max = 0.0
+        offenders = []
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                C = commutator(mats[i], mats[j])
+                v = embed_real(C)
+                nrm = float(np.linalg.norm(v))
+                left = float(np.linalg.norm(orthogonalize(v, basis)))
+                residual_max = max(residual_max, left / max(1.0, nrm))
+                if left > tau_rank * max(1.0, nrm):
+                    offenders.append(C)
+        if not offenders:
+            break
+        frontier = [len(mats) - 1 for C in offenders if try_add(C, tau_rank, 1.0)]
+        rounds += sweep(frontier)
+    else:
+        raise NumericalFailure("closure certification did not stabilize")
+    return LieClosureReport(
+        dim=d,
+        algebra_kind=gen_set.algebra.kind,
+        basis=basis,
+        basis_matrices=tuple(mats),
+        dimension=len(mats),
+        target_dimension=gen_set.algebra.target_dimension,
+        rounds=rounds,
+        residual_max=residual_max,
+    )
 
 
 @contextlib.contextmanager

@@ -98,6 +98,21 @@ def test_numerical_failure_exit3(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+def test_oracle_beyond_the_closure_limit_exit2(capsys, tmp_path):
+    from uqc.oracle import CLOSURE_DIM_LIMIT
+
+    algebra = Algebra("u", CLOSURE_DIM_LIMIT + 1)
+    s = GeneratorSet(algebra, (uqc.make_general_direction(algebra),))
+    path = str(tmp_path / "big.json")
+    uio.write_document(uio.generator_set_to_document(s), path)
+    for argv in (["check", path, "--oracle"], ["oracle", path]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"capped at d = {CLOSURE_DIM_LIMIT}" in err
+    code, out, _ = _run(capsys, ["check", path])
+    assert code == 0 and json.loads(out)["status"] == "reducible"
+
+
 def test_repair_paper_example_selection(capsys, u3_path, tmp_path):
     out_path = str(tmp_path / "fixed.json")
     code, out, _ = _run(

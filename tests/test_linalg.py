@@ -133,16 +133,54 @@ def test_matrix_exp_rejects_non_skew():
         linalg.matrix_exp(np.array([[0, 1], [1, 0]], dtype=complex), 1.0)
 
 
-def test_embed_real_roundtrip():
+def test_skew_coords_roundtrip():
     rng = np.random.default_rng(23)
     A = random_skew(rng, 4)
-    assert np.allclose(linalg.unembed_real(linalg.embed_real(A), 4), A)
+    assert np.allclose(linalg.from_skew_coords(linalg.skew_coords(A), 4), A)
+    stack = np.array([random_skew(rng, 3) for _ in range(5)])
+    assert np.allclose(linalg.from_skew_coords(linalg.skew_coords(stack), 3), stack)
 
 
-def test_embed_real_layout():
-    # fixed layout: real parts row-major first, then imaginary parts
-    A = np.array([[1 + 5j, 2 + 6j], [3 + 7j, 4 + 8j]])
-    assert np.array_equal(linalg.embed_real(A), np.arange(1.0, 9.0))
+def test_skew_coords_layout():
+    # fixed layout: Im of the diagonal, then sqrt2 Re and sqrt2 Im of the
+    # upper triangle row by row
+    A = np.zeros((3, 3), dtype=complex)
+    A[0, 0], A[1, 1], A[2, 2] = 1j, 2j, 3j
+    A[0, 1], A[0, 2], A[1, 2] = 4 + 7j, 5 + 8j, 6 + 9j
+    A = A - np.triu(A, 1).conj().T
+    expected = np.concatenate([[1.0, 2.0, 3.0], SQRT2 * np.arange(4.0, 10.0)])
+    assert np.allclose(linalg.skew_coords(A), expected, rtol=1e-15, atol=0)
+    with pytest.raises(InvalidInput):
+        linalg.from_skew_coords(np.zeros(8), 3)
+
+
+def test_skew_coords_is_the_projection_onto_u_d_and_an_isometry():
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 5, 8):
+        A, B = random_skew(rng, d), random_skew(rng, d)
+        a, b = linalg.skew_coords(A), linalg.skew_coords(B)
+        assert a.shape == (d * d,)
+        # the Frobenius inner product Re tr(A^dagger B) is kept
+        assert np.isclose(a @ b, np.vdot(A, B).real, rtol=1e-12, atol=1e-12)
+        # a Hermitian part is dropped: coordinates of A + H are those of A
+        H = 1j * random_skew(rng, d)
+        assert np.allclose(linalg.skew_coords(A + H), a, rtol=0, atol=1e-12)
+        M = linalg.from_skew_coords(a, d)
+        assert linalg.skew_defect(M) == 0.0
+
+
+def test_commutator_against_a_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(31)
+    for d, k in ((1, 3), (2, 1), (5, 7), (12, 64)):
+        A = random_skew(rng, d) + rng.standard_normal((d, d))
+        stack = np.array([random_skew(rng, d) + 1j * random_skew(rng, d) for _ in range(k)])
+        blocked = linalg.commutator(A, stack)
+        assert blocked.shape == (k, d, d)
+        for B, C in zip(stack, blocked):
+            one = linalg.commutator(A, B)
+            assert np.allclose(C, one, rtol=0, atol=1e-13 * max(1.0, linalg.max_abs(one)))
+    with pytest.raises(InvalidInput):
+        linalg.commutator(np.eye(2), np.zeros((4, 3, 3)))
 
 
 def test_as_complex_matrix_rejects_bad_shapes():
