@@ -5,6 +5,12 @@ so no string parsing of "a+bi" is ever needed.  Basis indices are 1-based in
 every document (components, permutations, bridge endpoints) and 0-based in
 the library; this module is the only place that converts.  ``general_index``
 is a position in the generator list and stays 0-based, default 0.
+
+Documents built here (``*_to_document``) hold each matrix as its complex
+ndarray.  JSON text comes only from :func:`dump_json` and
+:func:`write_document`, which render every 2-D array straight from its
+values as rows of [re, im] pairs, byte for byte what ``json.dumps(indent=2)``
+gives the same document with its arrays turned into lists.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -208,18 +213,28 @@ def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
     return parse_input_document(obj)
 
 
-def matrix_to_pairs(M: np.ndarray) -> list:
+def matrix_to_pairs(M) -> list:
+    """json's ``default`` for documents: an ndarray as rows of [re, im] pairs
+    of plain floats; anything else is not serializable, as in json."""
+    if not isinstance(M, np.ndarray):
+        raise TypeError(f"Object of type {type(M).__name__} is not JSON serializable")
     M = np.asarray(M, dtype=complex)
     return np.stack([M.real, M.imag], -1).tolist()
 
 
 def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = None) -> dict:
+    """The input-document form of ``gen_set``.
+
+    Each ``"matrix"`` is the generator's complex ndarray itself, not a list:
+    the document is meant for :func:`dump_json` / :func:`write_document`,
+    which render it as rows of [re, im] pairs.
+    """
     doc = {
         "algebra": gen_set.algebra.kind,
         "dimension": gen_set.algebra.dim,
         "general_index": gen_set.general_index,
         "generators": [
-            {"label": g.label or f"g{j + 1}", "matrix": matrix_to_pairs(g.matrix)}
+            {"label": g.label or f"g{j + 1}", "matrix": g.matrix}
             for j, g in enumerate(gen_set.generators)
         ],
     }
@@ -277,7 +292,7 @@ def repair_plan_to_document(plan) -> dict:
             for a, b, style in plan.bridges
         ],
         "added_generators": [
-            {"label": g.label, "matrix": matrix_to_pairs(g.matrix)}
+            {"label": g.label, "matrix": g.matrix}
             for g in plan.added_generators
         ],
         "noop": len(plan.bridges) == 0,
@@ -301,95 +316,89 @@ _MATRIX_SLOT = "\x00uqc matrix\x00"
 
 
 def _skeleton(value, matrices: list):
-    """``value`` with every non-empty ``"matrix"`` list swapped for the slot.
+    """``value`` with every non-empty 2-D ndarray swapped for the slot.
 
-    The swapped-out lists are appended to ``matrices`` in the order json
-    meets their slots.
+    The swapped-out arrays are appended to ``matrices`` in the order json
+    meets their slots; any other ndarray is left to json's ``default``.
     """
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.size:
+        matrices.append(value)
+        return _MATRIX_SLOT
     if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if key == "matrix" and type(item) is list and item:
-                matrices.append(item)
-                out[key] = _MATRIX_SLOT
-            else:
-                out[key] = _skeleton(item, matrices)
-        return out
+        return {key: _skeleton(item, matrices) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_skeleton(item, matrices) for item in value]
     return value
 
 
-def _row_floats(row):
-    """The entries of ``row`` as one flat tuple, if it is a non-empty list of
-    [re, im] lists of plain floats; None otherwise."""
-    if type(row) is not list or not row:
-        return None
-    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(row))
-    return flat if set(map(type, flat)) == {float} else None
+def _matrix_chunks(M: np.ndarray, pad: int):
+    """The text ``json.dumps(indent=2, default=matrix_to_pairs)`` gives the
+    2-D array ``M`` at indent ``pad``, one piece per row.
 
-
-def _matrix_chunks(rows: list, pad: int):
-    """The text ``json.dumps(indent=2)`` gives ``rows`` at indent ``pad``,
-    one piece per row.
-
-    A row of float pairs goes through one ``%``-format (``%r`` is
-    ``float.__repr__`` for a float, as in json); any other row is left to
-    ``json.dumps`` and re-indented.
+    Each distinct float, told apart by its bits so that -0.0 is not 0.0, is
+    formatted once with ``float.__repr__``, as json does; the all-zero row
+    is formatted once; every other row goes through one ``%s`` template.
     """
+    F = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    finite = np.isfinite(F)
+    if not finite.all():
+        # json's own error for the first bad value in json's order
+        json.dumps(F[~finite][0].item(), indent=2, allow_nan=False)
+    bits = F.view(np.uint64)
+    zero_rows = ~bits.any(axis=1)
+    live = bits[~zero_rows]  # the rows that are not all +0.0
+    values = np.unique(live)
+    reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
+    texts = iter(reprs[np.searchsorted(values, live)].tolist())
+
     i1, i2, i3 = (" " * (pad + k) for k in (2, 4, 6))
-    first = f"[\n{i2}[\n{i3}%r,\n{i3}%r"
-    rest = f"\n{i2}],\n{i2}[\n{i3}%r,\n{i3}%r"
-    close = f"\n{i2}]\n{i1}]"
-    templates = {}
-    yield "["
-    for r, row in enumerate(rows):
-        text = None
-        flat = _row_floats(row)
-        if flat is not None:
-            n = len(row)
-            if n not in templates:
-                templates[n] = first + rest * (n - 1) + close
-            text = templates[n] % flat
-            # a finite float's repr has no "n"; nan and inf have one, and
-            # json must reject them
-            if "n" in text:
-                text = None
-        if text is None:
-            text = json.dumps(row, indent=2, allow_nan=False).replace("\n", "\n" + i1)
-        yield ("\n" if r == 0 else ",\n") + i1 + text
+    pair = f"\n{i2}[\n{i3}%s,\n{i3}%s\n{i2}]"
+    template = "[" + ",".join([pair] * (bits.shape[1] // 2)) + f"\n{i1}]"
+    zero = template % (("0.0",) * bits.shape[1])
+    yield "[\n" + i1
+    for r, is_zero in enumerate(zero_rows.tolist()):
+        if r:
+            yield ",\n" + i1
+        yield zero if is_zero else template % tuple(next(texts))
     yield "\n" + " " * pad + "]"
 
 
 def _json_chunks(doc):
     matrices = []
-    text = json.dumps(_skeleton(doc, matrices), indent=2, allow_nan=False)
+    text = json.dumps(
+        _skeleton(doc, matrices), indent=2, allow_nan=False, default=matrix_to_pairs
+    )
     pieces = text.split(json.dumps(_MATRIX_SLOT))
     if len(pieces) != len(matrices) + 1:  # a string of the document holds the slot
-        yield json.dumps(doc, indent=2, allow_nan=False)
+        yield json.dumps(doc, indent=2, allow_nan=False, default=matrix_to_pairs)
         return
     yield pieces[0]
-    for rows, before, after in zip(matrices, pieces, pieces[1:]):
+    for M, before, after in zip(matrices, pieces, pieces[1:]):
         line = before.rpartition("\n")[2]
-        yield from _matrix_chunks(rows, len(line) - len(line.lstrip(" ")))
+        yield from _matrix_chunks(M, len(line) - len(line.lstrip(" ")))
         yield after
 
 
 def dump_json(doc: dict, out):
-    """Write ``json.dumps(doc, indent=2, allow_nan=False)`` to the text
-    handle ``out``, byte for byte, piece by piece, never holding all of it.
+    """Write ``json.dumps(doc, indent=2, allow_nan=False,
+    default=matrix_to_pairs)`` to the text handle ``out``, byte for byte,
+    piece by piece, never holding all of it.
 
-    json's own indented encoder runs in Python, one call per value, so the
-    matrices are rendered here instead: json lays out the rest of the
-    document, and each ``"matrix"`` is spliced in row by row.
+    Document matrices are ndarrays, and this function (with
+    :func:`write_document`) is the one place that turns them into text:
+    json lays out the rest of the document, and each 2-D array is rendered
+    here straight from its values and streamed row by row.
     """
     out.writelines(_json_chunks(doc))
 
 
 def write_document(doc: dict, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
+    """:func:`dump_json` into the file ``path``, with a final newline."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
+    with fh:
         dump_json(doc, fh)
         fh.write("\n")
 

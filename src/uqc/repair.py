@@ -29,6 +29,12 @@ class BridgeStyle(Enum):
     SYMMETRIC_IMAGINARY = "sym"
 
 
+#: largest d that :func:`minimal_pair` builds (ten qubits).  ``uqc construct``
+#: writes the pair's document twice, to ``--out`` and to stdout: 122 MB each
+#: at d = 1024, growing as d^2, and the prime search for the drift grows as
+#: d^2 too; past the cap the request is refused before either starts
+CONSTRUCT_DIM_LIMIT = 1024
+
 #: endpoint selection rules for repair bridges; "paper-example", the CLI's
 #: name, is an alias of "largest-inside" and is resolved here only
 SELECTION_RULES = ("smallest", "largest-inside", "paper-example")
@@ -130,8 +136,14 @@ def minimal_pair(
 
     The chain couples 1-2-...-d into a single path, so the coupling graph is
     connected for any nonzero coefficients; together with the constructed
-    drift the set is universal.  For d = 1 the drift alone suffices.
+    drift the set is universal.  For d = 1 the drift alone suffices.  Raises
+    InvalidInput for d > CONSTRUCT_DIM_LIMIT before any work is done.
     """
+    if algebra.dim > CONSTRUCT_DIM_LIMIT:
+        raise InvalidInput(
+            f"the minimal construction is capped at d = {CONSTRUCT_DIM_LIMIT} "
+            f"(got d = {algebra.dim}); its document grows as d^2"
+        )
     style = BridgeStyle(style)
     drift = make_general_direction(algebra)
     gens = [drift]

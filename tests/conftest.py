@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import io
+import json
 import signal
 
 import numpy as np
@@ -16,6 +18,7 @@ from uqc import (
     make_general_direction,
     validate_set,
 )
+from uqc import io as uio
 from uqc.errors import InvalidInput, NumericalFailure
 
 
@@ -146,6 +149,27 @@ def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:
             )
             M[i, k] = complex(re, im)
     return M
+
+
+def pairs_reference(M: np.ndarray) -> list:
+    """A 2-D array as rows of [re, im] pairs of plain floats, entry by entry.
+
+    Test-only reference for ``uqc.io.matrix_to_pairs`` as json's ``default``:
+    ``json.dumps(doc, indent=2, allow_nan=False, default=pairs_reference)`` is
+    the text ``uqc.io.dump_json`` must write for a document holding arrays.
+    """
+    return [
+        [[float(z.real), float(z.imag)] for z in row]
+        for row in np.asarray(M, dtype=complex)
+    ]
+
+
+def json_document(doc: dict):
+    """``doc`` as a reader of its JSON text gets it back: ``json.loads`` of
+    what ``uqc.io.dump_json`` writes, every matrix a list of rows of pairs."""
+    buf = io.StringIO()
+    uio.dump_json(doc, buf)
+    return json.loads(buf.getvalue())
 
 
 def embed_real(A: np.ndarray) -> np.ndarray:

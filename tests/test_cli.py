@@ -12,7 +12,7 @@ from uqc import Algebra, Generator, GeneratorSet
 from uqc import io as uio
 from uqc.cli import main
 
-from conftest import three_level_set, time_limit, two_qubit_set
+from conftest import json_document, three_level_set, time_limit, two_qubit_set
 
 
 @pytest.fixture()
@@ -72,7 +72,7 @@ def test_check_missing_file(capsys, tmp_path):
 
 
 def test_check_malformed_row_exit2(capsys, tmp_path):
-    doc = uio.generator_set_to_document(three_level_set())
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
     doc["generators"][1]["matrix"][1] = [[0.0, 0.0], [0.0, 0.0]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -89,7 +89,7 @@ def test_check_not_json_exit2(capsys, tmp_path):
 
 
 def test_numerical_failure_exit3(capsys, tmp_path):
-    doc = uio.generator_set_to_document(three_level_set())
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
     doc["tolerances"] = {"tau_rank": 1e-300}
     path = tmp_path / "absurd.json"
     path.write_text(json.dumps(doc))
@@ -198,6 +198,32 @@ def test_construct_bad_dim_exit2(capsys, tmp_path):
     assert "--dim" in err
 
 
+def test_construct_beyond_the_dimension_limit_exit2(capsys, tmp_path):
+    from uqc.repair import CONSTRUCT_DIM_LIMIT
+
+    out_path = tmp_path / "big.json"
+    argv = ["construct", "--dim", str(CONSTRUCT_DIM_LIMIT + 1), "--out", str(out_path)]
+    with time_limit(10):
+        code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"capped at d = {CONSTRUCT_DIM_LIMIT}" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."])
+@pytest.mark.parametrize("command", ["repair", "construct"])
+def test_unwritable_out_exit2(capsys, u3_path, tmp_path, command, target):
+    out_path = str(tmp_path / target)
+    if command == "repair":
+        argv = ["repair", u3_path, "--out", out_path]
+    else:
+        argv = ["construct", "--dim", "3", "--out", out_path]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in err
+
+
 def test_epsilon_report(capsys, u3_path):
     code, out, _ = _run(capsys, ["epsilon", u3_path])
     assert code == 0
@@ -272,7 +298,7 @@ def test_bad_tau_edge_flag_exit2(capsys, u3_path, tmp_path, command, value):
     [{"tau_edge": float("nan")}, {"tau_rank": -1.0}, {"relation_bound": True}],
 )
 def test_bad_file_tolerance_exit2(capsys, tmp_path, tolerances):
-    doc = uio.generator_set_to_document(three_level_set())
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
     doc["tolerances"] = tolerances
     path = tmp_path / "bad_tol.json"
     path.write_text(json.dumps(doc))  # json writes NaN as a bare literal
@@ -295,7 +321,7 @@ def _uqc_env() -> dict:
 
 def _matrix_case(mutate):
     def build():
-        doc = uio.generator_set_to_document(three_level_set())
+        doc = json_document(uio.generator_set_to_document(three_level_set()))
         mutate(doc["generators"][1]["matrix"])
         return json.dumps(doc)  # writes NaN as a bare literal, as json.load reads it
 

@@ -17,11 +17,18 @@ from uqc import (
 from uqc import io as uio
 from uqc.errors import InvalidInput
 
-from conftest import parse_matrix_reference, random_instance, three_level_set, two_qubit_set
+from conftest import (
+    json_document,
+    pairs_reference,
+    parse_matrix_reference,
+    random_instance,
+    three_level_set,
+    two_qubit_set,
+)
 
 
 def _doc(three=None):
-    return uio.generator_set_to_document(three or three_level_set())
+    return json_document(uio.generator_set_to_document(three or three_level_set()))
 
 
 def test_roundtrip():
@@ -32,13 +39,13 @@ def test_roundtrip():
     assert gen_set.dim == 3
     for g_in, g_out in zip(three_level_set().generators, gen_set.generators):
         assert np.array_equal(g_in.matrix, g_out.matrix)
-    assert uio.generator_set_to_document(gen_set) == doc
+    assert json_document(uio.generator_set_to_document(gen_set)) == doc
 
 
 def test_complex_entries_round_trip_exactly():
     A = np.array([[0.25j, 1.5 - 2.75j], [-1.5 - 2.75j, -0.125j]])
     s = GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j]), "d"), Generator(A, "x")))
-    gen_set, _ = uio.parse_input_document(uio.generator_set_to_document(s))
+    gen_set, _ = uio.parse_input_document(json_document(uio.generator_set_to_document(s)))
     assert np.array_equal(gen_set.generators[1].matrix, A)
 
 
@@ -306,24 +313,25 @@ def test_fuzzed_matrices_give_located_errors():
 
 
 def _reference_json(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False)
+    return json.dumps(doc, indent=2, allow_nan=False, default=pairs_reference)
 
 
 def _documents_to_dump():
     rng = np.random.default_rng(5)
-    yield _doc()
+    yield uio.generator_set_to_document(three_level_set())
     yield uio.generator_set_to_document(two_qubit_set(full=True), {"tau_edge": 1e-10})
     for d, m, kind in ((2, 2, "u"), (5, 3, "su"), (9, 4, "u")):
         yield uio.generator_set_to_document(random_instance(rng, d, m, kind))
     diagonal_only = GeneratorSet(Algebra("u", 6), (make_general_direction(Algebra("u", 6)),))
     for gen_set in (three_level_set(), diagonal_only):
-        plan = repair(gen_set, style=BridgeStyle("sym"))
-        yield uio.verdict_to_document(
-            check_universality(plan.resulting_set),
-            epsilon_max=epsilon_bound(plan.resulting_set),
-            repair=uio.repair_plan_to_document(plan),
-        )
-    odd = _doc()
+        for style in BridgeStyle:
+            plan = repair(gen_set, style=style)
+            yield uio.verdict_to_document(
+                check_universality(plan.resulting_set),
+                epsilon_max=epsilon_bound(plan.resulting_set),
+                repair=uio.repair_plan_to_document(plan),
+            )
+    odd = uio.generator_set_to_document(three_level_set())
     gens = odd["generators"]
     gens[0]["matrix"] = _random_rows(rng, 3, "extreme")
     gens[1]["matrix"] = _random_rows(rng, 3, "mixed")
@@ -333,12 +341,13 @@ def _documents_to_dump():
     gens.append({"label": "not pairs", "matrix": [1.5, "x", None, {"a": [1.0]}]})
     gens.append({"label": "flat", "matrix": [[1.0, 2.0], [3.0, 4.0]]})
     gens.append({"label": "not floats", "matrix": [[[True, None]], [["re", 1.0]], [[1, 2.5]]]})
+    gens.append({"label": "empty arrays", "matrix": np.zeros((0, 0)), "rows": np.zeros((2, 0))})
     odd["matrix"] = [[[0.1, -0.0]]]
-    odd["nested"] = {"deeper": [{"matrix": [[[1e-300, 5e-324]]], "matrix2": [[[1.0, 2.0]]]}]}
+    odd["nested"] = {"deeper": [{"matrix": [[[1e-300, 5e-324]]], "matrix2": np.array([[1.0, 2.0]])}]}
     odd["unicode"] = "phase θ → \U0001d70b"
     yield odd
     # a string that looks like the renderer's placeholder
-    slot = _doc()
+    slot = uio.generator_set_to_document(three_level_set())
     slot["generators"][0]["label"] = uio._MATRIX_SLOT
     yield slot
 
@@ -354,15 +363,85 @@ def test_dump_json_is_byte_identical_to_json(tmp_path):
         assert path.read_bytes() == (want + "\n").encode("utf-8")
 
 
+_SPECIAL_FLOATS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 2.0**53 + 2, 0.1, -2.5]
+)
+_DTYPES = (np.int64, np.float32, np.float64, np.complex64, np.complex128)
+
+
+def _random_array(rng, d: int) -> np.ndarray:
+    """A d x d array of a random dtype and memory layout, made of special
+    floats, normal noise, repeated values and rows of +0.0 and of -0.0."""
+    dtype = _DTYPES[int(rng.integers(len(_DTYPES)))]
+    if dtype is np.int64:
+        M = rng.integers(-9, 10, (d, d))
+    else:
+        parts = _SPECIAL_FLOATS[rng.integers(0, len(_SPECIAL_FLOATS), (2, d, d))]
+        parts = np.where(rng.random((2, d, d)) < 0.3, rng.standard_normal((2, d, d)), parts)
+        parts = parts.clip(-np.finfo(dtype).max, np.finfo(dtype).max)  # float32: 3.4e38
+        M = np.empty((d, d), dtype=dtype)
+        if M.dtype.kind == "c":
+            M.real, M.imag = parts
+        else:
+            M[...] = parts[0]
+    M[rng.random(d) < 0.4] = 0
+    M[rng.random(d) < 0.15] = -0.0
+    if M.dtype.kind == "c":
+        M.imag[rng.random(d) < 0.15] = -0.0
+    if rng.random() < 0.07:
+        bad = rng.integers(0, d, (int(rng.integers(1, 4)), 2))
+        if M.dtype.kind == "i":
+            M = M.astype(float)
+        M[bad[:, 0], bad[:, 1]] = rng.choice([np.nan, np.inf, -np.inf], len(bad))
+        if M.dtype.kind == "c" and rng.random() < 0.5:
+            M.imag[bad[0, 0], bad[0, 1]] = np.nan
+    layout = int(rng.integers(4))
+    if layout == 1:
+        return M.T
+    if layout == 2:
+        return np.asfortranarray(M)
+    if layout == 3:
+        return M[::-1, ::-1]
+    return M
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_dump_json_renders_arrays_like_json(seed):
+    # json.dumps(..., default=pairs_reference) is json.dumps of the document
+    # with every array listified
+    rng = np.random.default_rng([seed, 29])
+    for d in (1, 2, 3, int(rng.integers(4, 25))):
+        doc = {
+            "dimension": d,
+            "generators": [
+                {"label": f"g{j}", "matrix": _random_array(rng, d)} for j in range(3)
+            ],
+            "nested": {"deeper": [{"matrix": _random_array(rng, d)}]},
+        }
+        try:
+            want = _reference_json(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                uio.dump_json(doc, StringIO())
+            assert str(got.value) == str(exc)
+            continue
+        buf = StringIO()
+        uio.dump_json(doc, buf)
+        assert buf.getvalue() == want
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_dump_json_rejects_nonfinite_matrix_entries_like_json(bad):
     doc = _doc()
     doc["generators"][1]["matrix"][2][1] = [0.0, bad]
-    with pytest.raises(ValueError) as want:
-        _reference_json(doc)
-    with pytest.raises(ValueError) as got:
-        uio.dump_json(doc, StringIO())
-    assert str(got.value) == str(want.value)
+    arrays = uio.generator_set_to_document(three_level_set())
+    arrays["generators"][1]["matrix"][2, 1] = complex(0.0, bad)
+    for doc in (doc, arrays):
+        with pytest.raises(ValueError) as want:
+            _reference_json(doc)
+        with pytest.raises(ValueError) as got:
+            uio.dump_json(doc, StringIO())
+        assert str(got.value) == str(want.value)
 
 
 def test_matrix_to_pairs_gives_plain_floats():
@@ -373,3 +452,9 @@ def test_matrix_to_pairs_gives_plain_floats():
     assert uio.matrix_to_pairs(np.eye(2, dtype=int)) == [
         [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
     ]
+    # as json's default, it leaves every other type unserializable
+    with pytest.raises(TypeError) as want:
+        json.dumps({"x": {1}}, indent=2)
+    with pytest.raises(TypeError) as got:
+        uio.dump_json({"x": {1}, "m": np.eye(2)}, StringIO())
+    assert str(got.value) == str(want.value)

@@ -198,6 +198,15 @@ def test_minimal_pair_su4_custom_coefficients():
     assert lie_closure(s).dimension == 15
 
 
+def test_minimal_pair_dimension_limit():
+    from uqc.repair import CONSTRUCT_DIM_LIMIT
+
+    with time_limit(10):
+        assert minimal_pair(Algebra("su", CONSTRUCT_DIM_LIMIT)).dim == CONSTRUCT_DIM_LIMIT
+        with pytest.raises(InvalidInput, match=f"capped at d = {CONSTRUCT_DIM_LIMIT}"):
+            minimal_pair(Algebra("u", CONSTRUCT_DIM_LIMIT + 1))
+
+
 def test_minimal_pair_zero_coefficient_rejected():
     with pytest.raises(InvalidInput):
         minimal_pair(Algebra("u", 4), coefficients=[1.0, 0.0, 1.0])
