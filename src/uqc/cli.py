@@ -114,10 +114,13 @@ def _cmd_repair(args) -> int:
         relation_bound=tols.relation_bound,
         tau_rel=tols.tau_rel,
     )
+    # epsilon_bound(plan.resulting_set) without an SVD per bridge: every
+    # bridge has operator norm exactly 1, so its bound is pi/2
+    eps = epsilon_bound(gen_set)
+    if plan.added_generators:
+        eps = min(eps, math.pi / 2)
     doc = io.verdict_to_document(
-        verdict,
-        epsilon_max=epsilon_bound(plan.resulting_set),
-        repair=io.repair_plan_to_document(plan),
+        verdict, epsilon_max=eps, repair=io.repair_plan_to_document(plan)
     )
     _emit(args, doc, io.render_verdict_text(doc))
     return EXIT_OK

@@ -5,6 +5,12 @@ one of which (``general_index``, default the first) must be diagonal with a
 non-degenerate spectrum.  That designated diagonal plays the role of a drift
 whose exponential walks a dense orbit on the diagonal torus whenever its
 phases, divided by 2*pi, are rationally independent together with 1.
+
+That hypothesis is tested by a heuristic scan for integer relations among
+(1, theta/2pi): a float64 PSLQ (a numpy port of mpmath's, with its rules
+and its relations; the phases hold 53 bits, so more precision finds
+nothing more), a float64 re-check of the candidate's residual and, for
+short vectors, an exhaustive sweep of the coefficient grid.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ TAU_RELATION = 1e-9
 RELATION_BOUND = 10
 #: exhaustive relation search is attempted when (2H+1)^n is at most this
 EXHAUSTIVE_LIMIT = 1_000_000
-#: working precision (decimal digits) for the lattice relation search
-_PSLQ_DPS = 40
+#: PSLQ's pivot weight gamma (mpmath's and Bailey's choice, sqrt(4/3))
+_PSLQ_GAMMA = math.sqrt(4.0 / 3.0)
+#: iteration cap of the PSLQ relation search
+_PSLQ_MAXSTEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -263,24 +271,101 @@ def _exhaustive_relation(x: np.ndarray, bound: int):
     return coeffs, float(res[idx])
 
 
-def _pslq_relation(x: np.ndarray, bound: int, tau_rel: float):
-    """Lattice (PSLQ) search for an integer relation; None if not found."""
-    # imported here, so that runs that never scan (d > 32, construct,
-    # --version) do not pay for importing mpmath
-    from mpmath import mp, mpf, pslq
+def _reduce_row(H, yb, pivots: list, i: int, top: int, *, zero_pivot_ends: bool):
+    """PSLQ's Hermite reduction of row i of H against rows top, ..., 0.
 
-    with mp.workdps(_PSLQ_DPS):
-        vec = [mpf(float(v)) for v in x]
-        try:
-            rel = pslq(vec, tol=mpf(tau_rel), maxcoeff=bound, maxsteps=10_000)
-        except ValueError:
-            # pslq refuses (near-)zero entries; those are handled upstream
-            return None
-    if rel is None:
+    ``yb`` row j holds y_j followed by column j of B.  For each column j
+    from ``top`` down: t = floor(q + 1/2) for q = H_ij / H_jj, then
+    H_i,:j+1 -= t * H_j,:j+1 and yb_j += t * yb_i.  ``pivots`` lists the
+    H_jj, which the reduction leaves unchanged.  A zero pivot skips its
+    column in the initial reduction and ends the row's reduction
+    (``zero_pivot_ends``) in the iteration.
+
+    t is evaluated exactly on the float64 q, by comparing q with floor(q) +
+    1/2 (q + 1/2 would round), and a q exactly on a half-integer rounds
+    down: mpmath truncates its fixed-point quotient downward, so it lands
+    just below such a q.  Without either rule, seeded drifts with planted
+    relations came back with relations other than mpmath's.
+    """
+    h = H[i]
+    for j in range(top, -1, -1):
+        p = pivots[j]
+        if p == 0.0:
+            if zero_pivot_ends:
+                return
+            continue
+        q = h.item(j) / p
+        t = q // 1.0  # floor, and nan rather than an error on inf
+        if q > t + 0.5:
+            t += 1.0
+        if t:
+            h[: j + 1] -= t * H[j, : j + 1]
+            yb[j] += t * yb[i]
+
+
+def _pslq_relation(x: np.ndarray, bound: int, tau_rel: float):
+    """PSLQ integer-relation search in float64; None if none is found.
+
+    A port of mpmath 1.3's PSLQ (Bailey's pseudocode for Ferguson-Bailey-
+    Arno, Math. Comp. 68, 1999) to numpy rows in float64: the double-
+    precision level of Bailey-Broadhurst's multi-level PSLQ.  The input
+    holds 53 bits, so more working precision finds nothing more.  The rules
+    are mpmath's: the pivot m maximises gamma^m |H_mm| with gamma =
+    sqrt(4/3); a zero rotation norm t0 ends the search; the search stops
+    once 1/max|H|/100 reaches ``bound`` (no relation with smaller
+    coefficients is left) or after ``_PSLQ_MAXSTEPS`` iterations; the answer
+    is the first column of B whose |y_i| < ``tau_rel`` (y scaled to unit
+    length) and whose coefficients stay below ``bound``.  A zero entry, or
+    one below ``tau_rel``/100, gives None.  Returns ``(coeffs, |coeffs.x|)``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n < 2 or not np.all(x) or np.min(np.abs(x)) < tau_rel / 100:
         return None
-    coeffs = tuple(int(c) for c in rel)
-    residual = abs(float(np.dot(coeffs, x)))
-    return coeffs, residual
+    with np.errstate(all="ignore"):
+        # suffix norms s_k = |(x_k, ..., x_n)|; y and s are scaled by |x|
+        s = np.sqrt(np.cumsum((x * x)[::-1])[::-1])
+        y = x / s[0]
+        s = s / s[0]
+        # H (n x n-1): s_k+1/s_k on the diagonal, -y_i y_j/(s_j s_j+1) below,
+        # 0 where the divisor is (mpmath's guards)
+        ss = s[:-1] * s[1:]
+        below = np.tri(n, n - 1, -1, dtype=bool) & (ss != 0.0)
+        H = np.divide(-np.outer(y, y[:-1]), ss, out=np.zeros((n, n - 1)), where=below)
+        diag = np.divide(s[1:], s[:-1], out=np.zeros(n - 1), where=s[:-1] != 0.0)
+        np.fill_diagonal(H, diag)
+        yb = np.hstack([y[:, None], np.eye(n)])
+        pivots = H.diagonal().tolist()
+        for i in range(1, n):
+            _reduce_row(H, yb, pivots, i, i - 1, zero_pivot_ends=False)
+
+        gamma_pow = _PSLQ_GAMMA ** np.arange(1, n)
+        for _ in range(_PSLQ_MAXSTEPS):
+            m = int(np.argmax(gamma_pow * np.abs(H.diagonal())))
+            H[[m, m + 1]] = H[[m + 1, m]]
+            yb[[m, m + 1]] = yb[[m + 1, m]]
+            if m <= n - 3:
+                a, b = H[m, m], H[m, m + 1]
+                t0 = math.sqrt(a * a + b * b)
+                if t0 == 0.0:
+                    break
+                t1, t2 = a / t0, b / t0
+                hm, hm1 = H[m:, m].copy(), H[m:, m + 1].copy()
+                H[m:, m] = t1 * hm + t2 * hm1
+                H[m:, m + 1] = t1 * hm1 - t2 * hm
+            pivots = H.diagonal().tolist()
+            for i in range(m + 1, n):
+                _reduce_row(H, yb, pivots, i, min(i - 1, m + 1), zero_pivot_ends=True)
+
+            for i in (np.abs(yb[:, 0]) < tau_rel).nonzero()[0]:
+                coeffs = np.floor(yb[i, 1:] + 0.5)
+                if np.max(np.abs(coeffs)) < bound:
+                    coeffs = tuple(int(c) for c in coeffs)
+                    return coeffs, abs(float(np.dot(coeffs, x)))
+            recnorm = float(np.max(np.abs(H)))
+            if recnorm == 0.0 or 1.0 / recnorm / 100.0 >= bound:
+                break
+    return None
 
 
 def check_general_direction(

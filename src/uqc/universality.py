@@ -36,9 +36,8 @@ from .generators import (
 
 #: relative entry-magnitude cutoff for graph edges
 TAU_EDGE = 1e-12
-#: spectrum scans are skipped (verdict downgraded) above this dimension;
-#: lattice relation detection gets slow and, at fixed tolerances, loses
-#: meaning for long phase vectors
+#: spectrum scans are skipped (verdict downgraded) above this dimension; at
+#: fixed tolerances, relation detection loses meaning for long phase vectors
 SPECTRUM_SCAN_LIMIT = 32
 
 

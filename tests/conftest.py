@@ -172,6 +172,27 @@ def json_document(doc: dict):
     return json.loads(buf.getvalue())
 
 
+def pslq_reference(x: np.ndarray, bound: int, tau_rel: float):
+    """mpmath's PSLQ at 40 digits: the relation search before the float64 port.
+
+    Test-only reference for ``uqc.generators._pslq_relation``, with the same
+    arguments and the same result: ``(coeffs, |coeffs . x|)`` or None.
+    """
+    from mpmath import mp, mpf, pslq
+
+    with mp.workdps(40):
+        vec = [mpf(float(v)) for v in x]
+        try:
+            rel = pslq(vec, tol=mpf(tau_rel), maxcoeff=bound, maxsteps=10_000)
+        except ValueError:
+            # pslq refuses (near-)zero entries
+            return None
+    if rel is None:
+        return None
+    coeffs = tuple(int(c) for c in rel)
+    return coeffs, abs(float(np.dot(coeffs, x)))
+
+
 def embed_real(A: np.ndarray) -> np.ndarray:
     """Real parts row-major, then imaginary parts: an isometry C^(dxd) -> R^(2d^2)."""
     return np.concatenate([A.real.ravel(), A.imag.ravel()])

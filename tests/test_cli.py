@@ -8,11 +8,25 @@ import numpy as np
 import pytest
 
 import uqc
-from uqc import Algebra, Generator, GeneratorSet
+from uqc import (
+    Algebra,
+    Generator,
+    GeneratorSet,
+    build_coupling_graph,
+    connected_components,
+    epsilon_bound,
+    repair,
+)
 from uqc import io as uio
 from uqc.cli import main
 
-from conftest import json_document, three_level_set, time_limit, two_qubit_set
+from conftest import (
+    json_document,
+    random_instance,
+    three_level_set,
+    time_limit,
+    two_qubit_set,
+)
 
 
 @pytest.fixture()
@@ -389,7 +403,7 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     assert stderr == ""
 
 
-def test_importing_the_cli_leaves_mpmath_out():
+def test_importing_the_cli_leaves_mpmath_out(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, uqc.cli; print('mpmath' in sys.modules)"],
@@ -397,3 +411,57 @@ def test_importing_the_cli_leaves_mpmath_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+    # neither does a check at d <= 32, which runs the PSLQ scan
+    for gen_set in (three_level_set(), uqc.minimal_pair(Algebra("u", 32))):
+        path = tmp_path / f"u{gen_set.dim}.json"
+        uio.write_document(uio.generator_set_to_document(gen_set), str(path))
+        script = (
+            "import sys\n"
+            "from uqc.cli import main\n"
+            f"code = main(['check', {str(path)!r}])\n"
+            "print('mpmath' in sys.modules, code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=_uqc_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        *report, last = result.stdout.strip().splitlines()
+        assert json.loads("\n".join(report))["general_direction"]["status"] != "skipped"
+        assert last == "False 0"
+
+
+def _reducible_sets():
+    """Seeded reducible sets; every other one scaled by 1/16, so that its
+    generators' bounds exceed a bridge's pi/2."""
+    rng = np.random.default_rng(83)
+    sets = []
+    while len(sets) < 12:
+        d = int(rng.integers(2, 41))
+        s = random_instance(rng, d, int(rng.integers(2, 5)), "u", p=float(rng.uniform(0.0, 0.1)))
+        if len(connected_components(build_coupling_graph(s))) > 1:
+            scale = 0.0625 if len(sets) % 2 else 1.0
+            gens = tuple(Generator(g.matrix * scale, g.label) for g in s.generators)
+            sets.append(GeneratorSet(s.algebra, gens))
+    return sets
+
+
+@pytest.mark.parametrize("selection", ["smallest", "paper-example"])
+@pytest.mark.parametrize("style", ["antisym", "sym"])
+def test_repair_epsilon_equals_the_bound_of_the_repaired_set(capsys, tmp_path, style, selection):
+    # uqc repair takes pi/2 for the bridges instead of an SVD of each one
+    bridge_bound_taken = 0
+    for k, gen_set in enumerate(_reducible_sets()):
+        path, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
+        uio.write_document(uio.generator_set_to_document(gen_set), str(path))
+        code, stdout, _ = _run(
+            capsys,
+            ["repair", str(path), "--style", style, "--selection", selection, "--out", str(out)],
+        )
+        assert code == 0
+        plan = repair(uio.load_input_document(str(path))[0], style=style, selection=selection)
+        assert plan.added_generators
+        eps = json.loads(stdout)["epsilon_max"]
+        assert eps == epsilon_bound(plan.resulting_set)
+        bridge_bound_taken += eps == np.pi / 2
+    assert bridge_bound_taken == 6

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from uqc.errors import (
     NotTraceless,
 )
 
-from conftest import three_level_set, random_skew
+from uqc.generators import _pslq_relation, _relation_vector
+
+from conftest import pslq_reference, three_level_set, random_skew
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,149 @@ def test_su_mode_ignores_last_phase():
 def test_su1_trivially_independent():
     verdict = check_general_direction(np.array([0.0]), Algebra("su", 1))
     assert verdict.independent
+
+
+# ---------------------------------------------------------------------------
+# the float64 PSLQ against mpmath's
+
+_PRIMES = [p for p in range(2, 140) if all(p % q for q in range(2, p))][:32]
+
+
+def _drift(rng, family: str, algebra: Algebra) -> np.ndarray:
+    """Seeded phases of a drift family; su mode relates the first d-1.
+
+    ``sqrtprime``: square roots of distinct primes in random order;
+    ``relation``: the same with theta_l = theta_i + theta_j planted (theta_1
+    = theta_0 + pi, or theta_0 = 6pi/7, when fewer phases are related);
+    ``random``: uniform in [-3, 3).
+    """
+    d = algebra.dim
+    if family == "random":
+        return rng.uniform(-3.0, 3.0, d)
+    theta = np.sqrt(np.array(_PRIMES[:d], dtype=float))[rng.permutation(d)]
+    if family == "relation":
+        k = d if algebra.kind == "u" else d - 1
+        if k >= 3:
+            i, j, l = rng.choice(k, size=3, replace=False)
+            theta[l] = theta[i] + theta[j]
+        elif k == 2:
+            theta[1] = theta[0] + np.pi
+        else:
+            theta[0] = 6 * np.pi / 7
+    return theta
+
+
+@pytest.mark.parametrize("tau_rel", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("bound", [5, 10, 20])
+def test_pslq_gives_the_relations_of_mpmath(bound, tau_rel):
+    case = [5, 10, 20].index(bound) * 3 + [1e-6, 1e-9, 1e-12].index(tau_rel)
+    rng = np.random.default_rng([71, case])
+    for f, family in enumerate(("sqrtprime", "relation", "random")):
+        for a, kind in enumerate(("u", "su")):
+            # d runs over 2..32 as the 54 drifts of the nine cases go by
+            d = 2 + (7 * (6 * case + 2 * f + a)) % 31
+            algebra = Algebra(kind, d)
+            x = _relation_vector(_drift(rng, family, algebra), algebra)
+            got = _pslq_relation(x, bound, tau_rel)
+            ref = pslq_reference(x, bound, tau_rel)
+            if got != ref:
+                # float64 runs out of digits in a long search at a tolerance
+                # near its resolution (here random u(21) at bound 5 and
+                # 1e-12, whose quotients part after 234 iterations): both
+                # engines must then still find a relation, and each must
+                # pass PSLQ's acceptance on x
+                assert got is not None and ref is not None, (family, kind, d)
+                assert tau_rel == 1e-12, (family, kind, d)
+                for coeffs, residual in (got, ref):
+                    assert max(map(abs, coeffs)) < bound
+                    assert residual < tau_rel * np.linalg.norm(x)
+
+
+def _runs_line(fn, marker: str, *args):
+    """``fn(*args)`` and whether the line after the one holding ``marker``
+    ran."""
+    lines, start = inspect.getsourcelines(fn)
+    target = start + next(k for k, line in enumerate(lines) if marker in line) + 1
+    hit = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hit.append(True)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+    return result, bool(hit)
+
+
+def test_pslq_two_entries():
+    # n = 2: one pivot, no rotation
+    x = np.array([1.0, 3.0 / 7.0])
+    assert _pslq_relation(x, 10, 1e-9)[0] == (-3, 7) == pslq_reference(x, 10, 1e-9)[0]
+    # 7 is not below the bound 5
+    assert _pslq_relation(x, 5, 1e-9) is None is pslq_reference(x, 5, 1e-9)
+    x = np.array([1.0, np.sqrt(2.0) / (2 * np.pi)])
+    assert _pslq_relation(x, 10, 1e-9) is None is pslq_reference(x, 10, 1e-9)
+
+
+def test_pslq_exact_rational_relation():
+    # x = (1, 1/3, 2/3) in float64 misses the relation by one rounding
+    theta = 2 * np.pi * np.array([1.0, 2.0]) / 3
+    x = _relation_vector(theta, Algebra("u", 2))
+    got = _pslq_relation(x, 10, 1e-9)
+    assert got == ((1, -1, -1), 2.0**-53) == pslq_reference(x, 10, 1e-9)
+    # with more multiples of 2pi/3 the relation is exact as well; its sign
+    # then follows roundoff below float64 resolution and may differ
+    for k in range(3, 9):
+        theta = 2 * np.pi * np.arange(1, k + 1) / 3
+        x = _relation_vector(theta, Algebra("u", k))
+        coeffs, residual = _pslq_relation(x, 10, 1e-9)
+        ref_coeffs, ref_residual = pslq_reference(x, 10, 1e-9)
+        assert coeffs in (ref_coeffs, tuple(-c for c in ref_coeffs)), k
+        assert residual == ref_residual <= 1e-15
+
+
+def test_pslq_half_integer_quotients_round_as_in_mpmath():
+    # theta_2 = 2 theta_1 exactly: a reduction quotient is exactly -1/2,
+    # which mpmath's downward-truncated fixed point rounds down
+    a = np.sqrt(3.0) / (2 * np.pi)
+    x = np.array([1.0, a, 2 * a])
+    assert _pslq_relation(x, 10, 1e-9) == ((0, 2, -1), 0.0) == pslq_reference(x, 10, 1e-9)
+    # planted theta_5 = theta_3 + theta_4: a quotient one ulp above -1/2
+    # must give 0, which ceil(q - 1/2) in float64 would not (q - 1/2
+    # rounds to -1)
+    r = np.sqrt([11.0, 7.0, 13.0, 5.0])
+    theta = np.array([r[0], r[1], r[2], r[3], r[2] + r[3], np.sqrt(3.0)])
+    x = _relation_vector(theta, Algebra("u", 6))
+    got = _pslq_relation(x, 10, 1e-9)
+    assert got == pslq_reference(x, 10, 1e-9)
+    assert got[0] == (0, 0, 0, -1, -1, 1, 0)
+
+
+@pytest.mark.parametrize("tau_rel", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+def test_pslq_tolerance_below_float64_resolution(tau_rel):
+    for d in (2, 4, 8):
+        x = _relation_vector(np.sqrt(np.array(_PRIMES[:d], dtype=float)), Algebra("u", d))
+        assert _pslq_relation(x, 10, tau_rel) is None, d
+        assert pslq_reference(x, 10, tau_rel) is None, d
+
+
+def test_pslq_zero_rotation_norm_ends_the_search():
+    # the only relations of (1, 1/2, 1/4) have a coefficient 2, not below
+    # the bound 2; the search then runs into a zero t0
+    x = np.array([1.0, 0.5, 0.25])
+    got, stopped = _runs_line(_pslq_relation, "if t0 == 0.0", x, 2, 1e-9)
+    assert stopped
+    assert got is None is pslq_reference(x, 2, 1e-9)
+
+
+def test_pslq_refuses_zero_and_tiny_entries():
+    assert _pslq_relation(np.array([1.0, 0.0, 0.3]), 10, 1e-9) is None
+    assert _pslq_relation(np.array([1.0, 1e-12, 0.3]), 10, 1e-9) is None
+    assert pslq_reference(np.array([1.0, 1e-12, 0.3]), 10, 1e-9) is None
 
 
 # ---------------------------------------------------------------------------
