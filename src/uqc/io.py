@@ -6,6 +6,14 @@ every document (components, permutations, bridge endpoints) and 0-based in
 the library; this module is the only place that converts.  ``general_index``
 is a position in the generator list and stays 0-based, default 0.
 
+:func:`load_input_document` reads each generator's matrix straight from the
+bytes of the file into its complex ndarray, with no nested lists: a
+vectorised pass checks the "[],"-skeleton and the number tokens, and each
+distinct token is converted once.  json parses only the rest of the
+document.  A document that reader does not take goes as a whole through
+``json.loads`` and :func:`parse_input_document`; either way gives the same
+matrices, bit for bit, and the same error messages.
+
 Documents built here (``*_to_document``) hold each matrix as its complex
 ndarray.  JSON text comes only from :func:`dump_json` and
 :func:`write_document`, which render every 2-D array straight from its
@@ -18,6 +26,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +135,16 @@ def _walk_matrix(rows, d: int, where: str) -> np.ndarray:
 def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
     """A d x d complex matrix from ``rows`` of [re, im] pairs.
 
-    A well-formed matrix is converted by one ``np.array`` call into a
-    (d, d, 2) real array, which is then viewed as complex without a copy.
-    Anything else (wrong shape, strings, bools only, integers beyond
-    float64) goes to :func:`_walk_matrix`, which applies the same checks
-    one entry at a time and names the first failing row and column.
+    A matrix the text reader of :func:`load_input_document` has already
+    read comes as a :class:`_ReadMatrix` and is taken as it is.  Rows from
+    json are converted by one ``np.array`` call into a (d, d, 2) real
+    array, which is then viewed as complex without a copy.  Anything else
+    (wrong shape, strings, bools only, integers beyond float64) goes to
+    :func:`_walk_matrix`, which applies the same checks one entry at a
+    time and names the first failing row and column.
     """
+    if isinstance(rows, _ReadMatrix):
+        return rows.array
     pairs = None
     if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
         try:
@@ -202,15 +216,262 @@ def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
 
 
 def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
+    """Read, parse and validate the input document in the file ``path``.
+
+    Each generator's ``"matrix"`` is read straight from the file text into
+    its complex array (see :func:`_read_matrix_text`); json parses only
+    what is left.  A document the text reader does not take (a repeated
+    key, a number token json would not read as a finite float, a matrix of
+    the wrong shape, text that is not JSON) is read as a whole by
+    ``json.loads`` and :func:`parse_input_document`.  Both ways give the
+    same matrices, bit for bit, and the same errors.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, integers past the digit limit, nesting too deep
+    except ValueError as exc:  # not UTF-8
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        obj = _read_matrix_text(text.encode("utf-8"))
+    except _NotPlain:
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, integers past the digit limit, nesting too deep
+            raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     return parse_input_document(obj)
+
+
+# ---------------------------------------------------------------------------
+# the text reader: generator matrices straight from the bytes of the document
+
+
+class _NotPlain(Exception):
+    """The document holds something the text reader leaves to json."""
+
+
+class _ReadMatrix:
+    """A matrix the text reader has read, standing in for its rows."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+#: a "matrix" key and the start of its array value
+_MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
+_WHITESPACE = b" \t\n\r"
+#: the bytes of JSON numbers; every other byte of a matrix is one of "[],"
+_NUMBER_BYTES = b"0123456789+-.eE"
+#: the longest number token read here; a float's repr has at most 24 bytes
+_TOKEN_MAX = 32
+#: NULs after the text, so that a window of _TOKEN_MAX bytes fits at every token
+_PAD = bytes(_TOKEN_MAX)
+_ZERO_KEY = int.from_bytes(b"0.0", "little")
+#: the low n bytes of a uint64, for n = 0..8
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_CHUNK = 1 << 20
+
+
+def _read_matrix_text(data: bytes) -> dict:
+    """The document in ``data`` (UTF-8) with each generator's matrix read
+    from its text.
+
+    Every ``"matrix": [...]`` span is cut out and a slot string, carrying a
+    nonce from ``os.urandom``, put in its place; ``json.loads`` parses the
+    small remainder.  The slots must come back exactly at
+    ``generators[j]["matrix"]``, one per generator and in order, and every
+    span must lex as a d x d matrix of [re, im] pairs (:func:`_lex_matrix`);
+    then each slot is replaced by the read matrix.  Anything else raises
+    :class:`_NotPlain`.
+    """
+    nonce = os.urandom(16).hex()
+    if nonce.encode() in data:
+        raise _NotPlain
+    slot = f"uqc-matrix-{nonce}-"
+    pieces, spans, pos, search = [], [], 0, 0
+    while (key := data.find(b'"matrix"', search)) >= 0:
+        search = key + 1
+        found = _MATRIX_KEY.match(data, key)
+        if found is None:
+            continue
+        # a matrix holds no string and no object: it ends before the next
+        # '"' or '}', less the whitespace and comma that follow it
+        start = found.end() - 1
+        stop = min(i for i in (data.find(b'"', start), data.find(b"}", start), len(data)) if i >= 0)
+        while data[stop - 1] in b" \t\n\r,":
+            stop -= 1
+        pieces += [data[pos:start], f'"{slot}{len(spans)}"'.encode()]
+        spans.append((start, stop))
+        pos = search = stop
+    pieces.append(data[pos:])
+    try:
+        obj = json.loads(b"".join(pieces).decode("utf-8"))
+    except (ValueError, RecursionError):
+        raise _NotPlain from None
+    gens = obj.get("generators") if isinstance(obj, dict) else None
+    d = obj.get("dimension") if isinstance(obj, dict) else None
+    if not (
+        isinstance(gens, list)
+        and len(gens) == len(spans)
+        and all(isinstance(g, dict) and g.get("matrix") == f"{slot}{j}" for j, g in enumerate(gens))
+        and type(d) is int
+        and d >= 1
+    ):
+        raise _NotPlain
+    # every span is read before any field is checked, so that a document
+    # that is not JSON fails as such, whatever else is wrong with it
+    arrays = [_lex_matrix(_compact(data, start, stop, 2 * d * d), d) for start, stop in spans]
+    for g, M in zip(gens, arrays):
+        g["matrix"] = _ReadMatrix(M)
+    return obj
+
+
+def _compact(data: bytes, start: int, stop: int, tokens: int) -> bytes:
+    """``data[start:stop]`` without whitespace, followed by :data:`_PAD`.
+
+    Whitespace between the bytes of one number would join them into one
+    token once removed, so where there is whitespace the runs of number
+    bytes in the span as written must number ``tokens``, the count the
+    matrix must hold; otherwise this raises :class:`_NotPlain`.  The span
+    is read in chunks of :data:`_CHUNK` bytes, so that a whitespace-heavy
+    matrix costs no full-length temporaries.
+    """
+    if all(data.find(w, start, stop) < 0 for w in (b" ", b"\n", b"\t", b"\r")):
+        return data[start:stop] + _PAD
+    view = memoryview(data)
+    pieces, runs, before = [], 0, False
+    for a in range(start, stop, _CHUNK):
+        chunk = view[a:min(a + _CHUNK, stop)]
+        u = np.frombuffer(chunk, dtype=np.uint8)
+        # number bytes, told apart from whitespace and "[],"; any other
+        # byte is left in the skeleton, which then does not match
+        number = (u >= 43) & (u != 44) & (u != 91) & (u != 93)
+        runs += int(np.count_nonzero(number[1:] > number[:-1])) + int(number[0] and not before)
+        before = bool(number[-1])
+        pieces.append(bytes(chunk).translate(None, _WHITESPACE))
+    if runs != tokens:
+        raise _NotPlain
+    pieces.append(_PAD)
+    return b"".join(pieces)
+
+
+def _pairs_skeleton(d: int) -> bytes:
+    """A d x d matrix of [re, im] pairs with every number taken out."""
+    row = b"[" + b"[,]," * (d - 1) + b"[,]]"
+    return b"[" + (row + b",") * (d - 1) + row + b"]"
+
+
+def _lex_matrix(text: bytes, d: int) -> np.ndarray:
+    """The d x d complex matrix whose JSON text without whitespace,
+    followed by :data:`_PAD`, is ``text``.
+
+    The text must be exactly d rows of d [re, im] pairs of JSON numbers.
+    The "[],"-skeleton is checked by deleting the number bytes, after a
+    check that the text is long enough for it, so that a document that
+    declares a huge dimension costs nothing of that size.  Every pair slot
+    must hold one token, and no token may stand elsewhere.  Tokens are
+    checked for what ``float`` accepts and JSON does not (a leading '+', a
+    leading zero, a '.' without a digit on each side); ``float`` rejects
+    the rest.  The text is scanned in chunks of about :data:`_CHUNK` bytes.
+
+    Tokens of up to 8 bytes are told apart by their bytes packed into a
+    uint64, and each distinct one is converted once; ``0.0``, the usual
+    zero, takes no conversion at all.  Integers among them go through
+    ``int``, as in json, so that ``-0`` reads as +0.0.  Longer tokens (the
+    17-digit reprs of nonzero floats) seldom repeat: they are gathered as
+    fixed-width strings and each is read by ``float``; none of them is an
+    integer zero, so ``float`` reads them as json does.  Anything else, or
+    a value that is not finite, raises :class:`_NotPlain`.
+    """
+    n = 2 * d * d
+    size = len(text) - len(_PAD)
+    # the chunks below start after a ']' (the first at the opening '[')
+    # and end with one, and a number before the '[' or after the last ']'
+    # would leave the skeleton whole
+    if size < n + 4 * d * d + 2 * d + 1 or text[0] != 91 or text[size - 1] != 93:
+        raise _NotPlain
+    if text.translate(None, _NUMBER_BYTES) != _pairs_skeleton(d) + _PAD:
+        raise _NotPlain
+    u, words = np.frombuffer(text, dtype=np.uint8), _words(text)
+    has_plus = b"+" in text
+    short_at, short_keys, long_at, long_starts, long_lengths = [], [], [], [], []
+    count = a = 0
+    while a < size:
+        b = text.find(b"]", min(a + _CHUNK, size - 1)) + 1  # no token holds a ']'
+        v = u[a:b]
+        struct = (v == 44) | (v == 91) | (v == 93)
+        # the chunk starts and ends with "[],": its edges alternate between
+        # the start and the end of a token
+        edges = np.flatnonzero(struct[:-1] != struct[1:]) + (a + 1)
+        starts, ends = edges[0::2], edges[1::2]
+        # a token after ']' or before '[' stands outside the pair slots
+        if (u[starts - 1] == 93).any() or (u[ends] == 91).any():
+            raise _NotPlain
+        signed = u[starts] == 45
+        lead = u[starts + signed]  # the first digit of the integer part
+        after = u[starts + signed + 1]
+        digit = (v - 48) < 10
+        if (
+            ((lead == 48) & ((after - 48) < 10)).any()
+            or ((v[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
+            or (has_plus and ((v[1:] == 43) & ((v[:-1] | 32) != 101)).any())
+        ):
+            raise _NotPlain
+        lengths = ends - starts
+        short = lengths <= 8
+        keys = words[starts[short]] & _KEY_MASKS[lengths[short]]
+        live = keys != _ZERO_KEY
+        short_at.append(np.flatnonzero(short)[live] + count)
+        short_keys.append(keys[live])
+        far = ~short
+        long_at.append(np.flatnonzero(far) + count)
+        long_starts.append(starts[far])
+        long_lengths.append(lengths[far])
+        count += len(starts)
+        a = b
+    if count != n:
+        raise _NotPlain
+    values = np.zeros(n)
+    keys = np.concatenate(short_keys)
+    if len(keys):
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        tokens = [k.to_bytes(8, "little").rstrip(b"\0") for k in distinct.tolist()]
+        values[np.concatenate(short_at)] = _numbers(tokens, as_int=True)[inverse]
+    lengths = np.concatenate(long_lengths)
+    if len(lengths):
+        if lengths.max() > _TOKEN_MAX:
+            raise _NotPlain
+        tokens = _words(text, _TOKEN_MAX)[np.concatenate(long_starts)]
+        tokens.view(np.uint8).reshape(-1, _TOKEN_MAX)[np.arange(_TOKEN_MAX) >= lengths[:, None]] = 0
+        values[np.concatenate(long_at)] = _numbers(tokens.tolist(), as_int=False)
+    return values.view(np.complex128).reshape(d, d)
+
+
+def _words(text: bytes, width: int = 8) -> np.ndarray:
+    """The ``width`` bytes at every offset of ``text``: little-endian
+    uint64 words for 8, byte strings otherwise; views, not copies."""
+    dtype = np.dtype("<u8") if width == 8 else np.dtype(f"S{width}")
+    return np.ndarray((len(text) - width + 1,), dtype=dtype, buffer=text, strides=(1,))
+
+
+def _numbers(tokens: list, as_int: bool) -> np.ndarray:
+    """Each number token as a float; integer tokens through ``int`` if
+    ``as_int``, as json reads them."""
+    try:
+        if as_int:
+            floats = [float(int(t)) if t.lstrip(b"-").isdigit() else float(t) for t in tokens]
+        else:
+            floats = map(float, tokens)
+        out = np.fromiter(floats, dtype=np.float64, count=len(tokens))
+    except (ValueError, OverflowError):  # not a number, or past the digit limit or float64
+        raise _NotPlain from None
+    if not np.isfinite(out).all():
+        raise _NotPlain
+    return out
 
 
 def matrix_to_pairs(M) -> list:

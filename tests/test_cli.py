@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -465,3 +466,78 @@ def test_repair_epsilon_equals_the_bound_of_the_repaired_set(capsys, tmp_path, s
         assert eps == epsilon_bound(plan.resulting_set)
         bridge_bound_taken += eps == np.pi / 2
     assert bridge_bound_taken == 6
+
+
+@pytest.mark.parametrize("layout", [{"separators": (",", ":")}, {"indent": 2}])
+def test_huge_declared_dimension_is_refused_before_any_work(capsys, tmp_path, layout):
+    # 2 x 2 matrices under "dimension": 100000; a d x d layout of them
+    # would take 40 GB, so the reader must compare sizes first
+    doc = json_document(uio.generator_set_to_document(GeneratorSet(
+        Algebra("u", 2),
+        (Generator(np.diag([1j, 2j]), "drift"), Generator(np.array([[0, 1], [-1, 0]]), "x")),
+    )))
+    doc["dimension"] = 100_000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc, **layout))
+    tracemalloc.start()
+    try:
+        with time_limit(10):
+            code, out, err = _run(capsys, ["check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == "error: generators[0] (drift) matrix: expected 100000 rows, got 2\n"
+    assert peak < 5 * 2**20, peak
+
+
+_DELETE = object()
+_FIELD_VALUES = {
+    "algebra": ["so", "", "U", None, 3, True, ["u"], {"kind": "u"}, _DELETE],
+    "dimension": [0, -3, True, 3.0, "3", None, [3], 2, 4, 100_000, _DELETE],
+    "general_index": [-1, 2, 99, True, 1.0, "0", None, [0]],
+    "label": [3, None, True, 1.5, ["x"], {"a": 1}],
+    "tolerances": [
+        [], "x", 3, None, {"tau_typo": 1.0}, {"tau_edge": -1.0}, {"tau_edge": "1e-9"},
+        {"tau_edge": True}, {"tau_rank": 0.0}, {"tau_rel": -1e-9}, {"relation_bound": 0.5},
+    ],
+}
+
+
+def _names_field(field: str, value, message: str) -> bool:
+    if field == "label":
+        return ".label: expected a string" in message
+    if field == "tolerances" and isinstance(value, dict):
+        return next(iter(value)) in message and "tolerances" in message
+    if field == "dimension" and type(value) is int and value >= 1:
+        return f"matrix: expected {value} rows, got 3" in message
+    return message.startswith(field) or f"missing required field {field!r}" == message
+
+
+def _json_only(data):
+    raise uio._NotPlain
+
+
+def test_fuzzed_fields_in_files_exit2_naming_the_field(capsys, tmp_path, monkeypatch):
+    rng = np.random.default_rng(1207)
+    base = json_document(uio.generator_set_to_document(three_level_set()))
+    cases = [(field, value) for field, values in _FIELD_VALUES.items() for value in values]
+    for n, (field, value) in enumerate(cases * 2):
+        doc = json.loads(json.dumps(base))
+        where, key = (doc["generators"][int(rng.integers(2))], field) if field == "label" else (doc, field)
+        if value is _DELETE:
+            del where[key]
+        else:
+            where[key] = value
+        path = tmp_path / f"doc{n}.json"
+        path.write_text(json.dumps(doc, **({"separators": (",", ":")} if n % 2 else {"indent": 2})))
+        command = ["check", "epsilon", "oracle"][int(rng.integers(3))]
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 2 and out == "", (field, value, command, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        message = err[len("error: "):-1]
+        assert _names_field(field, value, message), (field, value, message)
+        # the message json's nested lists give: the slots change nothing
+        with monkeypatch.context() as m:
+            m.setattr(uio, "_read_matrix_text", _json_only)
+            assert _run(capsys, [command, str(path)]) == (code, out, err)

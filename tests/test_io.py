@@ -12,6 +12,7 @@ from uqc import (
     check_universality,
     epsilon_bound,
     make_general_direction,
+    minimal_pair,
     repair,
 )
 from uqc import io as uio
@@ -23,6 +24,7 @@ from conftest import (
     parse_matrix_reference,
     random_instance,
     three_level_set,
+    time_limit,
     two_qubit_set,
 )
 
@@ -458,3 +460,304 @@ def test_matrix_to_pairs_gives_plain_floats():
     with pytest.raises(TypeError) as got:
         uio.dump_json({"x": {1}, "m": np.eye(2)}, StringIO())
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the text reader of load_input_document against json.load of the whole file
+
+
+def _json_path(path: str):
+    """``load_input_document`` by ``json.load`` of the whole file and
+    :func:`uqc.io.parse_input_document`: the reference for the text reader."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    return uio.parse_input_document(obj)
+
+
+def _outcome(load, path: str):
+    """What ``load(path)`` gives, down to the bits of every matrix."""
+    try:
+        gen_set, tolerances = load(path)
+    except InvalidInput as exc:
+        return "error", str(exc)
+    matrices = [(g.label, g.matrix.dtype, g.matrix.shape, g.matrix.tobytes()) for g in gen_set.generators]
+    return "ok", gen_set.algebra, gen_set.general_index, tolerances, matrices
+
+
+_ZERO_TOKENS = ["0", "-0", "0.0", "-0.0", "0e5", "-0E-3", "0.0e+00", "-0.000"]
+_NUMBER_TOKENS = [
+    "12", "-7", "1E+05", "2.5e-3", "-1.2345678901234567e-300", "0.30000000000000004",
+    "1.7976931348623157e308", "5e-324", "9007199254740993", "-9223372036854775809",
+    "18446744073709551616", "123456789012345678901234567890", "1e22", "0.1e1",
+    "0.000000000000000000000000000000000001",  # 38 bytes
+]
+_BAD_TOKENS = [
+    "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"',
+    "+1", "01", "-01", "00", ".5", "5.", "-.5", "1.e5", "1e", "-", "--1", "1.2.3", "1e5e5",
+    "1e+", "0x10", "1_0", "- 1", "1 2", "1. 5", "1 .5", "1e 5", "1\t2", "1\n2", "[1]", "{}",
+    "1" + "0" * 4299,  # 4300 digits: json reads it, float64 does not hold it
+    "1" + "0" * 4300,  # past the integer digit limit
+]
+
+
+def _placeholder(k: int) -> str:
+    return f"@token{k}@"
+
+
+def _render(value, rng=None) -> str:
+    """Compact JSON text of ``value``, with random whitespace between tokens
+    if ``rng`` is given; a tuple of (key, value) pairs is an object that may
+    repeat a key."""
+
+    def ws():
+        if rng is None:
+            return ""
+        return "".join(rng.choice(list(" \t\n\r"), size=int(rng.integers(0, 3))))
+
+    if isinstance(value, dict):
+        value = tuple(value.items())
+    if isinstance(value, tuple):
+        items = (f"{ws()}{json.dumps(k)}{ws()}:{ws()}{_render(v, rng)}{ws()}" for k, v in value)
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(ws() + _render(v, rng) + ws() for v in value) + "]"
+    return json.dumps(value)
+
+
+def _layouts(doc, tokens: list, rng):
+    """The texts of ``doc`` in json's compact and indent=2 layouts and with
+    random whitespace, each placeholder string replaced by its raw token."""
+    texts = [
+        json.dumps(doc, separators=(",", ":")),
+        json.dumps(doc, indent=2),
+        _render(doc, rng),
+    ]
+    for k, token in enumerate(tokens):
+        texts = [text.replace(json.dumps(_placeholder(k)), token) for text in texts]
+    return texts
+
+
+def _token_documents(rng):
+    """Seeded documents whose matrices hold odd number tokens: signed zeros
+    where the matrix is zero, integers and exponents in pairs that keep it
+    skew-Hermitian, and each bad token alone."""
+    shapes = ((1, 1, "u"), (2, 2, "u"), (3, 2, "su"), (5, 3, "u"), (12, 2, "u"), (24, 3, "su"))
+    plans = [("zero", shape) for shape in shapes * 2] + [("number", shape) for shape in shapes * 2]
+    plans += [(bad, shapes[int(rng.integers(1, len(shapes)))]) for bad in _BAD_TOKENS]
+    for plan, (d, m, kind) in plans:
+        gen_set = random_instance(rng, d, m, kind, p=0.4)
+        doc = json_document(uio.generator_set_to_document(gen_set))
+        doc["tolerances"] = {"tau_edge": 1e-10}
+        tokens = []
+
+        def put(j, i, k, part, token):
+            doc["generators"][j]["matrix"][i][k][part] = _placeholder(len(tokens))
+            tokens.append(token)
+
+        for _ in range(1 if plan not in ("zero", "number") else int(rng.integers(1, 6))):
+            j, i, k = int(rng.integers(m)), *(int(v) for v in rng.integers(0, d, 2))
+            part = int(rng.integers(2))
+            if isinstance(doc["generators"][j]["matrix"][i][k][part], str):
+                continue
+            if plan == "zero" and doc["generators"][j]["matrix"][i][k][part] == 0:
+                put(j, i, k, part, _ZERO_TOKENS[int(rng.integers(len(_ZERO_TOKENS)))])
+            elif plan == "number" and j > 0 and i != k:
+                # re(M[i, k]) = -re(M[k, i]) keeps the matrix skew-Hermitian
+                token = _NUMBER_TOKENS[int(rng.integers(len(_NUMBER_TOKENS)))]
+                if not isinstance(doc["generators"][j]["matrix"][k][i][0], str):
+                    put(j, i, k, 0, token)
+                    put(j, k, i, 0, token[1:] if token.startswith("-") else "-" + token)
+            elif plan not in ("zero", "number"):
+                put(j, i, k, part, plan)
+        yield doc, tokens
+
+
+def _shape_texts(rng):
+    """Documents whose matrices, fields or keys are out of the plain shape,
+    in the three layouts of :func:`_layouts`."""
+    base = json_document(uio.generator_set_to_document(three_level_set()))
+    rows = base["generators"][1]["matrix"]
+    yield from (text for doc in _shape_documents(base, rows) for text in _layouts(doc, [], rng))
+    # duplicate keys: json keeps the last one
+    for first, last in ((rows, base["generators"][0]["matrix"]), ([[["x", 0]]], rows), (rows, "x")):
+        doc = json.loads(json.dumps(base))
+        doc["generators"][1] = (("label", "twice"), ("matrix", first), ("matrix", last))
+        yield from (_render(doc), _render(doc, rng))
+
+
+def _shape_documents(base, rows):
+    def variant(**changes):
+        """``base`` with the value at each path of keys joined by "__" set."""
+        doc = json.loads(json.dumps(base))
+        for path, value in changes.items():
+            where = doc
+            *keys, last = [int(k) if k.isdigit() else k for k in path.split("__")]
+            for key in keys:
+                where = where[key]
+            where[last] = value
+        return doc
+
+    yield variant(generators__1__matrix=rows[:2])
+    yield variant(generators__1__matrix=rows + [rows[0]])
+    yield variant(generators__1__matrix__1=rows[1][:2])
+    yield variant(generators__1__matrix__1=rows[1] + [[0.0, 0.0]])
+    yield variant(generators__1__matrix__1__2=[0.0, 0.0, 0.0])
+    yield variant(generators__1__matrix__1__2=[0.0])
+    yield variant(generators__1__matrix__1__2=[])
+    yield variant(generators__1__matrix__1__2=[[0.0, 0.0]])
+    yield variant(generators__1__matrix__1__2=0.0)
+    yield variant(generators__1__matrix=[[]])
+    yield variant(generators__1__matrix=[])
+    yield variant(generators__1__matrix=[rows])
+    yield variant(generators__1__matrix="[[[0, 0]]]")
+    yield variant(dimension=2)
+    yield variant(dimension=4)
+    yield variant(dimension=100000)
+    yield variant(dimension=0)
+    yield variant(dimension=True)
+    yield variant(dimension=3.0)
+    yield variant(generators__0__label='x "matrix":[[[0,0]]] y')
+    yield variant(generators__0__label="phase θ → \U0001d70b", generators__1__label="ключ")
+    # strings shaped like the reader's slots, without the nonce
+    yield variant(generators__0__label="uqc-matrix--0")
+    yield variant(generators__1__matrix="uqc-matrix--1")
+    yield variant(generators__1__matrix="uqc-matrix-0-1")
+    # a key that ends in "matrix", and "matrix" keys outside the generators
+    yield variant(**{'generators__0__k"matrix': rows})
+    yield variant(**{'k"matrix': rows})
+    yield variant(planted={"matrix": rows})
+    # as many "matrix" arrays as generators, but one outside them
+    for outside in ({'k"matrix': rows}, {"rows": {"matrix": rows}}):
+        doc = variant()
+        del doc["generators"][1]["matrix"]
+        doc["generators"][1].update(outside)
+        yield doc
+    yield variant(generators__1__rows={"matrix": rows})
+    doc = json.loads(json.dumps(base))
+    del doc["generators"][1]["matrix"]
+    yield doc
+    yield variant(generators=[])
+    yield variant(generators={"matrix": rows})
+    yield variant(generators__1=[rows])
+
+
+def test_text_reader_matches_the_json_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2029)
+    texts = []
+    for doc, tokens in _token_documents(rng):
+        texts += _layouts(doc, tokens, rng)
+    texts += _shape_texts(rng)
+    compact = json.dumps(json_document(uio.generator_set_to_document(three_level_set())), separators=(",", ":"))
+    texts += [
+        "\ufeff" + compact,  # a UTF-8 BOM
+        compact.replace('"matrix":', '"matrix" :\n', 1),
+        compact[: len(compact) // 2],
+        compact + "]",
+        compact.replace("]]]", "]]]]", 1),
+        compact.replace(",", ", ", 5),
+        # the "[],"-skeleton of a matrix kept, its numbers moved
+        compact.replace("[0.0,0.0]", "[0.0,]", 1),
+        compact.replace("[0.0,0.0]", "[,0.0]", 1),
+        compact.replace("[0.0,0.0],[", "[0.0,]0.0,[", 1),
+        compact.replace(",[0.0,0.0]", ",0.0[,0.0]", 1),
+        compact.replace("[0.0,0.0]", "[0.0,0.00.0]", 1),
+        compact.replace("]]]", "]]]5", 1),
+        compact.replace("]]]", "]]]5 ", 1),
+        compact.replace('"matrix":[', '"matrix":5[', 1),
+        "[" + compact + "]",
+        "",
+    ]
+    read = uio._read_matrix_text
+    taken = []
+
+    def text_reader(data):
+        taken.append(False)
+        obj = read(data)
+        taken[-1] = True
+        return obj
+
+    monkeypatch.setattr(uio, "_read_matrix_text", text_reader)
+    outcomes = {"ok": 0, "error": 0}
+    for n, text in enumerate(texts):
+        path = str(tmp_path / f"doc{n}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # small chunks put chunk boundaries inside matrices
+        monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([16, 64, 1 << 20])))
+        want = _outcome(_json_path, path)
+        with time_limit(10):
+            assert _outcome(uio.load_input_document, path) == want, text[:300]
+        outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 60, outcomes
+    # both ways of reading were compared, not only the json one
+    assert 60 <= sum(taken) <= len(texts) - 60, (sum(taken), len(texts))
+
+
+def test_plain_documents_take_the_text_reader(tmp_path, monkeypatch):
+    # fails if a well-formed document goes through json's nested lists
+    parse_matrix = uio._parse_matrix
+
+    def read_from_text(rows, d, where):
+        assert isinstance(rows, uio._ReadMatrix), f"{where} took the list path"
+        return parse_matrix(rows, d, where)
+
+    monkeypatch.setattr(uio, "_parse_matrix", read_from_text)
+    rng = np.random.default_rng(31)
+    sets = [three_level_set(), two_qubit_set(full=True), random_instance(rng, 40, 3, "u"),
+            random_instance(rng, 9, 2, "su"), minimal_pair(Algebra("u", 64))]
+    for k, gen_set in enumerate(sets):
+        doc = uio.generator_set_to_document(gen_set, {"tau_edge": 1e-10})
+        written = tmp_path / f"written{k}.json"
+        uio.write_document(doc, str(written))
+        compact = tmp_path / f"compact{k}.json"
+        compact.write_text(json.dumps(json_document(doc), separators=(",", ":")))
+        # each matrix followed by more keys of its generator
+        first = json_document(doc)
+        first["generators"] = [{"matrix": g["matrix"], "label": g["label"]} for g in first["generators"]]
+        matrix_first = tmp_path / f"first{k}.json"
+        matrix_first.write_text(json.dumps(first, indent=k % 3 or None))
+        for path in (written, compact, matrix_first):
+            got, tolerances = uio.load_input_document(str(path))
+            assert tolerances == {"tau_edge": 1e-10}
+            for g_in, g_out in zip(gen_set.generators, got.generators):
+                assert _bits(g_out.matrix).tobytes() == _bits(g_in.matrix.astype(complex)).tobytes()
+
+
+def test_text_reader_leaves_a_document_holding_its_slot_to_json(tmp_path, monkeypatch):
+    # a document that spells out the slot, nonce and all, of a matrix it
+    # replaces by a duplicate key: json keeps the string, and so must the reader
+    monkeypatch.setattr(uio.os, "urandom", lambda n: bytes(n))
+    base = json.dumps(json_document(uio.generator_set_to_document(three_level_set())))
+    slot = f"uqc-matrix-{bytes(16).hex()}-1"
+    assert base.endswith("]]]}]}")  # rot12 is the last generator
+    text = base[:-3] + f', "matrix": "{slot}"' + base[-3:]
+    path = tmp_path / "slot.json"
+    path.write_text(text)
+    assert json.loads(text)["generators"][1]["matrix"] == slot
+    with pytest.raises(InvalidInput, match=r"generators\[1\] \(rot12\) matrix: matrix must be a list"):
+        uio.load_input_document(str(path))
+
+
+def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path):
+    # a few bytes inserted, deleted or overwritten anywhere in a document:
+    # the same outcome as json's, never another exception and never a hang
+    rng = np.random.default_rng(4242)
+    bases = []
+    for d, m, kind in ((1, 1, "u"), (2, 2, "u"), (3, 2, "su"), (4, 3, "u")):
+        doc = json_document(uio.generator_set_to_document(random_instance(rng, d, m, kind, p=0.5)))
+        bases += [json.dumps(doc, separators=(",", ":")), json.dumps(doc, indent=2), json.dumps(doc)]
+    alphabet = [*"0123456789-+.eE[],  \n\t\r\"}{:aNI", "0.0", "-0", "1e5", "[0.0,0.0]", "],[", '"matrix":']
+    path = str(tmp_path / "doc.json")
+    for _ in range(2000):
+        text = bases[int(rng.integers(len(bases)))]
+        for _ in range(int(rng.integers(1, 4))):
+            i, token = int(rng.integers(len(text))), alphabet[int(rng.integers(len(alphabet)))]
+            cut = (0, int(rng.integers(1, 4)), len(token))[int(rng.integers(3))]
+            text = text[:i] + (token if cut != 1 else "") + text[i + cut:]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with time_limit(10):
+            assert _outcome(uio.load_input_document, path) == _outcome(_json_path, path), text
