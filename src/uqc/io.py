@@ -228,16 +228,18 @@ def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # only the bytes are kept: the text beside them would double
+            # the memory a large file takes while its matrices are read
+            data = fh.read().encode("utf-8")
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     try:
-        obj = _read_matrix_text(text.encode("utf-8"))
+        obj = _read_matrix_text(data)
     except _NotPlain:
         try:
-            obj = json.loads(text)
+            obj = json.loads(data.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, integers past the digit limit, nesting too deep
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
@@ -292,21 +294,22 @@ def _read_matrix_text(data: bytes) -> dict:
     if nonce.encode() in data:
         raise _NotPlain
     slot = f"uqc-matrix-{nonce}-"
-    pieces, spans, pos, search = [], [], 0, 0
-    while (key := data.find(b'"matrix"', search)) >= 0:
-        search = key + 1
-        found = _MATRIX_KEY.match(data, key)
-        if found is None:
-            continue
+    pieces, spans, pos = [], [], 0
+    for found in _MATRIX_KEY.finditer(data):
         # a matrix holds no string and no object: it ends before the next
-        # '"' or '}', less the whitespace and comma that follow it
+        # '"' or '}', less the whitespace and comma that follow it; the '}'
+        # is looked for only up to that '"', so the scan stays linear, and
+        # the next key starts after the span
         start = found.end() - 1
-        stop = min(i for i in (data.find(b'"', start), data.find(b"}", start), len(data)) if i >= 0)
+        stop = data.find(b'"', start)
+        stop = len(data) if stop < 0 else stop
+        brace = data.find(b"}", start, stop)
+        stop = stop if brace < 0 else brace
         while data[stop - 1] in b" \t\n\r,":
             stop -= 1
         pieces += [data[pos:start], f'"{slot}{len(spans)}"'.encode()]
         spans.append((start, stop))
-        pos = search = stop
+        pos = stop
     pieces.append(data[pos:])
     try:
         obj = json.loads(b"".join(pieces).decode("utf-8"))
@@ -334,14 +337,12 @@ def _compact(data: bytes, start: int, stop: int, tokens: int) -> bytes:
     """``data[start:stop]`` without whitespace, followed by :data:`_PAD`.
 
     Whitespace between the bytes of one number would join them into one
-    token once removed, so where there is whitespace the runs of number
-    bytes in the span as written must number ``tokens``, the count the
-    matrix must hold; otherwise this raises :class:`_NotPlain`.  The span
-    is read in chunks of :data:`_CHUNK` bytes, so that a whitespace-heavy
-    matrix costs no full-length temporaries.
+    token once removed, so the runs of number bytes in the span as written
+    must number ``tokens``, the count the matrix must hold; otherwise this
+    raises :class:`_NotPlain`.  The span is read in chunks of
+    :data:`_CHUNK` bytes, so that a whitespace-heavy matrix costs no
+    full-length temporaries.
     """
-    if all(data.find(w, start, stop) < 0 for w in (b" ", b"\n", b"\t", b"\r")):
-        return data[start:stop] + _PAD
     view = memoryview(data)
     pieces, runs, before = [], 0, False
     for a in range(start, stop, _CHUNK):
@@ -404,8 +405,11 @@ def _lex_matrix(text: bytes, d: int) -> np.ndarray:
         b = text.find(b"]", min(a + _CHUNK, size - 1)) + 1  # no token holds a ']'
         v = u[a:b]
         struct = (v == 44) | (v == 91) | (v == 93)
-        # the chunk starts and ends with "[],": its edges alternate between
-        # the start and the end of a token
+        # a chunk after the first starts just past a ']', where a token
+        # stands outside the pair slots; else the chunk starts and ends with
+        # "[],", and its edges alternate between the start and the end of a token
+        if not struct[0]:
+            raise _NotPlain
         edges = np.flatnonzero(struct[:-1] != struct[1:]) + (a + 1)
         starts, ends = edges[0::2], edges[1::2]
         # a token after ']' or before '[' stands outside the pair slots

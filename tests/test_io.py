@@ -685,8 +685,8 @@ def test_text_reader_matches_the_json_path(tmp_path, monkeypatch):
         path = str(tmp_path / f"doc{n}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        # small chunks put chunk boundaries inside matrices
-        monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([16, 64, 1 << 20])))
+        # small chunks put chunk boundaries inside matrices; at 1 B every ']' is one
+        monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([1, 16, 64, 1 << 20])))
         want = _outcome(_json_path, path)
         with time_limit(10):
             assert _outcome(uio.load_input_document, path) == want, text[:300]
@@ -741,7 +741,7 @@ def test_text_reader_leaves_a_document_holding_its_slot_to_json(tmp_path, monkey
         uio.load_input_document(str(path))
 
 
-def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path):
+def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path, monkeypatch):
     # a few bytes inserted, deleted or overwritten anywhere in a document:
     # the same outcome as json's, never another exception and never a hang
     rng = np.random.default_rng(4242)
@@ -759,5 +759,39 @@ def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path):
             text = text[:i] + (token if cut != 1 else "") + text[i + cut:]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([1, 16, 1 << 20])))
         with time_limit(10):
             assert _outcome(uio.load_input_document, path) == _outcome(_json_path, path), text
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 20])
+def test_text_reader_refuses_a_number_moved_next_to_a_chunk_edge(tmp_path, monkeypatch, chunk):
+    # a chunk after the first starts just past a ']': a number there, or
+    # just before a '[', keeps the skeleton whole but stands outside the
+    # pair slots, and the document must fail as json fails it
+    monkeypatch.setattr(uio, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    doc = json_document(uio.generator_set_to_document(random_instance(rng, 6, 2, "u", p=0.5)))
+    compact = json.dumps(doc, separators=(",", ":"))
+    for count in (1, 2, 9):
+        for old, new in (("],[", "]0.0,["), ("],[", "],0.0["), ("]]", "]]0"), (",[", "0,[")):
+            path = str(tmp_path / "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(compact.replace(old, new, count))
+            want = _outcome(_json_path, path)
+            assert want[0] == "error"
+            with time_limit(10):
+                assert _outcome(uio.load_input_document, path) == want
+
+
+@pytest.mark.parametrize("unit", ['"matrix":[', '{"matrix":[0],'])
+def test_matrix_key_scan_takes_linear_time(tmp_path, unit):
+    # 4 MB of "matrix" keys and no '}': looking for the end of each span
+    # up to the end of the file would take tens of seconds
+    path = str(tmp_path / "keys.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"generators":[' + unit * (4_000_000 // len(unit)))
+    want = _outcome(_json_path, path)
+    assert want[0] == "error"
+    with time_limit(10):
+        assert _outcome(uio.load_input_document, path) == want
