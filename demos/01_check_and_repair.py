@@ -30,9 +30,9 @@ print("invariant witness:", verdict.witness_subspace)
 # -> reducible; {0,1} never talks to {2}
 
 # repair: bridge the component of vertex 0 to the outside.  The
-# "largest-inside" rule picks a=1, b=2, i.e. the elementary generator
-# coupling levels 2 and 3.
-plan = repair(system, selection="largest-inside")
+# "paper-example" rule takes the largest index inside, a=1, and b=2, i.e.
+# the elementary generator coupling levels 2 and 3.
+plan = repair(system, selection="paper-example")
 print("\nbridges added:", [(a, b, style.value) for a, b, style in plan.bridges])
 print("bridge matrix:\n", plan.added_generators[0].matrix.real)
 

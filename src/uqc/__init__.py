@@ -12,7 +12,6 @@ brute-force Lie-closure oracle.
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateSpectrum,
     DesignatedNotDiagonal,
     InvalidInput,
     NotSkewHermitian,
@@ -45,7 +44,6 @@ from .universality import (
     CouplingGraph,
     UniversalityVerdict,
     VerdictStatus,
-    block_partition,
     build_coupling_graph,
     check_universality,
     connected_components,
@@ -76,7 +74,6 @@ __all__ = [
     "NotSkewHermitian",
     "NotTraceless",
     "DesignatedNotDiagonal",
-    "DegenerateSpectrum",
     # linalg
     "commutator",
     "operator_norm",
@@ -102,7 +99,6 @@ __all__ = [
     "build_coupling_graph",
     "connected_components",
     "check_universality",
-    "block_partition",
     # repair
     "BridgeStyle",
     "RepairPlan",

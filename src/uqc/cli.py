@@ -25,7 +25,7 @@ from .errors import InvalidInput, NumericalFailure
 from .generators import Algebra, epsilon_bound, epsilon_bound_per_generator
 from .linalg import matrix_exp, operator_norm
 from .oracle import closure_block_partition, lie_closure
-from .repair import BridgeStyle, minimal_pair, repair
+from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
 from .universality import build_coupling_graph, check_universality, VerdictStatus
 
 EXIT_OK = 0
@@ -196,6 +196,9 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+_STYLES = [style.value for style in BridgeStyle]
+
+
 def _add_format_flags(p: argparse.ArgumentParser):
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument(
@@ -227,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repair", help="bridge disconnected components, write the new set")
     p.add_argument("input")
-    p.add_argument("--style", choices=["antisym", "sym"], default="antisym")
+    p.add_argument("--style", choices=_STYLES, default="antisym")
     p.add_argument(
         "--selection",
-        choices=["smallest", "paper-example"],
+        choices=SELECTION_RULES,
         default="smallest",
         help=(
             "bridge endpoint rule: smallest index inside the start component, "
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="write a minimal two-generator universal set")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--algebra", choices=["u", "su"], default="u")
-    p.add_argument("--style", choices=["antisym", "sym"], default="antisym")
+    p.add_argument("--style", choices=_STYLES, default="antisym")
     p.add_argument("--out", required=True)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_construct)

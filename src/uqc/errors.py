@@ -35,7 +35,3 @@ class NotTraceless(ValidationError):
 
 class DesignatedNotDiagonal(ValidationError):
     pass
-
-
-class DegenerateSpectrum(ValidationError):
-    pass

@@ -1,10 +1,11 @@
 """Generator-set model: validation, diagonal drift spectra, step-size bound.
 
 A generator set is an ordered list of skew-Hermitian matrices acting on C^d,
-one of which (``general_index``, default the first) must be diagonal with a
-non-degenerate spectrum.  That designated diagonal plays the role of a drift
-whose exponential walks a dense orbit on the diagonal torus whenever its
-phases, divided by 2*pi, are rationally independent together with 1.
+one of which (``general_index``, default the first) must be diagonal.  That
+designated diagonal plays the role of a drift whose exponential walks a
+dense orbit on the diagonal torus whenever its phases, divided by 2*pi, are
+rationally independent together with 1; coinciding phases are a valid input
+that fails this hypothesis, not a malformed one.
 
 That hypothesis is tested by a heuristic scan for integer relations among
 (1, theta/2pi): a float64 PSLQ (a numpy port of mpmath's, with its rules
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DegenerateSpectrum,
     DesignatedNotDiagonal,
     InvalidInput,
     NotSkewHermitian,
@@ -73,10 +73,6 @@ class Algebra:
 class Generator:
     matrix: np.ndarray
     label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +165,7 @@ def phases_of(gen: Generator) -> np.ndarray:
     return np.diag(gen.matrix).imag.copy()
 
 
-def validate_set(raw: GeneratorSet, *, require_nondegenerate: bool = True) -> GeneratorSet:
+def validate_set(raw: GeneratorSet) -> GeneratorSet:
     """Check every generator-set invariant, returning the set unchanged.
 
     Raises (always naming the offending generator index):
@@ -177,10 +173,10 @@ def validate_set(raw: GeneratorSet, *, require_nondegenerate: bool = True) -> Ge
     - NotSkewHermitian    if some matrix fails the symmetry test,
     - NotTraceless        in su mode, if some matrix has |trace| too large,
     - DesignatedNotDiagonal  if the designated generator has off-diagonal
-      support,
-    - DegenerateSpectrum  if the designated phases are not mutually distinct
-      (skipped when ``require_nondegenerate`` is False; callers that can
-      still give a meaningful, weaker answer use that mode).
+      support.
+
+    A degenerate designated spectrum is accepted: the criterion's hypothesis
+    then fails, which :func:`uqc.check_universality` reports in its verdict.
     """
     if len(raw.generators) < 1:
         raise InvalidInput("generator set must contain at least one generator")
@@ -210,17 +206,11 @@ def validate_set(raw: GeneratorSet, *, require_nondegenerate: bool = True) -> Ge
                     generator_index=j,
                 )
 
-    des = raw.designated
-    A = des.matrix
+    A = raw.designated.matrix
     off = A - np.diag(np.diag(A))
     if linalg.max_abs(off) > TAU_DIAG * linalg.max_abs(A):
         raise DesignatedNotDiagonal(
             f"designated generator {raw.general_index} is not diagonal",
-            generator_index=raw.general_index,
-        )
-    if require_nondegenerate and spectrum_is_degenerate(phases_of(des)):
-        raise DegenerateSpectrum(
-            f"designated generator {raw.general_index} has a degenerate spectrum",
             generator_index=raw.general_index,
         )
     return raw
@@ -382,6 +372,14 @@ def check_general_direction(
     a certificate.  A PSLQ lattice search runs first; when the coefficient
     grid is small enough it is followed by an exhaustive sweep, whose best
     rejected residual is then reported.
+
+    ``bound`` is not applied alike by the two searches.  PSLQ keeps
+    mpmath's rule and accepts only max|c_i| < ``bound``; the sweep, which
+    runs while (2*bound + 1)^n <= EXHAUSTIVE_LIMIT for the n = d + 1 (u) or
+    d (su) entries of the vector, i.e. u(d <= 3) and su(d <= 4) at the
+    default bound 10, accepts max|c_i| <= ``bound``.  A relation whose
+    largest coefficient equals ``bound`` is therefore found at those small
+    d only.
     """
     validate_tolerance("relation_bound", bound)
     validate_tolerance("tau_rel", tau_rel)
@@ -404,7 +402,7 @@ def check_general_direction(
     found = _pslq_relation(x, bound, tau_rel)
     if found is not None:
         coeffs, residual = found
-        if residual <= tau_rel and max(abs(c) for c in coeffs) <= bound:
+        if residual <= tau_rel:
             return SpectrumIndependenceVerdict(
                 IndependenceStatus.DEPENDENT, coeffs, bound, residual
             )

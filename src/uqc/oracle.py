@@ -84,10 +84,9 @@ class _Basis:
     direction is projected off each candidate and each new element.
     """
 
-    def __init__(self, d: int, traceless: bool, max_dim_guard: int):
+    def __init__(self, d: int, traceless: bool):
         self.d = d
         self.traceless = traceless
-        self.max_dim_guard = max_dim_guard
         self.n = 0
         self.coords = np.zeros((d * d, d * d))
         self.mats = np.zeros((d * d, d, d), dtype=complex)
@@ -181,9 +180,9 @@ class _Basis:
                 live = live[left[live] > bound[live]]
 
     def _append(self, u: np.ndarray) -> np.ndarray:
-        if self.n + 1 > self.max_dim_guard:
+        if self.n == len(self.coords):
             raise NumericalFailure(
-                f"closure dimension exceeded the guard {self.max_dim_guard}; "
+                f"closure dimension exceeded d^2 = {self.n}; "
                 "tau_rank is likely too small for this data"
             )
         # normalizing a small leftover amplifies its roundoff content, so
@@ -191,9 +190,6 @@ class _Basis:
         # the basis; this keeps impurities from compounding
         u = self.project(self._pin(u))
         u /= np.linalg.norm(u)
-        if self.n == len(self.coords):  # only below the roundoff floor
-            self.coords = np.concatenate([self.coords, np.zeros_like(self.coords)])
-            self.mats = np.concatenate([self.mats, np.zeros_like(self.mats)])
         self.coords[self.n] = u
         self.mats[self.n] = linalg.from_skew_coords(u, self.d)
         self.n += 1
@@ -214,11 +210,7 @@ class _Basis:
         return generations
 
 
-def lie_closure(
-    gen_set: GeneratorSet,
-    tau_rank: float = TAU_CLOSURE_RANK,
-    max_dim_guard: int | None = None,
-) -> LieClosureReport:
+def lie_closure(gen_set: GeneratorSet, tau_rank: float = TAU_CLOSURE_RANK) -> LieClosureReport:
     """Compute Lie_R<generators> by iterated commutators with rank tracking.
 
     Seeds the basis with the generators, then grows it a frontier
@@ -233,25 +225,20 @@ def lie_closure(
     are made at ``tau_rank`` while the growth path stays numerically stable.
 
     Raises InvalidInput for d > CLOSURE_DIM_LIMIT, and NumericalFailure if
-    the dimension exceeds ``max_dim_guard`` (default d^2, the mathematical
-    maximum); that signals a misconfigured tolerance, not a property of the
-    input.
+    the dimension would exceed d^2, the mathematical maximum; that signals a
+    misconfigured tolerance, not a property of the input.
     """
     validate_tolerance("tau_rank", tau_rank)
-    gen_set = validate_set(gen_set, require_nondegenerate=False)
+    gen_set = validate_set(gen_set)
     d = gen_set.dim
     if d > CLOSURE_DIM_LIMIT:
         raise InvalidInput(
             f"the Lie-closure oracle is capped at d = {CLOSURE_DIM_LIMIT} "
             f"(got d = {d}); use the coupling-graph check instead"
         )
-    if max_dim_guard is None:
-        max_dim_guard = d * d
-    if max_dim_guard < d * d:
-        raise InvalidInput(f"max_dim_guard must be >= d^2 = {d * d}")
     tau_growth = max(tau_rank, TAU_GROWTH_FLOOR)
 
-    basis = _Basis(d, gen_set.algebra.kind == "su", max_dim_guard)
+    basis = _Basis(d, gen_set.algebra.kind == "su")
     basis.admit(
         linalg.skew_coords(np.array([g.matrix for g in gen_set.generators])),
         tau_rank,
@@ -315,7 +302,7 @@ def coordinate_subspace_scan(
     any connectivity reasoning; the result must coincide with the unions of
     connected components.
     """
-    gen_set = validate_set(gen_set, require_nondegenerate=False)
+    gen_set = validate_set(gen_set)
     d = gen_set.dim
     if d > SCAN_DIM_LIMIT:
         raise InvalidInput(

@@ -35,9 +35,10 @@ class BridgeStyle(Enum):
 #: d^2 too; past the cap the request is refused before either starts
 CONSTRUCT_DIM_LIMIT = 1024
 
-#: endpoint selection rules for repair bridges; "paper-example", the CLI's
-#: name, is an alias of "largest-inside" and is resolved here only
-SELECTION_RULES = ("smallest", "largest-inside", "paper-example")
+#: endpoint selection rules for repair bridges, also the CLI's ``--selection``
+#: choices: the smallest or (as in the paper's example) the largest index
+#: inside
+SELECTION_RULES = ("smallest", "paper-example")
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,11 @@ def repair(
 
     With components C_0, C_1, ... ordered by smallest member, bridge k joins
     ``a`` inside C_0 u ... u C_{k-1} to ``b = min C_k``: ``a = 0`` under the
-    "smallest" rule, ``a = max(C_0 u ... u C_{k-1})`` under "largest-inside"
-    (alias "paper-example").  These are the bridges of the round-by-round
-    procedure that joins the component of vertex 0 to the smallest index
-    outside it, because a bridge's unit entries are always edges for a
-    tau_edge in (0, 1).  On an already-connected set the plan is empty and
-    the set is returned as-is.
+    "smallest" rule, ``a = max(C_0 u ... u C_{k-1})`` under "paper-example".
+    These are the bridges of the round-by-round procedure that joins the
+    component of vertex 0 to the smallest index outside it, because a
+    bridge's unit entries are always edges for a tau_edge in (0, 1).  On an
+    already-connected set the plan is empty and the set is returned as-is.
     """
     style = BridgeStyle(style)
     if selection not in SELECTION_RULES:

@@ -20,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import NumericalFailure
 from .generators import (
     GeneratorSet,
     IndependenceStatus,
@@ -140,42 +139,11 @@ def connected_components(graph: CouplingGraph) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _partition_and_permutation(components: list[list[int]]):
-    perm = tuple(v for comp in components for v in comp)
-    sizes = tuple(len(c) for c in components)
-    return tuple(tuple(c) for c in components), perm, sizes
-
-
-def block_partition(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE):
-    """Deterministic block partition and basis permutation.
-
-    Returns ``(components, permutation)``; conjugating every generator by
-    the permutation yields block-diagonal matrices with the component sizes,
-    which is verified edge by edge before returning.
-    """
-    gen_set = validate_set(gen_set, require_nondegenerate=False)
-    graph = build_coupling_graph(gen_set, tau_edge)
-    components, perm, _ = _partition_and_permutation(connected_components(graph))
-    _verify_block_certificate(graph, components)
-    return components, perm
-
-
-def _verify_block_certificate(graph: CouplingGraph, components):
-    block_of = {v: b for b, comp in enumerate(components) for v in comp}
-    for (r, l), sources in graph.edge_source.items():
-        if block_of[r] != block_of[l]:
-            raise NumericalFailure(
-                f"block certificate violated by generator {sources[0][0]}: "
-                f"edge ({r + 1}, {l + 1}) crosses blocks"
-            )
-
-
 def check_universality(
     gen_set: GeneratorSet,
     tau_edge: float = TAU_EDGE,
     relation_bound: int = RELATION_BOUND,
     tau_rel: float = TAU_RELATION,
-    spectrum_scan: bool | None = None,
 ) -> UniversalityVerdict:
     """Decide universality of a validated generator set.
 
@@ -185,12 +153,11 @@ def check_universality(
     scan is CONDITIONALLY_UNIVERSAL; a disconnected graph is REDUCIBLE with
     the full partition, permutation, and witness component of vertex 0.
 
-    ``spectrum_scan=None`` (auto) runs the scan for d <= SPECTRUM_SCAN_LIMIT
-    and skips it above, where it would dominate the runtime.
+    The scan runs for d <= SPECTRUM_SCAN_LIMIT and is skipped above.
     """
     validate_tolerance("relation_bound", relation_bound)
     validate_tolerance("tau_rel", tau_rel)
-    gen_set = validate_set(gen_set, require_nondegenerate=False)
+    gen_set = validate_set(gen_set)
     theta = phases_of(gen_set.designated)
     degenerate = spectrum_is_degenerate(theta)
 
@@ -198,38 +165,31 @@ def check_universality(
         direction = SpectrumIndependenceVerdict(
             IndependenceStatus.CONSTRUCTED_EXACT, None, 0, 0.0
         )
+    elif gen_set.dim <= SPECTRUM_SCAN_LIMIT:
+        direction = check_general_direction(
+            theta, gen_set.algebra, relation_bound, tau_rel
+        )
     else:
-        if spectrum_scan is None:
-            spectrum_scan = gen_set.dim <= SPECTRUM_SCAN_LIMIT
-        if spectrum_scan:
-            direction = check_general_direction(
-                theta, gen_set.algebra, relation_bound, tau_rel
-            )
-        else:
-            direction = SpectrumIndependenceVerdict(
-                IndependenceStatus.SKIPPED, None, 0, float("inf")
-            )
+        direction = SpectrumIndependenceVerdict(
+            IndependenceStatus.SKIPPED, None, 0, float("inf")
+        )
 
     graph = build_coupling_graph(gen_set, tau_edge)
-    components, perm, sizes = _partition_and_permutation(connected_components(graph))
-    connected = len(components) == 1
-
-    if not connected:
+    components = tuple(tuple(c) for c in connected_components(graph))
+    if len(components) > 1:
         status = VerdictStatus.REDUCIBLE
-        witness = components[0]  # component containing vertex 0
     elif direction.independent and not degenerate:
         status = VerdictStatus.UNIVERSAL
-        witness = None
     else:
         status = VerdictStatus.CONDITIONALLY_UNIVERSAL
-        witness = None
 
     return UniversalityVerdict(
         status=status,
         components=components,
-        permutation=perm,
-        block_sizes=sizes,
-        witness_subspace=witness,
+        permutation=tuple(v for comp in components for v in comp),
+        block_sizes=tuple(len(c) for c in components),
+        # the component of vertex 0
+        witness_subspace=components[0] if len(components) > 1 else None,
         general_direction=direction,
         degenerate_spectrum=degenerate,
     )

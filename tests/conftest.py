@@ -198,9 +198,7 @@ def embed_real(A: np.ndarray) -> np.ndarray:
     return np.concatenate([A.real.ravel(), A.imag.ravel()])
 
 
-def lie_closure_reference(
-    gen_set: GeneratorSet, tau_rank: float = 1e-10, max_dim_guard: int | None = None
-) -> LieClosureReport:
+def lie_closure_reference(gen_set: GeneratorSet, tau_rank: float = 1e-10) -> LieClosureReport:
     """Per-pair Lie closure in the raw 2d^2 real embedding, one vector a time.
 
     Test-only reference for the blocked ``uqc.lie_closure``: the same
@@ -209,10 +207,8 @@ def lie_closure_reference(
     projection per pair.  Its ``basis`` rows live in the embedding of
     :func:`embed_real`.
     """
-    gen_set = validate_set(gen_set, require_nondegenerate=False)
+    gen_set = validate_set(gen_set)
     d = gen_set.dim
-    if max_dim_guard is None:
-        max_dim_guard = d * d
     tau_growth = max(tau_rank, 1e-6)
     traceless = gen_set.algebra.kind == "su"
 
@@ -243,7 +239,7 @@ def lie_closure_reference(
         left = float(np.linalg.norm(w))
         if left <= tau * (nrm if scale is None else max(nrm, scale)):
             return False
-        if len(mats) + 1 > max_dim_guard:
+        if len(mats) == d * d:
             raise NumericalFailure("closure dimension exceeded the guard")
         u = w / left
         u = embed_real(structure_project(unembed(u)))

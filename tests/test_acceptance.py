@@ -52,7 +52,7 @@ def test_criterion_1_three_level_golden():
     assert verdict.status is VerdictStatus.REDUCIBLE
     assert verdict.components == ((0, 1), (2,))  # {1,2} and {3}, 1-based
 
-    plan = repair(s, selection="largest-inside")
+    plan = repair(s, selection="paper-example")
     expected = np.zeros((3, 3), dtype=complex)
     expected[1, 2], expected[2, 1] = 1.0, -1.0
     assert np.array_equal(plan.added_generators[0].matrix, expected)

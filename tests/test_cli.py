@@ -11,6 +11,7 @@ import pytest
 import uqc
 from uqc import (
     Algebra,
+    BridgeStyle,
     Generator,
     GeneratorSet,
     build_coupling_graph,
@@ -20,6 +21,7 @@ from uqc import (
 )
 from uqc import io as uio
 from uqc.cli import main
+from uqc.repair import SELECTION_RULES
 
 from conftest import (
     json_document,
@@ -265,6 +267,65 @@ def test_oracle_subcommand(capsys, u3_path):
     assert doc["residual_max"] <= 1e-9
 
 
+@pytest.fixture()
+def degenerate_path(tmp_path):
+    # i*diag(1, 1, 2) and a 1-2-3 chain: connected, two phases coincide
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[0, 1], chain[1, 0], chain[1, 2], chain[2, 1] = 1, -1, 1, -1
+    s = GeneratorSet(
+        Algebra("u", 3),
+        (Generator(np.diag([1j, 1j, 2j]), "drift"), Generator(chain, "chain")),
+    )
+    path = tmp_path / "degenerate.json"
+    uio.write_document(uio.generator_set_to_document(s), str(path))
+    return str(path)
+
+
+def test_check_reports_a_degenerate_drift(capsys, degenerate_path):
+    # the criterion's hypothesis fails, so the verdict is connected but not
+    # certified, as check_universality gives it; the input is not refused
+    code, out, err = _run(capsys, ["check", degenerate_path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "conditionally_universal"
+    assert doc["degenerate_spectrum"] is True
+    code, out, _ = _run(capsys, ["check", "--oracle", degenerate_path])
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"dimension": 9, "target_dimension": 9, "agrees": True}
+    code, out, _ = _run(capsys, ["check", "--text", degenerate_path])
+    assert code == 0
+    assert "warning: designated spectrum is degenerate" in out.splitlines()
+
+
+def test_other_commands_run_on_a_degenerate_drift(capsys, degenerate_path, tmp_path):
+    code, out, err = _run(capsys, ["oracle", degenerate_path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 9
+    code, out, err = _run(capsys, ["epsilon", degenerate_path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["epsilon_max"] == pytest.approx(np.pi / 4)
+    out_path = tmp_path / "repaired.json"
+    code, out, err = _run(capsys, ["repair", degenerate_path, "--out", str(out_path)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["repair"]["noop"] is True
+    assert doc["status"] == "conditionally_universal"
+    assert doc["degenerate_spectrum"] is True
+    assert json.loads(out_path.read_text())["generators"][0]["label"] == "drift"
+
+
+def test_choice_lists_are_the_library_names(capsys):
+    styles = "{" + ",".join(style.value for style in BridgeStyle) + "}"
+    for command, listed in (
+        ("repair", [styles, "{" + ",".join(SELECTION_RULES) + "}"]),
+        ("construct", [styles]),
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert all(names in out for names in listed)
+
+
 def test_tolerance_profile_env(capsys, tmp_path, monkeypatch):
     # coupling entry at relative 1e-10: an edge at the default threshold
     # (1e-12), invisible under the loose profile (1e-9)
@@ -399,7 +460,8 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert stderr == ""
 

@@ -21,6 +21,7 @@ from uqc import (
     validate_set,
 )
 from uqc.errors import InvalidInput
+from uqc.repair import SELECTION_RULES
 
 from conftest import random_instance, three_level_set, time_limit, two_qubit_set
 
@@ -32,7 +33,7 @@ def test_three_level_smallest_rule():
 
 
 def test_three_level_largest_inside_rule_exact_bridge():
-    plan = repair(three_level_set(), selection="largest-inside")
+    plan = repair(three_level_set(), selection="paper-example")
     assert plan.bridges == ((1, 2, BridgeStyle.ANTISYMMETRIC),)
     expected = np.zeros((3, 3), dtype=complex)
     expected[1, 2], expected[2, 1] = 1.0, -1.0
@@ -40,6 +41,8 @@ def test_three_level_largest_inside_rule_exact_bridge():
 
 
 def test_paper_example_alias():
+    # the CLI's name for the paper's rule is the library's only name for it
+    assert SELECTION_RULES == ("smallest", "paper-example")
     assert repair(three_level_set(), selection="paper-example").bridges == (
         (1, 2, BridgeStyle.ANTISYMMETRIC),
     )
@@ -137,7 +140,7 @@ def _repair_cases():
     return cases
 
 
-@pytest.mark.parametrize("selection", ["smallest", "largest-inside"])
+@pytest.mark.parametrize("selection", SELECTION_RULES)
 @pytest.mark.parametrize("style", ["antisym", "sym"])
 def test_one_pass_repair_matches_round_by_round(style, selection):
     for s in _repair_cases():
@@ -168,7 +171,7 @@ def test_repair_builds_the_graph_once(monkeypatch):
         GeneratorSet(algebra, (make_general_direction(algebra),)),
     ):
         calls.clear()
-        repair(s, selection="largest-inside")
+        repair(s, selection="paper-example")
         assert len(calls) == 1
 
 

@@ -7,7 +7,7 @@ from uqc import (
     GeneratorSet,
     IndependenceStatus,
     VerdictStatus,
-    block_partition,
+    antisymmetric_chain,
     build_coupling_graph,
     check_universality,
     connected_components,
@@ -70,8 +70,6 @@ def test_bad_tau_edge_rejected(tau_edge):
     # came back UNIVERSAL
     with pytest.raises(InvalidInput, match="tau_edge"):
         check_universality(three_level_set(), tau_edge=tau_edge)
-    with pytest.raises(InvalidInput, match="tau_edge"):
-        block_partition(three_level_set(), tau_edge=tau_edge)
 
 
 @pytest.mark.parametrize(
@@ -171,12 +169,18 @@ def test_constructed_direction_bypasses_scan():
 
 
 def test_scan_skipped_gives_conditional():
-    Y = np.zeros((3, 3), dtype=complex)
-    Y[1, 2], Y[2, 1] = 1.0, -1.0
-    s = three_level_set().with_extra([Generator(Y, "bridge")])
-    verdict = check_universality(s, spectrum_scan=False)
+    # a connected sqrt-prime set not flagged as constructed: the scan runs
+    # up to SPECTRUM_SCAN_LIMIT = 32 and is skipped above it
+    for d, skipped in ((32, False), (33, True)):
+        algebra = Algebra("u", d)
+        s = GeneratorSet(
+            algebra, (make_general_direction(algebra), antisymmetric_chain(algebra))
+        )
+        verdict = check_universality(s)
+        assert verdict.components == (tuple(range(d)),)
+        scan = verdict.general_direction.status
+        assert (scan is IndependenceStatus.SKIPPED) == skipped
     assert verdict.status is VerdictStatus.CONDITIONALLY_UNIVERSAL
-    assert verdict.general_direction.status is IndependenceStatus.SKIPPED
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +188,17 @@ def test_scan_skipped_gives_conditional():
 
 
 def test_two_qubit_block_partition():
-    components, perm = block_partition(two_qubit_set(full=False))
-    assert components == ((0, 2), (1, 3))
-    assert perm == (0, 2, 1, 3)
+    verdict = check_universality(two_qubit_set(full=False))
+    assert verdict.components == ((0, 2), (1, 3))
+    assert verdict.permutation == (0, 2, 1, 3)
+    assert verdict.block_sizes == (2, 2)
 
 
 def test_block_partition_certificate():
     s = two_qubit_set(full=False)
-    components, perm = block_partition(s)
-    order = np.asarray(perm)
-    sizes = [len(c) for c in components]
+    verdict = check_universality(s)
+    order = np.asarray(verdict.permutation)
+    sizes = verdict.block_sizes
     for gen in s.generators:
         P = gen.matrix[np.ix_(order, order)]
         # off-block entries vanish
@@ -206,15 +211,14 @@ def test_block_partition_certificate():
 
 
 def test_universal_set_single_block():
-    components, perm = block_partition(two_qubit_set(full=True))
-    assert components == ((0, 1, 2, 3),)
-    assert perm == (0, 1, 2, 3)
+    verdict = check_universality(two_qubit_set(full=True))
+    assert verdict.components == ((0, 1, 2, 3),)
+    assert verdict.permutation == (0, 1, 2, 3)
 
 
 def test_diagonal_only_singletons():
     s = GeneratorSet(Algebra("u", 4), (make_general_direction(Algebra("u", 4)),))
-    components, _ = block_partition(s)
-    assert components == ((0,), (1,), (2,), (3,))
+    assert check_universality(s).components == ((0,), (1,), (2,), (3,))
 
 
 # ---------------------------------------------------------------------------
