@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, io
 from .errors import InvalidInput, NumericalFailure
-from .generators import Algebra, epsilon_bound, epsilon_bound_per_generator
+from .generators import Algebra, epsilon_bound, least_step_bound, step_bound
 from .linalg import matrix_exp, operator_norm
 from .oracle import closure_block_partition, lie_closure
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
@@ -145,13 +145,15 @@ def _cmd_construct(args) -> int:
 def _cmd_epsilon(args) -> int:
     gen_set, overrides = io.load_input_document(args.input)
     _resolve_tolerances(overrides, args)
-    bounds = epsilon_bound_per_generator(gen_set)
-    eps = epsilon_bound(gen_set)
+    # one SVD per generator gives both its norm and its bound
+    norms = [operator_norm(gen.matrix) for gen in gen_set.generators]
+    bounds = [step_bound(nrm) for nrm in norms]
+    eps = least_step_bound(bounds)
     per_gen = []
-    for gen, b in zip(gen_set.generators, bounds):
+    for gen, nrm, b in zip(gen_set.generators, norms, bounds):
         entry = {
             "label": gen.label,
-            "operator_norm": operator_norm(gen.matrix),
+            "operator_norm": nrm,
             "epsilon_max": None if math.isinf(b) else b,
         }
         if math.isfinite(b):

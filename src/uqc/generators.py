@@ -10,8 +10,7 @@ that fails this hypothesis, not a malformed one.
 That hypothesis is tested by a heuristic scan for integer relations among
 (1, theta/2pi): a float64 PSLQ (a numpy port of mpmath's, with its rules
 and its relations; the phases hold 53 bits, so more precision finds
-nothing more), a float64 re-check of the candidate's residual and, for
-short vectors, an exhaustive sweep of the coefficient grid.
+nothing more) and a float64 re-check of the candidate's residual.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ TAU_SPECTRUM = 1e-9
 TAU_RELATION = 1e-9
 #: default bound on integer-relation coefficients
 RELATION_BOUND = 10
-#: exhaustive relation search is attempted when (2H+1)^n is at most this
-EXHAUSTIVE_LIMIT = 1_000_000
 #: PSLQ's pivot weight gamma (mpmath's and Bailey's choice, sqrt(4/3))
 _PSLQ_GAMMA = math.sqrt(4.0 / 3.0)
 #: iteration cap of the PSLQ relation search
@@ -143,8 +140,8 @@ class SpectrumIndependenceVerdict:
 
     ``relation`` holds integer coefficients c with |c . (1, theta/2pi)| <=
     the reported ``residual`` when status is DEPENDENT (su mode drops the
-    last phase from the vector).  ``residual`` is +inf when no candidate was
-    found within the search bound.
+    last phase from the vector).  ``residual`` is +inf unless a relation was
+    accepted.
     """
 
     status: IndependenceStatus
@@ -216,13 +213,13 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
     return raw
 
 
-def spectrum_is_degenerate(theta: np.ndarray, tau_spectrum: float = TAU_SPECTRUM) -> bool:
-    """True if two phases coincide within ``tau_spectrum * max|theta|``."""
+def spectrum_is_degenerate(theta: np.ndarray) -> bool:
+    """True if two phases coincide within ``TAU_SPECTRUM * max|theta|``."""
     theta = np.asarray(theta, dtype=float)
     if theta.size <= 1:
         return False
     sep = np.min(np.diff(np.sort(theta)))
-    return sep <= tau_spectrum * max(1e-300, float(np.max(np.abs(theta))))
+    return sep <= TAU_SPECTRUM * max(1e-300, float(np.max(np.abs(theta))))
 
 
 def _relation_vector(theta: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -234,31 +231,6 @@ def _relation_vector(theta: np.ndarray, algebra: Algebra) -> np.ndarray:
         )
     k = algebra.dim if algebra.kind == "u" else algebra.dim - 1
     return np.concatenate([[1.0], theta[:k] / (2.0 * np.pi)])
-
-
-def _exhaustive_relation(x: np.ndarray, bound: int):
-    """Minimum |c . x| over all nonzero integer c with |c_i| <= bound.
-
-    Returns ``(coeffs, residual)`` for the best candidate.  Only called when
-    (2*bound+1)**len(x) is small; evaluated on a broadcast grid.
-    """
-    n = len(x)
-    axes = []
-    rng = np.arange(-bound, bound + 1, dtype=float)
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = 2 * bound + 1
-        axes.append(rng.reshape(shape))
-    total = np.zeros((2 * bound + 1,) * n)
-    for i in range(n):
-        total = total + x[i] * axes[i]
-    res = np.abs(total)
-    # mask out the all-zero coefficient vector (its residual is trivially 0)
-    res[(bound,) * n] = np.inf
-    flat = int(np.argmin(res))
-    idx = np.unravel_index(flat, res.shape)
-    coeffs = tuple(int(i) - bound for i in idx)
-    return coeffs, float(res[idx])
 
 
 def _reduce_row(H, yb, pivots: list, i: int, top: int, *, zero_pivot_ends: bool):
@@ -349,7 +321,9 @@ def _pslq_relation(x: np.ndarray, bound: int, tau_rel: float):
 
             for i in (np.abs(yb[:, 0]) < tau_rel).nonzero()[0]:
                 coeffs = np.floor(yb[i, 1:] + 0.5)
-                if np.max(np.abs(coeffs)) < bound:
+                # as Python floats: a float64 against an int above 2**1024
+                # raises OverflowError
+                if float(np.max(np.abs(coeffs))) < bound:
                     coeffs = tuple(int(c) for c in coeffs)
                     return coeffs, abs(float(np.dot(coeffs, x)))
             recnorm = float(np.max(np.abs(H)))
@@ -369,17 +343,11 @@ def check_general_direction(
     The verdict is *heuristic*: rational independence of floating-point data
     is undecidable, so absence of a relation within the coefficient bound
     and residual tolerance is reported as HEURISTICALLY_INDEPENDENT, never as
-    a certificate.  A PSLQ lattice search runs first; when the coefficient
-    grid is small enough it is followed by an exhaustive sweep, whose best
-    rejected residual is then reported.
-
-    ``bound`` is not applied alike by the two searches.  PSLQ keeps
-    mpmath's rule and accepts only max|c_i| < ``bound``; the sweep, which
-    runs while (2*bound + 1)^n <= EXHAUSTIVE_LIMIT for the n = d + 1 (u) or
-    d (su) entries of the vector, i.e. u(d <= 3) and su(d <= 4) at the
-    default bound 10, accepts max|c_i| <= ``bound``.  A relation whose
-    largest coefficient equals ``bound`` is therefore found at those small
-    d only.
+    a certificate.  The search is PSLQ's, with mpmath's rule for ``bound``
+    at every d: a relation counts only when max|c_i| < ``bound``, and its
+    float64 residual must stay within ``tau_rel``.  A (near-)zero entry of
+    the vector is the one relation found without PSLQ, so at ``bound`` 1
+    nothing else can be found.
     """
     validate_tolerance("relation_bound", bound)
     validate_tolerance("tau_rel", tau_rel)
@@ -406,18 +374,8 @@ def check_general_direction(
             return SpectrumIndependenceVerdict(
                 IndependenceStatus.DEPENDENT, coeffs, bound, residual
             )
-
-    best_residual = math.inf
-    if (2 * bound + 1) ** n <= EXHAUSTIVE_LIMIT:
-        coeffs, residual = _exhaustive_relation(x, bound)
-        if residual <= tau_rel:
-            return SpectrumIndependenceVerdict(
-                IndependenceStatus.DEPENDENT, coeffs, bound, residual
-            )
-        best_residual = residual
-
     return SpectrumIndependenceVerdict(
-        IndependenceStatus.HEURISTICALLY_INDEPENDENT, None, bound, best_residual
+        IndependenceStatus.HEURISTICALLY_INDEPENDENT, None, bound, math.inf
     )
 
 
@@ -448,13 +406,22 @@ def make_general_direction(algebra: Algebra, label: str = "drift") -> Generator:
     return Generator(matrix=np.diag(1j * theta), label=label)
 
 
+def step_bound(norm: float) -> float:
+    """pi / (2 * norm) for a generator of operator norm ``norm``; +inf for 0."""
+    return math.inf if norm == 0.0 else math.pi / (2.0 * norm)
+
+
+def least_step_bound(bounds) -> float:
+    """The least finite per-generator bound; InvalidInput if none is finite."""
+    finite = [b for b in bounds if math.isfinite(b)]
+    if not finite:
+        raise InvalidInput("epsilon bound undefined: every generator is zero")
+    return min(finite)
+
+
 def epsilon_bound_per_generator(gen_set: GeneratorSet) -> list[float]:
     """pi / (2 * ||X||) per generator; +inf for zero generators."""
-    out = []
-    for gen in gen_set.generators:
-        nrm = linalg.operator_norm(gen.matrix)
-        out.append(math.inf if nrm == 0.0 else math.pi / (2.0 * nrm))
-    return out
+    return [step_bound(linalg.operator_norm(gen.matrix)) for gen in gen_set.generators]
 
 
 def epsilon_bound(gen_set: GeneratorSet) -> float:
@@ -465,8 +432,4 @@ def epsilon_bound(gen_set: GeneratorSet) -> float:
     stays strictly below sqrt(2) for 0 < eps < pi/(2*||X||) and reaches it
     exactly at the bound.  Zero generators impose no constraint.
     """
-    bounds = epsilon_bound_per_generator(gen_set)
-    finite = [b for b in bounds if math.isfinite(b)]
-    if not finite:
-        raise InvalidInput("epsilon bound undefined: every generator is zero")
-    return min(finite)
+    return least_step_bound(epsilon_bound_per_generator(gen_set))

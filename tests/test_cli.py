@@ -258,6 +258,30 @@ def test_epsilon_empty_generator_list_exit2(capsys, tmp_path):
     assert code == 2
 
 
+def test_epsilon_takes_one_norm_per_generator(capsys, u3_path, tmp_path, monkeypatch):
+    # one SVD per generator for its norm and bound, one for its distance
+    from uqc import cli, linalg
+
+    expected = _run(capsys, ["epsilon", u3_path])
+    norm, calls = linalg.operator_norm, []
+
+    def counted(A):
+        calls.append(1)
+        return norm(A)
+
+    monkeypatch.setattr(linalg, "operator_norm", counted)
+    monkeypatch.setattr(cli, "operator_norm", counted)
+    assert _run(capsys, ["epsilon", u3_path]) == expected
+    assert len(calls) == 2 * len(three_level_set().generators) == 4
+
+    zero = GeneratorSet(Algebra("u", 2), (Generator(np.zeros((2, 2)), "drift"),))
+    path = tmp_path / "zero.json"
+    uio.write_document(uio.generator_set_to_document(zero), str(path))
+    code, out, err = _run(capsys, ["epsilon", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: epsilon bound undefined: every generator is zero\n"
+
+
 def test_oracle_subcommand(capsys, u3_path):
     code, out, _ = _run(capsys, ["oracle", u3_path])
     doc = json.loads(out)
@@ -381,6 +405,22 @@ def test_bad_file_tolerance_exit2(capsys, tmp_path, tolerances):
     code, _, err = _run(capsys, ["check", str(path), "--oracle"])
     assert code == 2
     assert f"{next(iter(tolerances))} (input file tolerances)" in err
+
+
+@pytest.mark.parametrize("bound", [2**1024, 10**400], ids=["2**1024", "10**400"])
+def test_huge_relation_bound_is_searched_and_echoed(capsys, tmp_path, bound):
+    # the bound is compared with Python floats; a float64 against an int
+    # above 2**1024 would raise OverflowError
+    path = tmp_path / "pair.json"
+    _run(capsys, ["construct", "--dim", "8", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["tolerances"] = {"relation_bound": bound}
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["repair", str(path), "--out", str(tmp_path / "r.json")]):
+        with time_limit(10):
+            code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        assert json.loads(out)["general_direction"]["search_bound"] == bound
 
 
 def test_version(capsys):

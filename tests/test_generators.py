@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import math
 import sys
 
@@ -26,7 +25,7 @@ from uqc.errors import (
     NotTraceless,
 )
 
-from uqc.generators import _pslq_relation, _relation_vector
+from uqc.generators import TAU_RELATION, _pslq_relation, _relation_vector
 
 from conftest import pslq_reference, three_level_set, random_skew
 
@@ -110,17 +109,17 @@ def test_rational_phases_dependent():
 
 
 def _exhaustive_best(theta, algebra, bound):
-    """Independent brute-force relation search used to pin expected values."""
+    """Independent brute-force relation search used to pin expected values:
+    the least |c . x| over nonzero integer c with |c_i| <= bound, the first
+    in lexicographic order among ties."""
     k = algebra.dim if algebra.kind == "u" else algebra.dim - 1
     x = np.concatenate([[1.0], np.asarray(theta)[:k] / (2 * np.pi)])
-    best, best_c = np.inf, None
-    for c in itertools.product(range(-bound, bound + 1), repeat=len(x)):
-        if not any(c):
-            continue
-        r = abs(np.dot(c, x))
-        if r < best:
-            best, best_c = r, c
-    return best_c, best
+    axes = np.meshgrid(*[np.arange(-bound, bound + 1)] * len(x), indexing="ij")
+    grid = np.stack(axes, axis=-1).reshape(-1, len(x))
+    grid = grid[np.any(grid, axis=1)]
+    residuals = np.abs(grid @ x)
+    best = int(np.argmin(residuals))
+    return tuple(int(c) for c in grid[best]), float(residuals[best])
 
 
 def test_shifted_sqrt2_combination_dependent():
@@ -157,6 +156,59 @@ def test_su_mode_ignores_last_phase():
 def test_su1_trivially_independent():
     verdict = check_general_direction(np.array([0.0]), Algebra("su", 1))
     assert verdict.independent
+
+
+def test_bound_edge_is_the_same_at_every_d():
+    # theta/2pi = (a, 10a - 3, sqrt3/5, sqrt5/11) with a = sqrt2/7: the one
+    # relation has max|c_i| = 10, which counts below bound 11 only
+    a = np.sqrt(2.0) / 7
+    scaled = np.array([a, 10 * a - 3, np.sqrt(3.0) / 5, np.sqrt(5.0) / 11])
+    for d in (2, 3, 4):
+        algebra, theta = Algebra("u", d), 2 * np.pi * scaled[:d]
+        verdict = check_general_direction(theta, algebra, bound=10)
+        assert verdict.status is IndependenceStatus.HEURISTICALLY_INDEPENDENT, d
+        assert verdict.relation is None and verdict.residual == math.inf
+        verdict = check_general_direction(theta, algebra, bound=11)
+        assert verdict.status is IndependenceStatus.DEPENDENT, d
+        assert verdict.relation == (-3, 10, -1) + (0,) * (d - 2)
+        assert verdict.residual <= TAU_RELATION
+
+
+def _planted_drift(rng, algebra: Algebra, top: int) -> np.ndarray:
+    """Sqrt-prime phases in random order with one relation c . (1, theta/2pi)
+    = 0 planted, its coefficients drawn from [-top, top]; su mode relates the
+    first d-1 phases."""
+    k = algebra.dim if algebra.kind == "u" else algebra.dim - 1
+    theta = _drift(rng, "sqrtprime", algebra)
+    x = _relation_vector(theta, algebra)
+    c = rng.integers(-top, top + 1, size=k + 1)
+    l = int(rng.integers(1, k + 1))
+    c[l] = rng.choice([-1, 1]) * rng.integers(1, top + 1)
+    theta[l - 1] = -2 * np.pi * (c @ x - c[l] * x[l]) / c[l]
+    return theta
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 10])
+def test_planted_relations_below_the_bound_are_found_at_small_d(bound):
+    # the small d where a sweep of the coefficient grid would be cheap: PSLQ
+    # alone finds every planted relation with max|c_i| <= bound - 1 and none
+    # in sqrt-prime phases, as the brute force over that grid confirms
+    rng = np.random.default_rng([97, bound])
+    algebras = [Algebra("u", d) for d in (1, 2, 3)] + [Algebra("su", d) for d in (2, 3, 4)]
+    for algebra in algebras:
+        theta = _drift(rng, "sqrtprime", algebra)
+        verdict = check_general_direction(theta, algebra, bound=bound)
+        assert verdict.status is IndependenceStatus.HEURISTICALLY_INDEPENDENT, algebra
+        assert verdict.relation is None and verdict.residual == math.inf
+        assert _exhaustive_best(theta, algebra, bound - 1)[1] > TAU_RELATION
+        for _ in range(4):
+            theta = _planted_drift(rng, algebra, bound - 1)
+            assert _exhaustive_best(theta, algebra, bound - 1)[1] <= TAU_RELATION
+            verdict = check_general_direction(theta, algebra, bound=bound)
+            assert verdict.status is IndependenceStatus.DEPENDENT, (algebra, theta)
+            assert max(map(abs, verdict.relation)) < bound
+            x = _relation_vector(theta, algebra)
+            assert verdict.residual == abs(float(np.dot(verdict.relation, x))) <= TAU_RELATION
 
 
 # ---------------------------------------------------------------------------
