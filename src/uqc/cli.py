@@ -87,7 +87,7 @@ def _cmd_check(args) -> int:
     doc = io.verdict_to_document(verdict, epsilon_max=eps, oracle=oracle)
     graph_text = None
     if args.text:
-        labels = [g.label or f"g{j + 1}" for j, g in enumerate(gen_set.generators)]
+        labels = [g.label for g in gen_set.generators]
         graph_text = io.render_graph_text(
             build_coupling_graph(gen_set, tols.tau_edge), labels
         )

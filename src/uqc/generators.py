@@ -74,7 +74,10 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Ordered generators plus the target algebra.
+    """Ordered generators plus the target algebra, validated once as it is built.
+
+    Building one (also by :meth:`with_extra` or ``dataclasses.replace``) runs
+    :func:`validate_set`; an empty label becomes ``g{j+1}``, as in documents.
 
     ``constructed_general`` marks sets whose designated diagonal was built by
     :func:`make_general_direction`; its rational independence is then exact
@@ -87,7 +90,12 @@ class GeneratorSet:
     constructed_general: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        gens = tuple(
+            gen if gen.label else replace(gen, label=f"g{j + 1}")
+            for j, gen in enumerate(self.generators)
+        )
+        object.__setattr__(self, "generators", gens)
+        validate_set(self)
 
     @property
     def dim(self) -> int:
@@ -165,9 +173,11 @@ def phases_of(gen: Generator) -> np.ndarray:
 def validate_set(raw: GeneratorSet) -> GeneratorSet:
     """Check every generator-set invariant, returning the set unchanged.
 
-    Raises (always naming the offending generator index):
+    Every :class:`GeneratorSet` runs this when built; call it again only to
+    check a set whose arrays were changed in place.  Raises (always naming
+    the offending generator index):
 
-    - NotSkewHermitian    if some matrix fails the symmetry test,
+    - NotSkewHermitian    if some |A + A†| exceeds TAU_SYM * max|A|,
     - NotTraceless        in su mode, if some matrix has |trace| too large,
     - DesignatedNotDiagonal  if the designated generator has off-diagonal
       support.
@@ -189,19 +199,16 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
             raise InvalidInput(
                 f"generator {j} has dimension {A.shape[0]}, expected {d}"
             )
-        scale = max(1.0, linalg.max_abs(A))
-        if linalg.skew_defect(A) > linalg.TAU_SYM * scale:
+        if not linalg.is_skew_hermitian(A):
             raise NotSkewHermitian(
-                f"generator {j} ({gen.label or 'unlabeled'}) is not skew-Hermitian",
+                f"generator {j} ({gen.label}) is not skew-Hermitian",
                 generator_index=j,
             )
-        if raw.algebra.kind == "su":
-            if abs(np.trace(A)) > TAU_TRACE * d * linalg.max_abs(A):
-                raise NotTraceless(
-                    f"generator {j} ({gen.label or 'unlabeled'}) has nonzero trace "
-                    f"in su mode",
-                    generator_index=j,
-                )
+        if raw.algebra.kind == "su" and abs(np.trace(A)) > TAU_TRACE * d * linalg.max_abs(A):
+            raise NotTraceless(
+                f"generator {j} ({gen.label}) has nonzero trace in su mode",
+                generator_index=j,
+            )
 
     A = raw.designated.matrix
     off = A - np.diag(np.diag(A))

@@ -39,7 +39,7 @@ from .generators import (
     GeneratorSet,
     RELATION_BOUND,
     TAU_RELATION,
-    validate_set,
+    validate_set,  # not called here; bench/tracing.py wraps this name
     validate_tolerance,
 )
 from .oracle import TAU_CLOSURE_RANK
@@ -161,7 +161,7 @@ def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
 
 
 def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
-    """Parse and validate one input document.
+    """Parse one input document; its generator set validates itself as built.
 
     Returns the validated generator set and the raw ``tolerances`` override
     dict (empty when absent).  Errors always locate the offending field,
@@ -207,16 +207,11 @@ def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
     tolerances = obj.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances: expected an object")
 
-    gen_set = GeneratorSet(
-        algebra=algebra,
-        generators=tuple(generators),
-        general_index=general_index,
-    )
-    return validate_set(gen_set), tolerances
+    return GeneratorSet(algebra, tuple(generators), general_index), tolerances
 
 
 def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
-    """Read, parse and validate the input document in the file ``path``.
+    """Read the input document in the file ``path`` into a validated set.
 
     Each generator's ``"matrix"`` is read straight from the file text into
     its complex array (see :func:`_read_matrix_text`); json parses only
@@ -499,8 +494,7 @@ def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = N
         "dimension": gen_set.algebra.dim,
         "general_index": gen_set.general_index,
         "generators": [
-            {"label": g.label or f"g{j + 1}", "matrix": g.matrix}
-            for j, g in enumerate(gen_set.generators)
+            {"label": g.label, "matrix": g.matrix} for g in gen_set.generators
         ],
     }
     if tolerances:

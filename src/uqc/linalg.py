@@ -50,7 +50,8 @@ def skew_defect(A: np.ndarray) -> float:
 
 
 def is_skew_hermitian(A: np.ndarray, tau: float = TAU_SYM) -> bool:
-    return skew_defect(A) <= tau * max(1.0, max_abs(A))
+    """``A + A†`` within ``tau`` of the largest entry of ``A``, at any scale."""
+    return skew_defect(A) <= tau * max_abs(A)
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .generators import (
     check_general_direction,
     phases_of,
     spectrum_is_degenerate,
-    validate_set,
+    validate_set,  # not called here; bench/tracing.py wraps this name
     validate_tolerance,
 )
 
@@ -145,7 +145,7 @@ def check_universality(
     relation_bound: int = RELATION_BOUND,
     tau_rel: float = TAU_RELATION,
 ) -> UniversalityVerdict:
-    """Decide universality of a validated generator set.
+    """Decide universality of a validated generator set (as every built set is).
 
     UNIVERSAL requires one connected component *and* a designated spectrum
     passing the independence scan (heuristically, or exactly for constructed
@@ -157,7 +157,6 @@ def check_universality(
     """
     validate_tolerance("relation_bound", relation_bound)
     validate_tolerance("tau_rel", tau_rel)
-    gen_set = validate_set(gen_set)
     theta = phases_of(gen_set.designated)
     degenerate = spectrum_is_degenerate(theta)
 

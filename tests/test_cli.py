@@ -643,3 +643,85 @@ def test_fuzzed_fields_in_files_exit2_naming_the_field(capsys, tmp_path, monkeyp
         with monkeypatch.context() as m:
             m.setattr(uio, "_read_matrix_text", _json_only)
             assert _run(capsys, [command, str(path)]) == (code, out, err)
+
+
+def _write_raw(path, gens) -> str:
+    """A u(d) document of ``(label, matrix)`` pairs written without building
+    a GeneratorSet, so that it may hold a set the library refuses."""
+    doc = {
+        "algebra": "u",
+        "dimension": gens[0][1].shape[0],
+        "generators": [{"label": label, "matrix": M} for label, M in gens],
+    }
+    uio.write_document(doc, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-13, 1e-20])
+def test_a_hermitian_coupling_is_refused_at_every_scale(capsys, tmp_path, scale):
+    # the symmetry defect is measured against max|A| alone: with a floor of
+    # 1 under it, the Hermitian chain at 1e-13 passed and came back universal
+    algebra = Algebra("u", 3)
+    drift = uqc.make_general_direction(algebra).matrix
+    hermitian = np.zeros((3, 3), dtype=complex)
+    hermitian[[0, 1, 1, 2], [1, 0, 2, 1]] = scale
+    with pytest.raises(uqc.NotSkewHermitian) as err:
+        GeneratorSet(algebra, (Generator(drift, "drift"), Generator(hermitian, "coupling")))
+    assert err.value.generator_index == 1
+    path = _write_raw(tmp_path / "herm.json", [("drift", drift), ("coupling", hermitian)])
+    for command in ("check", "epsilon"):
+        assert _run(capsys, [command, path]) == (
+            2, "", "error: generator 1 (coupling) is not skew-Hermitian\n"
+        )
+
+    skew = uqc.antisymmetric_chain(algebra).matrix * scale
+    path = _write_raw(tmp_path / "skew.json", [("drift", drift), ("coupling", skew)])
+    code, out, _ = _run(capsys, ["check", path])
+    assert code == 0 and json.loads(out)["status"] == "universal"
+
+
+def test_an_empty_label_is_named_by_its_position_everywhere(capsys, tmp_path):
+    s = three_level_set()
+    gens = [(g.label, g.matrix) for g in s.generators]
+    unlabeled = GeneratorSet(s.algebra, (Generator(gens[0][1]), s.generators[1]))
+    assert [g.label for g in unlabeled.generators] == ["g1", "rot12"]
+    path = _write_raw(tmp_path / "in.json", [gens[0], ("", gens[1][1])])
+
+    code, out, _ = _run(capsys, ["epsilon", path])
+    assert code == 0 and json.loads(out)["generators"][1]["label"] == "g2"
+    code, out, _ = _run(capsys, ["check", path, "--text"])
+    assert code == 0 and "1 -- 2   via g2(|1|)" in out
+    repaired = tmp_path / "out.json"
+    assert _run(capsys, ["repair", path, "--out", str(repaired)])[0] == 0
+    labels = [g["label"] for g in json.loads(repaired.read_text())["generators"]]
+    assert labels == ["drift", "g2", "bridge(1,3)"]
+
+    bad = _write_raw(tmp_path / "bad.json", [gens[0], ("", 1j * gens[1][1])])
+    assert _run(capsys, ["check", bad]) == (
+        2, "", "error: generator 1 (g2) is not skew-Hermitian\n"
+    )
+
+
+def test_each_command_validates_the_set_once(capsys, u3_path, tmp_path, monkeypatch):
+    # the set validates itself as it is built; no entry point checks it again
+    from uqc import generators
+
+    validate, calls = generators.validate_set, []
+
+    def counted(gen_set):
+        calls.append(1)
+        return validate(gen_set)
+
+    monkeypatch.setattr(generators, "validate_set", counted)
+    out = str(tmp_path / "out.json")
+    for argv, expected in (
+        (["check", u3_path], 1),
+        (["check", u3_path, "--oracle"], 1),
+        (["oracle", u3_path], 1),
+        (["epsilon", u3_path], 1),
+        # load, then the set with its bridge appended
+        (["repair", u3_path, "--out", out], 2),
+    ):
+        calls.clear()
+        assert _run(capsys, argv)[0] == 0
+        assert len(calls) == expected, (argv, len(calls))

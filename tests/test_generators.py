@@ -41,9 +41,8 @@ def test_validate_golden_three_level():
 
 def test_validate_rejects_hermitian():
     bad = Generator(np.array([[0, 1], [1, 0]], dtype=complex), "herm")
-    s = GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), bad))
     with pytest.raises(NotSkewHermitian) as err:
-        validate_set(s)
+        GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), bad))
     assert err.value.generator_index == 1
 
 
@@ -56,15 +55,13 @@ def test_validate_accepts_degenerate_spectrum():
 
 def test_validate_rejects_nondiagonal_designated():
     A = np.array([[1j, 1], [-1, 2j]])
-    s = GeneratorSet(Algebra("u", 2), (Generator(A),))
     with pytest.raises(DesignatedNotDiagonal):
-        validate_set(s)
+        GeneratorSet(Algebra("u", 2), (Generator(A),))
 
 
 def test_validate_rejects_traceful_in_su_mode():
-    s = GeneratorSet(Algebra("su", 2), (Generator(np.diag([1j, 2j])),))
     with pytest.raises(NotTraceless) as err:
-        validate_set(s)
+        GeneratorSet(Algebra("su", 2), (Generator(np.diag([1j, 2j])),))
     assert err.value.generator_index == 0
 
 
@@ -78,12 +75,18 @@ def test_validate_rejects_empty_and_bad_index():
 
 
 def test_validate_rejects_dimension_mismatch():
-    s = GeneratorSet(
-        Algebra("u", 3),
-        (Generator(np.diag([1j, 2j, 3j])), Generator(np.diag([1j, 2j]))),
-    )
     with pytest.raises(InvalidInput):
-        validate_set(s)
+        GeneratorSet(
+            Algebra("u", 3),
+            (Generator(np.diag([1j, 2j, 3j])), Generator(np.diag([1j, 2j]))),
+        )
+
+
+def test_with_extra_validates_the_new_set():
+    s = three_level_set()
+    with pytest.raises(NotSkewHermitian) as err:
+        s.with_extra([Generator(np.eye(3, dtype=complex), "identity")])
+    assert err.value.generator_index == len(s.generators)
 
 
 # ---------------------------------------------------------------------------

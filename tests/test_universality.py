@@ -152,10 +152,10 @@ def test_degenerate_spectrum_is_conditional_not_fatal():
 
 
 def test_structural_validation_errors_propagate():
+    # the set refuses itself as it is built, before any check can run
     bad = Generator(np.array([[0, 1], [1, 0]], dtype=complex))
-    s = GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), bad))
     with pytest.raises(NotSkewHermitian):
-        check_universality(s)
+        check_universality(GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), bad)))
 
 
 def test_constructed_direction_bypasses_scan():
