@@ -78,16 +78,13 @@ class GeneratorSet:
 
     Building one (also by :meth:`with_extra` or ``dataclasses.replace``) runs
     :func:`validate_set`; an empty label becomes ``g{j+1}``, as in documents.
-
-    ``constructed_general`` marks sets whose designated diagonal was built by
-    :func:`make_general_direction`; its rational independence is then exact
-    by construction (square roots of distinct primes) rather than heuristic.
+    Whether the designated drift is :func:`make_general_direction`'s is read
+    off its phases (:func:`is_constructed_direction`), not stored.
     """
 
     algebra: Algebra
     generators: tuple[Generator, ...]
     general_index: int = 0
-    constructed_general: bool = False
 
     def __post_init__(self):
         gens = tuple(
@@ -148,8 +145,8 @@ class SpectrumIndependenceVerdict:
 
     ``relation`` holds integer coefficients c with |c . (1, theta/2pi)| <=
     the reported ``residual`` when status is DEPENDENT (su mode drops the
-    last phase from the vector).  ``residual`` is +inf unless a relation was
-    accepted.
+    last phase from the vector).  ``residual`` is 0.0 for CONSTRUCTED_EXACT
+    (no relation exists) and +inf for HEURISTICALLY_INDEPENDENT and SKIPPED.
     """
 
     status: IndependenceStatus
@@ -387,30 +384,46 @@ def check_general_direction(
 
 
 def _first_primes(n: int) -> list[int]:
-    primes: list[int] = []
-    c = 2
-    while len(primes) < n:
-        if all(c % p for p in primes):
-            primes.append(c)
-        c += 1
-    return primes
+    """The first n primes, sieved up to Rosser's bound n(ln n + ln ln n), n >= 6."""
+    limit = 13 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)[:n].tolist()
+
+
+def _constructed_phases(algebra: Algebra) -> np.ndarray:
+    d = algebra.dim
+    if algebra.kind == "u":
+        return np.sqrt(_first_primes(d), dtype=float)
+    head = np.sqrt(_first_primes(d - 1), dtype=float)
+    return np.concatenate([head, [-head.sum()]])
 
 
 def make_general_direction(algebra: Algebra, label: str = "drift") -> Generator:
     """Construct a diagonal generator with a provably independent spectrum.
 
     u(d): i*diag(sqrt(p_1), ..., sqrt(p_d)) over the first d primes; square
-    roots of distinct primes are linearly independent over Q together with 1.
+    roots of distinct primes are linearly independent over Q together with 1
+    (Besicovitch, J. London Math. Soc. 15, 1940).
     su(d): same for the first d-1 primes, last phase set to minus their sum
     so the matrix is traceless.
     """
-    d = algebra.dim
-    if algebra.kind == "u":
-        theta = np.sqrt(_first_primes(d), dtype=float)
-    else:
-        head = np.sqrt(_first_primes(d - 1), dtype=float)
-        theta = np.concatenate([head, [-head.sum()]])
-    return Generator(matrix=np.diag(1j * theta), label=label)
+    return Generator(matrix=np.diag(1j * _constructed_phases(algebra)), label=label)
+
+
+def is_constructed_direction(theta, algebra: Algebra) -> bool:
+    """True if ``theta`` is :func:`make_general_direction`'s drift in any order.
+
+    The sorted phases must equal sqrt of the first d primes bit for bit; in
+    su mode only the d-1 largest are compared (sqrt of the first d-1 primes),
+    since the trace, checked by :func:`validate_set`, fixes the last one.
+    """
+    skip = 0 if algebra.kind == "u" else 1
+    want = np.sort(_constructed_phases(algebra))[skip:]
+    return np.array_equal(np.sort(np.asarray(theta, dtype=float))[skip:], want)
 
 
 def step_bound(norm: float) -> float:

@@ -191,6 +191,7 @@ def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
         _require(
             isinstance(label, str), f"generators[{j}].label: expected a string"
         )
+        label = label or f"g{j + 1}"
         _require("matrix" in item, f"generators[{j}] ({label}): missing matrix")
         M = _parse_matrix(item["matrix"], d, f"generators[{j}] ({label}) matrix")
         generators.append(Generator(matrix=M, label=label))

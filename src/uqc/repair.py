@@ -31,8 +31,8 @@ class BridgeStyle(Enum):
 
 #: largest d that :func:`minimal_pair` builds (ten qubits).  ``uqc construct``
 #: writes the pair's document twice, to ``--out`` and to stdout: 122 MB each
-#: at d = 1024, growing as d^2, and the prime search for the drift grows as
-#: d^2 too; past the cap the request is refused before either starts
+#: at d = 1024, growing as d^2; past the cap the request is refused before
+#: any work starts
 CONSTRUCT_DIM_LIMIT = 1024
 
 #: endpoint selection rules for repair bridges, also the CLI's ``--selection``
@@ -156,9 +156,4 @@ def minimal_pair(
         gens.append(chain)
     elif coefficients is not None and len(coefficients) != 0:
         raise InvalidInput("d = 1 admits no chain coefficients")
-    return GeneratorSet(
-        algebra=algebra,
-        generators=tuple(gens),
-        general_index=0,
-        constructed_general=True,
-    )
+    return GeneratorSet(algebra=algebra, generators=tuple(gens), general_index=0)

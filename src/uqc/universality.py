@@ -27,6 +27,7 @@ from .generators import (
     SpectrumIndependenceVerdict,
     TAU_RELATION,
     check_general_direction,
+    is_constructed_direction,
     phases_of,
     spectrum_is_degenerate,
     validate_set,  # not called here; bench/tracing.py wraps this name
@@ -147,20 +148,21 @@ def check_universality(
 ) -> UniversalityVerdict:
     """Decide universality of a validated generator set (as every built set is).
 
-    UNIVERSAL requires one connected component *and* a designated spectrum
-    passing the independence scan (heuristically, or exactly for constructed
-    directions).  A connected graph with a failed, degenerate, or skipped
-    scan is CONDITIONALLY_UNIVERSAL; a disconnected graph is REDUCIBLE with
-    the full partition, permutation, and witness component of vertex 0.
-
-    The scan runs for d <= SPECTRUM_SCAN_LIMIT and is skipped above.
+    UNIVERSAL requires one connected component *and* an independent
+    designated spectrum.  A drift recognised as
+    :func:`~uqc.make_general_direction`'s, its phases in any order, is
+    CONSTRUCTED_EXACT at every d, without a scan; any other drift is scanned
+    for d <= SPECTRUM_SCAN_LIMIT and SKIPPED above.  A connected graph with a
+    failed, degenerate, or skipped scan is CONDITIONALLY_UNIVERSAL; a
+    disconnected graph is REDUCIBLE with the full partition, permutation, and
+    witness component of vertex 0.
     """
     validate_tolerance("relation_bound", relation_bound)
     validate_tolerance("tau_rel", tau_rel)
     theta = phases_of(gen_set.designated)
     degenerate = spectrum_is_degenerate(theta)
 
-    if gen_set.constructed_general:
+    if is_constructed_direction(theta, gen_set.algebra):
         direction = SpectrumIndependenceVerdict(
             IndependenceStatus.CONSTRUCTED_EXACT, None, 0, 0.0
         )

@@ -207,6 +207,33 @@ def test_construct_dim1(capsys, tmp_path):
     assert json.loads(out)["status"] == "universal"
 
 
+@pytest.mark.parametrize("kind", ["u", "su"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64])
+def test_construct_then_check_is_universal(capsys, tmp_path, kind, d):
+    # the drift is recognised from the document's phases: at d = 8 the scan
+    # would report a false relation, and above d = 32 it would be skipped
+    out_path = str(tmp_path / "pair.json")
+    argv = ["construct", "--dim", str(d), "--algebra", kind, "--out", out_path, "--text"]
+    assert _run(capsys, argv)[0] == 0
+    code, out, _ = _run(capsys, ["check", out_path])
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "universal"
+    assert doc["general_direction"] == {
+        "status": "constructed_exact", "relation": None, "search_bound": 0, "residual": 0.0
+    }
+
+
+@pytest.mark.parametrize("kind", ["u", "su"])
+def test_repair_of_a_constructed_document_is_universal(capsys, tmp_path, kind):
+    pair, fixed = str(tmp_path / "pair.json"), str(tmp_path / "fixed.json")
+    _run(capsys, ["construct", "--dim", "8", "--algebra", kind, "--out", pair, "--text"])
+    code, out, _ = _run(capsys, ["repair", pair, "--out", fixed])
+    doc = json.loads(out)
+    assert code == 0 and doc["repair"]["noop"] is True
+    assert doc["status"] == "universal"
+    assert doc["general_direction"]["status"] == "constructed_exact"
+
+
 def test_construct_bad_dim_exit2(capsys, tmp_path):
     code, _, err = _run(
         capsys, ["construct", "--dim", "0", "--out", str(tmp_path / "x.json")]
@@ -407,14 +434,20 @@ def test_bad_file_tolerance_exit2(capsys, tmp_path, tolerances):
     assert f"{next(iter(tolerances))} (input file tolerances)" in err
 
 
+def _scanned_pair(algebra: Algebra) -> GeneratorSet:
+    """minimal_pair with its drift scaled by 3/2: a drift that is not
+    recognised as constructed, so that check runs the scan on it."""
+    drift, *rest = uqc.minimal_pair(algebra).generators
+    return GeneratorSet(algebra, (Generator(1.5 * drift.matrix, "drift"), *rest))
+
+
 @pytest.mark.parametrize("bound", [2**1024, 10**400], ids=["2**1024", "10**400"])
 def test_huge_relation_bound_is_searched_and_echoed(capsys, tmp_path, bound):
     # the bound is compared with Python floats; a float64 against an int
     # above 2**1024 would raise OverflowError
-    path = tmp_path / "pair.json"
-    _run(capsys, ["construct", "--dim", "8", "--out", str(path)])
-    doc = json.loads(path.read_text())
+    doc = json_document(uio.generator_set_to_document(_scanned_pair(Algebra("u", 8))))
     doc["tolerances"] = {"relation_bound": bound}
+    path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
     for argv in (["check", str(path)], ["repair", str(path), "--out", str(tmp_path / "r.json")]):
         with time_limit(10):
@@ -515,7 +548,7 @@ def test_importing_the_cli_leaves_mpmath_out(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
     # neither does a check at d <= 32, which runs the PSLQ scan
-    for gen_set in (three_level_set(), uqc.minimal_pair(Algebra("u", 32))):
+    for gen_set in (_scanned_pair(Algebra("u", 3)), _scanned_pair(Algebra("u", 32))):
         path = tmp_path / f"u{gen_set.dim}.json"
         uio.write_document(uio.generator_set_to_document(gen_set), str(path))
         script = (
@@ -530,7 +563,8 @@ def test_importing_the_cli_leaves_mpmath_out(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         *report, last = result.stdout.strip().splitlines()
-        assert json.loads("\n".join(report))["general_direction"]["status"] != "skipped"
+        scan = json.loads("\n".join(report))["general_direction"]["status"]
+        assert scan in ("heuristically_independent", "dependent")
         assert last == "False 0"
 
 
@@ -699,6 +733,24 @@ def test_an_empty_label_is_named_by_its_position_everywhere(capsys, tmp_path):
     bad = _write_raw(tmp_path / "bad.json", [gens[0], ("", 1j * gens[1][1])])
     assert _run(capsys, ["check", bad]) == (
         2, "", "error: generator 1 (g2) is not skew-Hermitian\n"
+    )
+
+
+def test_an_empty_label_is_named_by_its_position_in_matrix_errors(capsys, tmp_path):
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
+    doc["generators"][1]["label"] = ""
+    doc["generators"][1]["matrix"][1][1] = [0, "x"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["check", str(path)]) == (
+        2, "", "error: generators[1] (g2) matrix row 2 column 2: "
+        "entries must be numbers, got [0, 'x']\n"
+    )
+    # a label that is not a string is still refused
+    doc["generators"][1]["label"] = 0
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["check", str(path)]) == (
+        2, "", "error: generators[1].label: expected a string\n"
     )
 
 

@@ -25,7 +25,7 @@ from uqc.errors import (
     NotTraceless,
 )
 
-from uqc.generators import TAU_RELATION, _pslq_relation, _relation_vector
+from uqc.generators import TAU_RELATION, _first_primes, _pslq_relation, _relation_vector
 
 from conftest import pslq_reference, three_level_set, random_skew
 
@@ -414,6 +414,17 @@ def test_constructed_su_mode_traceless_and_valid():
         else:
             validate_set(s)
             assert abs(np.trace(s.designated.matrix)) < 1e-12
+
+
+def test_first_primes_sieve_matches_trial_division():
+    primes: list[int] = []
+    c = 2
+    while len(primes) < 2000:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    for n in range(2001):
+        assert _first_primes(n) == primes[:n], n
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,17 @@ def test_validation_failures_surface():
         uio.parse_input_document(doc)
 
 
+def _scanned_three_level_set() -> GeneratorSet:
+    # three_level_set with its sqrt-prime drift scaled by 3/2: a drift that
+    # is not recognised as constructed, so the scan runs
+    s = three_level_set()
+    drift = Generator(1.5 * s.generators[0].matrix, "drift")
+    return GeneratorSet(s.algebra, (drift,) + s.generators[1:])
+
+
 def test_verdict_document_is_one_based():
-    verdict = check_universality(three_level_set())
-    doc = uio.verdict_to_document(verdict, epsilon_max=epsilon_bound(three_level_set()))
+    s = _scanned_three_level_set()
+    doc = uio.verdict_to_document(check_universality(s), epsilon_max=epsilon_bound(s))
     assert doc["components"] == [[1, 2], [3]]
     assert doc["permutation"] == [1, 2, 3]
     assert doc["status"] == "reducible"
@@ -111,7 +119,8 @@ def test_verdict_document_is_one_based():
 
 def test_nonfinite_residual_serializes_as_null():
     # a heuristically independent verdict has no relation, and residual +inf
-    verdict = check_universality(three_level_set())
+    verdict = check_universality(_scanned_three_level_set())
+    assert verdict.general_direction.status.value == "heuristically_independent"
     doc = uio.verdict_to_document(verdict)
     assert doc["general_direction"]["residual"] is None
     uio.dump_json(doc, StringIO())  # must not emit bare Infinity

@@ -12,8 +12,11 @@ from uqc import (
     check_universality,
     connected_components,
     make_general_direction,
+    minimal_pair,
+    phases_of,
 )
 from uqc.errors import InvalidInput, NotSkewHermitian
+from uqc.generators import is_constructed_direction
 
 from conftest import random_instance, reachable_from, three_level_set, two_qubit_set
 
@@ -85,9 +88,7 @@ def test_bad_tau_edge_rejected(tau_edge):
 )
 def test_bad_scan_tolerances_rejected(kwargs):
     # rejected even when the scan would not run (constructed drift)
-    s = GeneratorSet(
-        Algebra("u", 3), (make_general_direction(Algebra("u", 3)),), constructed_general=True
-    )
+    s = GeneratorSet(Algebra("u", 3), (make_general_direction(Algebra("u", 3)),))
     with pytest.raises(InvalidInput, match=next(iter(kwargs))):
         check_universality(s, **kwargs)
 
@@ -158,23 +159,81 @@ def test_structural_validation_errors_propagate():
         check_universality(GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), bad)))
 
 
-def test_constructed_direction_bypasses_scan():
-    s = GeneratorSet(
-        Algebra("u", 3),
-        (make_general_direction(Algebra("u", 3)),),
-        constructed_general=True,
-    )
+def test_constructed_direction_bypasses_scan(monkeypatch):
+    from uqc import universality
+
+    def no_scan(*args):
+        raise AssertionError("the scan ran on a constructed drift")
+
+    monkeypatch.setattr(universality, "check_general_direction", no_scan)
+    s = GeneratorSet(Algebra("u", 3), (make_general_direction(Algebra("u", 3)),))
     verdict = check_universality(s)
     assert verdict.general_direction.status is IndependenceStatus.CONSTRUCTED_EXACT
+    assert verdict.general_direction.residual == 0.0
+
+
+def _with_theta(s: GeneratorSet, theta) -> GeneratorSet:
+    drift = Generator(np.diag(1j * np.asarray(theta, dtype=float)), "drift")
+    return GeneratorSet(s.algebra, (drift,) + s.generators[1:])
+
+
+@pytest.mark.parametrize("kind", ["u", "su"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64])
+def test_a_shuffled_constructed_drift_is_recognised(kind, d):
+    # the drift of minimal_pair, its phases in any order, at every d; in su
+    # mode the negative phase may come first
+    s = minimal_pair(Algebra(kind, d))
+    rng = np.random.default_rng(d)
+    orders = [np.arange(d)[::-1], rng.permutation(d)]
+    if kind == "su":
+        orders.append(np.roll(np.arange(d), 1))  # -sum(sqrt p) first
+    for order in orders:
+        shuffled = _with_theta(s, phases_of(s.designated)[order])
+        verdict = check_universality(shuffled)
+        assert verdict.general_direction.status is IndependenceStatus.CONSTRUCTED_EXACT
+        assert verdict.status is VerdictStatus.UNIVERSAL
+
+
+@pytest.mark.parametrize("kind", ["u", "su"])
+@pytest.mark.parametrize(
+    "change",
+    ["one ulp up", "one ulp down", "scaled by 3/2", "prime skipped", "prime repeated"],
+)
+def test_a_near_constructed_drift_is_not_recognised(kind, change):
+    d = 8
+    k = d if kind == "u" else d - 1
+    head = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0])
+    theta = {
+        "one ulp up": np.concatenate([head[: k - 1], [np.nextafter(head[k - 1], np.inf)]]),
+        "one ulp down": np.concatenate([[np.nextafter(head[0], 0.0)], head[1:k]]),
+        "scaled by 3/2": 1.5 * head[:k],
+        "prime skipped": np.concatenate([head[: k - 1], head[k : k + 1]]),
+        "prime repeated": np.concatenate([head[: k - 1], head[k - 2 : k - 1]]),
+    }[change]
+    if kind == "su":
+        theta = np.append(theta, -theta.sum())
+    algebra = Algebra(kind, d)
+    assert not is_constructed_direction(theta, algebra)
+    verdict = check_universality(_with_theta(minimal_pair(algebra), theta))
+    # d = 8: the scan runs instead, or the repeated phase makes the drift degenerate
+    assert verdict.general_direction.status in (
+        IndependenceStatus.HEURISTICALLY_INDEPENDENT, IndependenceStatus.DEPENDENT
+    )
+    assert verdict.degenerate_spectrum == (change == "prime repeated")
 
 
 def test_scan_skipped_gives_conditional():
-    # a connected sqrt-prime set not flagged as constructed: the scan runs
-    # up to SPECTRUM_SCAN_LIMIT = 32 and is skipped above it
+    # a connected set whose drift (3/2 sqrt p) is not recognised as
+    # constructed: the scan runs up to SPECTRUM_SCAN_LIMIT = 32 and is
+    # skipped above it
     for d, skipped in ((32, False), (33, True)):
         algebra = Algebra("u", d)
         s = GeneratorSet(
-            algebra, (make_general_direction(algebra), antisymmetric_chain(algebra))
+            algebra,
+            (
+                Generator(1.5 * make_general_direction(algebra).matrix, "drift"),
+                antisymmetric_chain(algebra),
+            ),
         )
         verdict = check_universality(s)
         assert verdict.components == (tuple(range(d)),)
