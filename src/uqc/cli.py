@@ -4,8 +4,10 @@ Subcommands: check | repair | construct | epsilon | oracle.  Documents are
 JSON (see :mod:`uqc.io`); exit code 0 means the analysis ran (whatever the
 verdict), 2 flags a parse/validation problem, 3 a numerical failure, and 141
 (128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe)
-means stdout was closed before the output was written, as in
-``uqc construct ... | head -1``; no traceback is printed then.  The
+means stdout was a pipe whose reader had gone before the output was
+written, as in ``uqc check set.json | true`` when ``true`` exits first; no
+traceback is printed then.  Stdout carries the verdict or report; the sets
+that ``repair`` and ``construct`` build go to ``--out`` alone.  The
 environment variable UQC_TOLERANCE_PROFILE (strict | default | loose) picks
 the edge-threshold tier; the input file's ``tolerances`` section and the
 ``--tau-edge`` flag override it in that order.
@@ -115,8 +117,12 @@ def _cmd_repair(args) -> int:
         tau_rel=tols.tau_rel,
     )
     # epsilon_bound(plan.resulting_set) without an SVD per bridge: every
-    # bridge has operator norm exactly 1, so its bound is pi/2
-    eps = epsilon_bound(gen_set)
+    # bridge has operator norm exactly 1, so its bound is pi/2; a set whose
+    # generators are all zero has no bound, null as in check
+    try:
+        eps = epsilon_bound(gen_set)
+    except InvalidInput:
+        eps = math.inf
     if plan.added_generators:
         eps = min(eps, math.pi / 2)
     doc = io.verdict_to_document(
@@ -130,15 +136,10 @@ def _cmd_construct(args) -> int:
     if args.dim < 1:
         raise InvalidInput(f"--dim must be >= 1, got {args.dim}")
     gen_set = minimal_pair(Algebra(kind=args.algebra, dim=args.dim), style=args.style)
-    doc = io.generator_set_to_document(gen_set)
-    io.write_document(doc, args.out)
-    if args.text:
-        print(
-            f"wrote {args.out}: {args.algebra}({args.dim}), "
-            f"{len(gen_set.generators)} generator(s)"
-        )
-    else:
-        _print_json(doc)
+    io.write_document(io.generator_set_to_document(gen_set), args.out)
+    n = len(gen_set.generators)
+    doc = {"out": args.out, "algebra": args.algebra, "dimension": args.dim, "generators": n}
+    _emit(args, doc, f"wrote {args.out}: {args.algebra}({args.dim}), {n} generator(s)")
     return EXIT_OK
 
 
@@ -160,20 +161,16 @@ def _cmd_epsilon(args) -> int:
             U = matrix_exp(gen.matrix, 0.99 * b)
             entry["distance_at_0.99"] = operator_norm(U - np.eye(gen_set.dim))
         per_gen.append(entry)
-    doc = {"epsilon_max": eps, "generators": per_gen}
-    if args.text:
-        lines = [f"epsilon_max (set): {eps:.6g}"]
-        for entry in per_gen:
-            if entry["epsilon_max"] is None:
-                lines.append(f"  {entry['label']}: zero generator, unconstrained")
-            else:
-                lines.append(
-                    f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
-                    f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
-                )
-        print("\n".join(lines))
-    else:
-        _print_json(doc)
+    lines = [f"epsilon_max (set): {eps:.6g}"]
+    for entry in per_gen:
+        if entry["epsilon_max"] is None:
+            lines.append(f"  {entry['label']}: zero generator, unconstrained")
+        else:
+            lines.append(
+                f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
+                f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
+            )
+    _emit(args, {"epsilon_max": eps, "generators": per_gen}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -274,7 +271,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a short output sits in the buffer until here; flushed at
+        # interpreter exit instead, a closed pipe would escape the handler
+        sys.stdout.flush()
+        return code
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

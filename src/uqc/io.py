@@ -551,10 +551,6 @@ def repair_plan_to_document(plan) -> dict:
             {"a": a + 1, "b": b + 1, "style": style.value}
             for a, b, style in plan.bridges
         ],
-        "added_generators": [
-            {"label": g.label, "matrix": g.matrix}
-            for g in plan.added_generators
-        ],
         "noop": len(plan.bridges) == 0,
     }
 

@@ -30,9 +30,9 @@ class BridgeStyle(Enum):
 
 
 #: largest d that :func:`minimal_pair` builds (ten qubits).  ``uqc construct``
-#: writes the pair's document twice, to ``--out`` and to stdout: 122 MB each
-#: at d = 1024, growing as d^2; past the cap the request is refused before
-#: any work starts
+#: writes the pair's dense document to ``--out``: 122 MB at d = 1024,
+#: growing as d^2; past the cap the request is refused before any work
+#: starts
 CONSTRUCT_DIM_LIMIT = 1024
 
 #: endpoint selection rules for repair bridges, also the CLI's ``--selection``

@@ -14,6 +14,7 @@ from uqc import (
     BridgeStyle,
     Generator,
     GeneratorSet,
+    bridge_generator,
     build_coupling_graph,
     connected_components,
     epsilon_bound,
@@ -140,9 +141,7 @@ def test_repair_paper_example_selection(capsys, u3_path, tmp_path):
     assert doc["status"] == "universal"
     assert doc["repair"]["bridges"] == [{"a": 2, "b": 3, "style": "antisym"}]
     assert doc["repair"]["noop"] is False
-    added = np.array(
-        [[complex(re, im) for re, im in row] for row in doc["repair"]["added_generators"][0]["matrix"]]
-    )
+    added = uio.load_input_document(out_path)[0].generators[-1].matrix
     expected = np.zeros((3, 3), dtype=complex)
     expected[1, 2], expected[2, 1] = 1.0, -1.0
     assert np.array_equal(added, expected)
@@ -181,7 +180,8 @@ def test_construct_and_check(capsys, tmp_path):
     out_path = str(tmp_path / "pair.json")
     code, out, _ = _run(capsys, ["construct", "--dim", "3", "--algebra", "u", "--out", out_path])
     assert code == 0
-    doc = json.loads(out)
+    with open(out_path) as fh:
+        doc = json.load(fh)
     theta = [row[i][1] for i, row in enumerate(doc["generators"][0]["matrix"])]
     assert theta == pytest.approx([np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0)])
 
@@ -189,6 +189,62 @@ def test_construct_and_check(capsys, tmp_path):
     redoc = json.loads(out)
     assert redoc["status"] == "universal"
     assert redoc["oracle"] == {"dimension": 9, "target_dimension": 9, "agrees": True}
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+@pytest.mark.parametrize("style", ["antisym", "sym"])
+def test_repair_and_construct_leave_the_set_to_out(capsys, tmp_path, style):
+    # stdout names each bridge by (a, b, style); its matrix is in --out alone
+    diag = GeneratorSet(
+        Algebra("u", 5), (Generator(np.diag(1j * np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0])), "d"),)
+    )
+    path, out_path = tmp_path / "diag.json", str(tmp_path / "fixed.json")
+    uio.write_document(uio.generator_set_to_document(diag), str(path))
+    code, out, _ = _run(capsys, ["repair", str(path), "--style", style, "--out", out_path])
+    assert code == 0
+    doc = json.loads(out)
+    assert "matrix" not in set(_keys(doc))
+    bridges = doc["repair"]["bridges"]
+    assert len(bridges) == 4
+    written = uio.load_input_document(out_path)[0].generators
+    assert len(written) == 1 + len(bridges)
+    for bridge, gen in zip(bridges, written[1:]):
+        want = bridge_generator(bridge["a"] - 1, bridge["b"] - 1, 5, BridgeStyle(bridge["style"]))
+        assert bridge["style"] == style
+        assert np.array_equal(gen.matrix, want.matrix) and gen.label == want.label
+
+    pair_path = str(tmp_path / "pair.json")
+    argv = ["construct", "--dim", "6", "--algebra", "su", "--style", style, "--out", pair_path]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"out": pair_path, "algebra": "su", "dimension": 6, "generators": 2}
+    assert len(uio.load_input_document(pair_path)[0].generators) == 2
+
+
+@pytest.mark.parametrize("d, eps", [(3, np.pi / 2), (1, None)])
+def test_repair_of_an_all_zero_set(capsys, tmp_path, d, eps):
+    # bounded as check bounds the repaired set: pi/2 once bridges are added,
+    # null when every generator of the result is zero
+    path, out_path = tmp_path / "zero.json", str(tmp_path / "fixed.json")
+    uio.write_document(uio.generator_set_to_document(
+        GeneratorSet(Algebra("u", d), (Generator(np.zeros((d, d), dtype=complex), "z"),))
+    ), str(path))
+    code, out, err = _run(capsys, ["repair", str(path), "--out", out_path])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["epsilon_max"] == eps
+    assert len(doc["repair"]["bridges"]) == d - 1
+    code, out, _ = _run(capsys, ["check", out_path])
+    assert code == 0 and json.loads(out)["epsilon_max"] == eps
 
 
 def test_construct_su4_oracle_dim15(capsys, tmp_path):
@@ -524,19 +580,31 @@ def test_malformed_matrix_exit2_located_without_traceback(tmp_path, case, locate
     assert result.stderr.startswith(f"error: generators[1] (rot12) {located}"), result.stderr
 
 
-def test_closed_stdout_exits_without_traceback(tmp_path):
-    # the JSON of a d=200 pair is megabytes, far past a pipe's buffer
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "uqc", "construct", "--dim", "200",
-         "--out", str(tmp_path / "pair.json")],
-        env=_uqc_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    with proc.stderr:
-        stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 141
-    assert stderr == ""
+def test_closed_stdout_exits_without_traceback(u3_path, tmp_path):
+    # every output is far smaller than stdout's buffer, so with buffered
+    # stdout the write fails only when the buffer is flushed
+    env = _uqc_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (
+        ["check", u3_path],
+        ["check", u3_path, "--text"],
+        ["repair", u3_path, "--out", str(tmp_path / "fixed.json")],
+        ["construct", "--dim", "3", "--out", str(tmp_path / "pair.json")],
+        ["epsilon", u3_path],
+        ["oracle", u3_path],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "uqc", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        with proc.stderr:
+            stderr = proc.stderr.read().decode()
+        assert (proc.wait(timeout=60), stderr) == (141, ""), argv
 
 
 def test_importing_the_cli_leaves_mpmath_out(tmp_path):
