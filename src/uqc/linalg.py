@@ -11,6 +11,8 @@ scale-invariant.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
@@ -19,6 +21,14 @@ from .errors import InvalidInput, NumericalFailure
 TAU_SYM = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, r < l, row-major."""
+    r, l = np.triu_indices(d, 1)
+    r.flags.writeable = l.flags.writeable = False
+    return r, l
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -109,7 +119,7 @@ def skew_coords(A: np.ndarray) -> np.ndarray:
     (..., d*d).
     """
     A = np.asarray(A)
-    r, l = np.triu_indices(A.shape[-1], 1)
+    r, l = _upper(A.shape[-1])
     upper = (A[..., r, l] - A[..., l, r].conj()) / _SQRT2
     diag = np.diagonal(A, axis1=-2, axis2=-1).imag
     return np.concatenate([diag, upper.real, upper.imag], axis=-1)
@@ -124,7 +134,7 @@ def from_skew_coords(v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (d * d,):
         raise InvalidInput(f"expected coordinates of length {d * d}, got {v.shape}")
-    r, l = np.triu_indices(d, 1)
+    r, l = _upper(d)
     k = len(r)
     upper = (v[..., d : d + k] + 1j * v[..., d + k :]) / _SQRT2
     M = np.zeros(v.shape[:-1] + (d, d), dtype=complex)

@@ -2,7 +2,10 @@
 
 ``lie_closure`` grows an orthonormal basis of the real Lie algebra generated
 by the set via iterated commutators, which gives an independent dimension
-count to compare against the graph verdict.  Elements are held as d*d real
+count to compare against the graph verdict.  The algebra generated by S is
+spanned by S and the right-nested brackets [s1, [s2, [..., sm]]] of its
+elements (Jacobi identity), so each element is bracketed only with the
+seeds, an orthonormal basis of span S.  Elements are held as d*d real
 coordinates in an orthonormal Hermitian (generalised Gell-Mann) basis of
 u(d) (``linalg.skew_coords``), so skew-Hermiticity holds by construction and
 Frobenius norms, hence every tolerance, keep their meaning.  Commutators are
@@ -14,8 +17,8 @@ read the coupling structure through the one edge rule of
 :mod:`uqc.universality` (``|A_rl| > tau_edge * max|A|``, via
 ``extract_coupling_graph``): the closure partition feeds it the closure
 basis, the scan every generator.  Both are desk-scale tools with hard caps:
-the closure at d = CLOSURE_DIM_LIMIT (u(12) takes about 0.25 s, u(20) about
-11 s), the scan at d = SCAN_DIM_LIMIT.
+the closure at d = CLOSURE_DIM_LIMIT (the minimal pair of u(12) takes about
+0.05 s, of u(20) about 0.3 s), the scan at d = SCAN_DIM_LIMIT.
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ TAU_CLOSE = 1e-9
 TAU_GROWTH_FLOOR = 1e-6
 #: maximum certification/regrowth cycles before giving up
 _MAX_CERTIFY_CYCLES = 8
-#: commutators per block, in growth and in certification alike; it bounds
-#: the closure's working memory at a few blocks of d x d matrices
+#: commutators per block, in growth and in certification alike, whatever
+#: the number of seeds; it bounds the closure's working memory at a few
+#: blocks of d x d matrices
 _BLOCK = 64
-#: hard cap for lie_closure: the work grows about as d^8 (every pair of up
-#: to d^2 basis elements, each projected off that basis); u(20) takes about
-#: 11 s on a 2-core Xeon VM with one BLAS thread, u(24) would take ~45 s
+#: hard cap for lie_closure: the work grows about as k d^6 for k seeds (each
+#: of up to d^2 basis elements bracketed with every seed, each bracket
+#: projected off the basis); the minimal pair of u(20) takes about 0.3 s on
+#: a 2-core Xeon VM with one BLAS thread.  The cap keeps exit codes stable
 CLOSURE_DIM_LIMIT = 20
 #: hard cap for coordinate_subspace_scan (2^d subsets)
 SCAN_DIM_LIMIT = 20
@@ -60,11 +65,13 @@ class LieClosureReport:
     ``basis`` holds orthonormal rows of d*d real coordinates in the
     Hermitian basis of :func:`uqc.linalg.skew_coords`; ``basis_matrices``
     are the same elements in matrix form.  ``rounds`` counts frontier
-    generations: the elements added in one generation are commuted against
-    the basis in the next, over growth and every certification regrowth.
+    generations: the elements added in one generation are bracketed with
+    the seeds in the next, over growth and every certification regrowth.
     ``residual_max`` is the largest relative component outside the final
-    basis over all commutators of basis pairs; small values certify that the
-    basis is actually closed under the bracket.
+    basis over the brackets of every basis element with every seed; small
+    values certify that the span is invariant under ad_s for each seed s,
+    which for a span holding the generators is the same as being closed
+    under the bracket.
     """
 
     dim: int
@@ -82,15 +89,22 @@ class _Basis:
 
     Every element is a unit coordinate vector (see ``linalg.skew_coords``),
     so skew-Hermiticity holds by construction; in su mode the identity
-    direction is projected off each candidate and each new element.
+    direction is projected off each candidate and each new element.  The
+    first ``k`` elements, the seeds, are admitted from the generators and
+    span them; every other element is bracketed with the seeds only.
     """
 
-    def __init__(self, d: int, traceless: bool):
-        self.d = d
-        self.traceless = traceless
+    def __init__(self, gen_set: GeneratorSet, tau: float):
+        d = self.d = gen_set.dim
+        self.traceless = gen_set.algebra.kind == "su"
         self.n = 0
         self.coords = np.zeros((d * d, d * d))
         self.mats = np.zeros((d * d, d, d), dtype=complex)
+        # each generator over its largest entry, so no norm overflows or
+        # underflows at any scale; a zero generator adds nothing
+        G = [g.matrix / m for g in gen_set.generators if (m := linalg.max_abs(g.matrix)) > 0]
+        self.admit(linalg.skew_coords(np.reshape(G, (-1, d, d))), tau, None)
+        self.k = self.n
 
     def _pin(self, C: np.ndarray) -> np.ndarray:
         if self.traceless:
@@ -104,39 +118,36 @@ class _Basis:
             C = C - (C @ B.T) @ B
         return C
 
-    def commutators(self, lo: int, hi: int):
-        """Coordinates of [M_i, M_j] for lo <= i < hi and j < i, a block at a time.
+    def pairs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (I, J) of the brackets [b_i, s_j] for lo <= i < hi, j < min(i, k).
 
-        Pair (i, j) is number i(i-1)/2 + j - lo(lo-1)/2 in the order yielded.
-        Each M_i is commuted against up to ``_BLOCK`` of the M_j at once, and
-        the pieces are gathered into blocks of up to ``_BLOCK`` rows.
+        [b_i, s_j] for a seed b_i with j >= i is zero or the negative of a
+        listed bracket, so it is left out.
         """
-        pieces, rows = [], 0
-        for i in range(lo, hi):
-            for j in range(0, i, _BLOCK):
-                piece = linalg.commutator(self.mats[i], self.mats[j : min(i, j + _BLOCK)])
-                if rows + len(piece) > _BLOCK:
-                    yield linalg.skew_coords(np.concatenate(pieces))
-                    pieces, rows = [], 0
-                pieces.append(piece)
-                rows += len(piece)
-        if pieces:
-            yield linalg.skew_coords(np.concatenate(pieces))
+        I, J = np.divmod(np.arange(lo * self.k, hi * self.k), self.k)
+        keep = J < I
+        return I[keep], J[keep]
 
-    def screen(self, lo: int, hi: int) -> np.ndarray:
+    def commutators(self, I: np.ndarray, J: np.ndarray):
+        """Coordinates of [M_i, M_j] over the pairs (I, J), ``_BLOCK`` at a time."""
+        for b in range(0, len(I), _BLOCK):
+            block = slice(b, b + _BLOCK)
+            yield linalg.skew_coords(linalg.commutator(self.mats[I[block]], self.mats[J[block]]))
+
+    def screen(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         """Leftover off the basis of every pair of :meth:`commutators`.
 
         Each leftover is relative to ``max(1, |C|)``, the scale at which a
         commutator of unit elements is produced.
         """
         ratios = [np.zeros(0)]
-        for C in self.commutators(lo, hi):
+        for C in self.commutators(I, J):
             C = self._pin(C)
             scale = np.maximum(1.0, np.linalg.norm(C, axis=1))
             ratios.append(np.linalg.norm(self.project(C), axis=1) / scale)
         return np.concatenate(ratios)
 
-    def admit_pairs(self, lo: int, ratio: np.ndarray, tau: float) -> None:
+    def admit_pairs(self, I: np.ndarray, J: np.ndarray, ratio: np.ndarray, tau: float) -> None:
         """Admit the screened pairs whose leftover exceeds ``tau``, largest first.
 
         The commutators of those pairs are computed again, a block at a
@@ -146,12 +157,9 @@ class _Basis:
         then fall below ``tau`` and are dropped instead of being normalized.
         """
         live = np.flatnonzero(ratio > tau)
-        p = live[np.argsort(-ratio[live], kind="stable")] + lo * (lo - 1) // 2
-        i = ((1 + np.sqrt(8 * p + 1)) // 2).astype(int)
-        j = p - i * (i - 1) // 2
-        for b in range(0, len(p), _BLOCK):
-            I, J = i[b : b + _BLOCK], j[b : b + _BLOCK]
-            self.admit(linalg.skew_coords(linalg.commutator(self.mats[I], self.mats[J])), tau, 1.0)
+        live = live[np.argsort(-ratio[live], kind="stable")]
+        for C in self.commutators(I[live], J[live]):
+            self.admit(C, tau, 1.0)
 
     def admit(self, C: np.ndarray, tau: float, scale: float | None) -> None:
         """Add the rows of C that reach outside the span, largest leftover first.
@@ -171,6 +179,7 @@ class _Basis:
         W = self.project(C)
         left = np.linalg.norm(W, axis=1)
         live = np.flatnonzero(left > bound)
+        n = self.n
         while live.size:
             pick = np.argmax(left[live] / ref[live])
             a, live = live[pick], np.delete(live, pick)
@@ -179,6 +188,7 @@ class _Basis:
                 W[live] -= np.outer(W[live] @ u, u)
                 left[live] = np.linalg.norm(W[live], axis=1)
                 live = live[left[live] > bound[live]]
+        self.mats[n : self.n] = linalg.from_skew_coords(self.coords[n : self.n], self.d)
 
     def _append(self, u: np.ndarray) -> np.ndarray:
         if self.n == len(self.coords):
@@ -192,12 +202,11 @@ class _Basis:
         u = self.project(self._pin(u))
         u /= np.linalg.norm(u)
         self.coords[self.n] = u
-        self.mats[self.n] = linalg.from_skew_coords(u, self.d)
         self.n += 1
         return u
 
     def grow(self, lo: int, tau: float) -> int:
-        """Commute each frontier generation against the basis; return the count.
+        """Bracket each frontier generation with the seeds; return the count.
 
         The frontier starts as the elements from ``lo`` on; the elements a
         generation adds are the next one.
@@ -205,25 +214,28 @@ class _Basis:
         generations = 0
         while lo < self.n:
             generations += 1
-            hi = self.n
-            self.admit_pairs(lo, self.screen(lo, hi), tau)
-            lo = hi
+            I, J = self.pairs(lo, self.n)
+            lo = self.n
+            self.admit_pairs(I, J, self.screen(I, J), tau)
         return generations
 
 
 def lie_closure(gen_set: GeneratorSet, tau_rank: float = TAU_CLOSURE_RANK) -> LieClosureReport:
     """Lie_R<generators> of a validated set, by iterated commutators with rank tracking.
 
-    Seeds the basis with the generators, then grows it a frontier
-    generation at a time: the elements added in one generation are commuted
-    against the whole basis, a block of commutators at a time, and
-    rank-increasing results join the basis.  Growth accepts off-span
-    components above ``max(tau_rank, TAU_GROWTH_FLOOR)`` (see the floor's
-    note on roundoff amplification); once growth stops, a certification
-    pass measures every basis-pair commutator against the converged basis;
-    if any is still above ``tau_rank``, the pass is repeated adopting those
-    at ``tau_rank`` and the basis regrows, so the reported rank decisions
-    are made at ``tau_rank`` while the growth path stays numerically stable.
+    Seeds the basis with the generators, each over its largest entry so that
+    the result does not depend on their scale, then grows it a frontier
+    generation at a time: the elements added in one generation are
+    bracketed with the k seeds (k <= the number of generators), a block of
+    commutators at a time, and rank-increasing results join the basis;
+    n basis elements cost n*k commutators, not n(n-1)/2.  Growth accepts
+    off-span components above ``max(tau_rank, TAU_GROWTH_FLOOR)`` (see the
+    floor's note on roundoff amplification); once growth stops, a
+    certification pass measures the bracket of every basis element with
+    every seed against the converged basis; if any is still above
+    ``tau_rank``, the pass is repeated adopting those at ``tau_rank`` and
+    the basis regrows, so the reported rank decisions are made at
+    ``tau_rank`` while the growth path stays numerically stable.
 
     Raises InvalidInput for d > CLOSURE_DIM_LIMIT, and NumericalFailure if
     the dimension would exceed d^2, the mathematical maximum; that signals a
@@ -238,24 +250,21 @@ def lie_closure(gen_set: GeneratorSet, tau_rank: float = TAU_CLOSURE_RANK) -> Li
         )
     tau_growth = max(tau_rank, TAU_GROWTH_FLOOR)
 
-    basis = _Basis(d, gen_set.algebra.kind == "su")
-    basis.admit(
-        linalg.skew_coords(np.array([g.matrix for g in gen_set.generators])),
-        tau_rank,
-        scale=None,
-    )
+    basis = _Basis(gen_set, tau_rank)
     rounds = basis.grow(0, tau_growth)
 
-    # certification loop: measure every basis-pair commutator against the
-    # converged basis; anything still above tau_rank is genuine marginal
-    # rank the growth floor deferred, so adopt it and regrow
+    # certification loop: bracket every basis element with every seed and
+    # measure it against the converged basis; anything still above tau_rank
+    # is genuine marginal rank the growth floor deferred, so adopt it and
+    # regrow
     for _ in range(_MAX_CERTIFY_CYCLES):
         n = basis.n
-        ratio = basis.screen(0, n)
+        I, J = basis.pairs(0, n)
+        ratio = basis.screen(I, J)
         residual_max = float(ratio.max(initial=0.0))
         if residual_max <= tau_rank:
             break
-        basis.admit_pairs(0, ratio, tau_rank)
+        basis.admit_pairs(I, J, ratio, tau_rank)
         rounds += basis.grow(n, tau_growth)
     else:
         raise NumericalFailure(

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from uqc import (
     minimal_pair,
 )
 from uqc.errors import InvalidInput, NumericalFailure
+from uqc.linalg import commutator, skew_coords
 from uqc.oracle import CLOSURE_DIM_LIMIT, TAU_CLOSE
 
 from conftest import (
@@ -99,6 +101,25 @@ def _span_projector(report):
     return B.T @ B
 
 
+def _pair_defect(report):
+    """Largest leftover off the closure of [b_i, b_j] over every basis pair.
+
+    Each leftover is relative to max(1, |[b_i, b_j]|).  ``lie_closure``
+    certifies only the brackets of the basis with its seeds; this measures
+    closure under the bracket directly.
+    """
+    B, M = report.basis, np.array(report.basis_matrices)
+    worst = 0.0
+    for i in range(1, report.dimension):
+        C = skew_coords(commutator(M[i], M[:i]))
+        left = C
+        for _ in range(2):
+            left = left - (left @ B.T) @ B
+        ratio = np.linalg.norm(left, axis=1) / np.maximum(1.0, np.linalg.norm(C, axis=1))
+        worst = max(worst, float(ratio.max()))
+    return worst
+
+
 def test_closure_matches_the_per_pair_reference():
     # seeded sets for d = 2..8 in u and su: sparse couplings (mostly
     # reducible), denser ones (mostly connected), and the minimal pair
@@ -116,6 +137,7 @@ def test_closure_matches_the_per_pair_reference():
                 diff = _span_projector(report) - _span_projector(ref)
                 assert np.max(np.abs(diff)) <= 1e-8, (kind, d)
                 assert report.residual_max <= TAU_CLOSE
+                assert _pair_defect(report) <= TAU_CLOSE, (kind, d)
     assert connected == {True, False}
 
 
@@ -144,10 +166,10 @@ def test_closure_of_block_diagonal_sets_has_the_known_dimension():
     # blocks of 3 and 4 leave directions that are found only from leftovers
     # near the growth floor; normalizing such a leftover carries roundoff
     # that certification can adopt as one fake direction (33 for 32, 47 for
-    # 46).  Admitting the largest leftovers first, across blocks and inside
-    # each, avoids it on these sets; the per-pair reference closure fails
-    # three of them, and dropping either order makes one fail
-    for seed in range(30):
+    # 46).  The per-pair reference closure does so on ten of these 400
+    # sets; bracketing with the seeds alone, largest leftovers first, does
+    # not, and keeps every pair of the basis closed to about 2e-12
+    for seed in range(100):
         rng = np.random.default_rng(seed)
         for kind in ("su", "u"):
             for sizes in ((4, 3, 3), (4, 4, 4)):
@@ -155,6 +177,52 @@ def test_closure_of_block_diagonal_sets_has_the_known_dimension():
                 report = lie_closure(s)
                 assert report.dimension == expected, (seed, kind, sizes)
                 assert report.residual_max <= TAU_CLOSE
+                assert _pair_defect(report) <= TAU_CLOSE, (seed, kind, sizes)
+
+
+def test_closure_of_large_block_diagonal_sets_has_the_known_dimension():
+    rng = np.random.default_rng(83)
+    for kind in ("su", "u"):
+        for sizes in ((8, 6, 6), (10, 10), (7, 7, 6)):
+            s, expected = _block_diagonal_set(rng, kind, sizes)
+            report = lie_closure(s)
+            assert report.dimension == expected, (kind, sizes)
+            assert report.residual_max <= TAU_CLOSE
+
+
+def test_closure_of_minimal_pairs_is_closed_under_every_pair():
+    for kind in ("u", "su"):
+        report = lie_closure(minimal_pair(Algebra(kind, 12)))
+        assert report.dimension == report.target_dimension
+        assert _pair_defect(report) <= TAU_CLOSE, kind
+
+
+def test_closure_of_large_minimal_pairs_is_fast():
+    # each element is bracketed with the two seeds only; bracketing every
+    # pair of basis elements takes more than 10 s here
+    t0 = time.perf_counter()
+    for algebra in (Algebra("u", 16), Algebra("su", CLOSURE_DIM_LIMIT)):
+        report = lie_closure(minimal_pair(algebra))
+        assert report.dimension == report.target_dimension, algebra
+        assert report.residual_max <= TAU_CLOSE
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_closure_does_not_depend_on_the_scale_of_the_generators():
+    # norms of the raw generators overflow at 1e160 and underflow at 1e-200
+    rng = np.random.default_rng(89)
+    sets = [minimal_pair(Algebra(kind, 4)) for kind in ("u", "su")]
+    sets.append(_block_diagonal_set(rng, "su", (3, 2))[0])
+    for s in sets:
+        expected = lie_closure(s).dimension
+        for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200):
+            gens = tuple(Generator(g.matrix * scale, g.label) for g in s.generators)
+            scaled = GeneratorSet(s.algebra, gens, s.general_index)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = lie_closure(scaled)
+            assert report.dimension == expected, (s.algebra, scale)
+            assert report.residual_max <= TAU_CLOSE
 
 
 def test_su_closure_ignores_an_admissible_trace():
