@@ -14,11 +14,13 @@ document.  A document that reader does not take goes as a whole through
 ``json.loads`` and :func:`parse_input_document`; either way gives the same
 matrices, bit for bit, and the same error messages.
 
-Documents built here (``*_to_document``) hold each matrix as its complex
-ndarray.  JSON text comes only from :func:`dump_json` and
-:func:`write_document`, which render every 2-D array straight from its
-values as rows of [re, im] pairs, byte for byte what ``json.dumps(indent=2)``
-gives the same document with its arrays turned into lists.
+A generator-set document (:func:`generator_set_to_document`) holds each
+matrix as its complex ndarray.  :func:`write_document` writes it in json's
+compact layout and renders each matrix straight from its values as rows of
+[re, im] pairs: byte for byte what ``json.dumps(separators=(",", ":"))``
+gives the same document with its arrays turned into lists.  The other
+documents (verdicts and reports) hold no matrix; :func:`dump_json` writes
+them in json's ``indent=2`` layout.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,7 +106,7 @@ def _parse_entry(value, where: str) -> complex:
     )
     re, im = value
     _require(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
+        all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)),
         f"{where}: entries must be numbers, got {value!r}",
     )
     try:
@@ -139,9 +142,11 @@ def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
     read comes as a :class:`_ReadMatrix` and is taken as it is.  Rows from
     json are converted by one ``np.array`` call into a (d, d, 2) real
     array, which is then viewed as complex without a copy.  Anything else
-    (wrong shape, strings, bools only, integers beyond float64) goes to
+    (wrong shape, strings, bools, integers beyond float64) goes to
     :func:`_walk_matrix`, which applies the same checks one entry at a
-    time and names the first failing row and column.
+    time and names the first failing row and column.  ``np.array`` reads a
+    bool among numbers as a number, so the types of the entries are looked
+    at too.
     """
     if isinstance(rows, _ReadMatrix):
         return rows.array
@@ -151,7 +156,12 @@ def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
             pairs = np.array(rows)
         except (ValueError, TypeError):  # ragged or over-nested
             pass
-    if pairs is None or pairs.shape != (d, d, 2) or pairs.dtype.kind not in "iuf":
+    if (
+        pairs is None
+        or pairs.shape != (d, d, 2)
+        or pairs.dtype.kind not in "iuf"
+        or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+    ):
         return _walk_matrix(rows, d, where)
     finite = np.isfinite(pairs)
     if not finite.all():
@@ -474,21 +484,12 @@ def _numbers(tokens: list, as_int: bool) -> np.ndarray:
     return out
 
 
-def matrix_to_pairs(M) -> list:
-    """json's ``default`` for documents: an ndarray as rows of [re, im] pairs
-    of plain floats; anything else is not serializable, as in json."""
-    if not isinstance(M, np.ndarray):
-        raise TypeError(f"Object of type {type(M).__name__} is not JSON serializable")
-    M = np.asarray(M, dtype=complex)
-    return np.stack([M.real, M.imag], -1).tolist()
-
-
 def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = None) -> dict:
     """The input-document form of ``gen_set``.
 
     Each ``"matrix"`` is the generator's complex ndarray itself, not a list:
-    the document is meant for :func:`dump_json` / :func:`write_document`,
-    which render it as rows of [re, im] pairs.
+    the document is meant for :func:`write_document`, which renders it as
+    rows of [re, im] pairs.
     """
     doc = {
         "algebra": gen_set.algebra.kind,
@@ -567,96 +568,77 @@ def closure_report_to_document(report, partition=None) -> dict:
     return doc
 
 
-#: stands in for each matrix in the document skeleton that json renders
-_MATRIX_SLOT = "\x00uqc matrix\x00"
-
-
-def _skeleton(value, matrices: list):
-    """``value`` with every non-empty 2-D ndarray swapped for the slot.
-
-    The swapped-out arrays are appended to ``matrices`` in the order json
-    meets their slots; any other ndarray is left to json's ``default``.
-    """
-    if isinstance(value, np.ndarray) and value.ndim == 2 and value.size:
-        matrices.append(value)
-        return _MATRIX_SLOT
-    if isinstance(value, dict):
-        return {key: _skeleton(item, matrices) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_skeleton(item, matrices) for item in value]
-    return value
-
-
-def _matrix_chunks(M: np.ndarray, pad: int):
-    """The text ``json.dumps(indent=2, default=matrix_to_pairs)`` gives the
-    2-D array ``M`` at indent ``pad``, one piece per row.
-
-    Each distinct float, told apart by its bits so that -0.0 is not 0.0, is
-    formatted once with ``float.__repr__``, as json does; the all-zero row
-    is formatted once; every other row goes through one ``%s`` template.
-    """
-    F = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
-    finite = np.isfinite(F)
-    if not finite.all():
-        # json's own error for the first bad value in json's order
-        json.dumps(F[~finite][0].item(), indent=2, allow_nan=False)
-    bits = F.view(np.uint64)
-    zero_rows = ~bits.any(axis=1)
-    live = bits[~zero_rows]  # the rows that are not all +0.0
-    values = np.unique(live)
-    reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
-    texts = iter(reprs[np.searchsorted(values, live)].tolist())
-
-    i1, i2, i3 = (" " * (pad + k) for k in (2, 4, 6))
-    pair = f"\n{i2}[\n{i3}%s,\n{i3}%s\n{i2}]"
-    template = "[" + ",".join([pair] * (bits.shape[1] // 2)) + f"\n{i1}]"
-    zero = template % (("0.0",) * bits.shape[1])
-    yield "[\n" + i1
-    for r, is_zero in enumerate(zero_rows.tolist()):
-        if r:
-            yield ",\n" + i1
-        yield zero if is_zero else template % tuple(next(texts))
-    yield "\n" + " " * pad + "]"
-
-
-def _json_chunks(doc):
-    matrices = []
-    text = json.dumps(
-        _skeleton(doc, matrices), indent=2, allow_nan=False, default=matrix_to_pairs
-    )
-    pieces = text.split(json.dumps(_MATRIX_SLOT))
-    if len(pieces) != len(matrices) + 1:  # a string of the document holds the slot
-        yield json.dumps(doc, indent=2, allow_nan=False, default=matrix_to_pairs)
-        return
-    yield pieces[0]
-    for M, before, after in zip(matrices, pieces, pieces[1:]):
-        line = before.rpartition("\n")[2]
-        yield from _matrix_chunks(M, len(line) - len(line.lstrip(" ")))
-        yield after
-
-
 def dump_json(doc: dict, out):
-    """Write ``json.dumps(doc, indent=2, allow_nan=False,
-    default=matrix_to_pairs)`` to the text handle ``out``, byte for byte,
-    piece by piece, never holding all of it.
-
-    Document matrices are ndarrays, and this function (with
-    :func:`write_document`) is the one place that turns them into text:
-    json lays out the rest of the document, and each 2-D array is rendered
-    here straight from its values and streamed row by row.
-    """
-    out.writelines(_json_chunks(doc))
+    """Write ``doc``, a document without matrices (a verdict or report), to
+    the text handle ``out`` in json's ``indent=2`` layout."""
+    json.dump(doc, out, indent=2, allow_nan=False)
 
 
 def write_document(doc: dict, path: str):
-    """:func:`dump_json` into the file ``path``, with a final newline."""
+    """Write the generator-set document ``doc`` to the file ``path`` in
+    json's compact layout, with a final newline.
+
+    ``doc`` is laid out as :func:`generator_set_to_document` makes it, each
+    ``doc["generators"][j]["matrix"]`` an ndarray.  The text is byte for
+    byte ``json.dumps(doc, separators=(",", ":"), allow_nan=False)`` of the
+    document with every matrix turned into rows of [re, im] pairs.  json
+    renders the rest of the document in one call, with ``null`` in place of
+    each matrix: a '"' inside a string is escaped, so with the keys
+    :func:`generator_set_to_document` writes, ``"matrix":null`` stands in
+    that text only where a matrix goes.  Each matrix is rendered from its
+    values and streamed a block of rows at a time (:func:`_matrix_chunks`).
+    """
+    gens = doc["generators"]
+    rest = {**doc, "generators": [{**g, "matrix": None} for g in gens]}
+    pieces = json.dumps(rest, separators=(",", ":"), allow_nan=False).split('"matrix":null')
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc}") from exc
     with fh:
-        dump_json(doc, fh)
+        fh.write(pieces[0])
+        for g, after in zip(gens, pieces[1:]):
+            fh.write('"matrix":')
+            fh.writelines(_matrix_chunks(g["matrix"]))
+            fh.write(after)
         fh.write("\n")
+
+
+#: matrix entries rendered into one piece of text
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _matrix_chunks(M: np.ndarray):
+    """The compact JSON text of the 2-D array ``M`` as rows of [re, im]
+    pairs of floats, in pieces of whole rows.
+
+    Each distinct float, told apart by its bits so that -0.0 is not 0.0, is
+    formatted once with ``float.__repr__``, as json does; the all-zero row
+    is formatted once; every other row goes through one ``%s`` template.
+    The rows are rendered a block of about :data:`_BLOCK_ENTRIES` entries at
+    a time, so that a large matrix costs no temporaries of its size.
+    """
+    F = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    finite = np.isfinite(F)
+    if not finite.all():
+        # json's own error for the first bad value in json's order
+        json.dumps(F[~finite][0].item(), allow_nan=False)
+    bits = F.view(np.uint64)
+    # most entries are +0.0: the distinct values are sought among the others
+    values = np.unique(np.append(bits[bits != 0], np.uint64(0)))
+    reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
+    template = "[" + ",".join(["[%s,%s]"] * (bits.shape[1] // 2)) + "]"
+    zero = template % (("0.0",) * bits.shape[1])
+    step = max(1, _BLOCK_ENTRIES // bits.shape[1])
+    yield "["
+    for lo in range(0, len(bits), step):
+        block = bits[lo:lo + step]
+        zero_rows = ~block.any(axis=1)
+        live = block[~zero_rows]  # the rows that are not all +0.0
+        texts = iter(reprs[np.searchsorted(values, live)].tolist())
+        rows = [zero if is_zero else template % tuple(next(texts)) for is_zero in zero_rows.tolist()]
+        yield ("," if lo else "") + ",".join(rows)
+    yield "]"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class BridgeStyle(Enum):
 
 
 #: largest d that :func:`minimal_pair` builds (ten qubits).  ``uqc construct``
-#: writes the pair's dense document to ``--out``: 122 MB at d = 1024,
+#: writes the pair's dense document to ``--out``: 21 MB at d = 1024,
 #: growing as d^2; past the cap the request is refused before any work
 #: starts
 CONSTRUCT_DIM_LIMIT = 1024

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import signal
 
@@ -18,7 +17,6 @@ from uqc import (
     make_general_direction,
     validate_set,
 )
-from uqc import io as uio
 from uqc.errors import InvalidInput, NumericalFailure
 
 
@@ -144,7 +142,7 @@ def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:
             )
             re, im = value
             require(
-                isinstance(re, (int, float)) and isinstance(im, (int, float)),
+                all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)),
                 f"{at}: entries must be numbers, got {value!r}",
             )
             M[i, k] = complex(re, im)
@@ -154,9 +152,9 @@ def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:
 def pairs_reference(M: np.ndarray) -> list:
     """A 2-D array as rows of [re, im] pairs of plain floats, entry by entry.
 
-    Test-only reference for ``uqc.io.matrix_to_pairs`` as json's ``default``:
-    ``json.dumps(doc, indent=2, allow_nan=False, default=pairs_reference)`` is
-    the text ``uqc.io.dump_json`` must write for a document holding arrays.
+    As json's ``default``, the test-only reference for ``uqc.io.write_document``:
+    ``json.dumps(doc, separators=(",", ":"), allow_nan=False,
+    default=pairs_reference)`` and a newline is the text it must write.
     """
     return [
         [[float(z.real), float(z.imag)] for z in row]
@@ -165,11 +163,9 @@ def pairs_reference(M: np.ndarray) -> list:
 
 
 def json_document(doc: dict):
-    """``doc`` as a reader of its JSON text gets it back: ``json.loads`` of
-    what ``uqc.io.dump_json`` writes, every matrix a list of rows of pairs."""
-    buf = io.StringIO()
-    uio.dump_json(doc, buf)
-    return json.loads(buf.getvalue())
+    """``doc`` as a reader of its JSON text gets it back, every matrix a
+    list of rows of pairs."""
+    return json.loads(json.dumps(doc, default=pairs_reference))
 
 
 def pslq_reference(x: np.ndarray, bound: int, tau_rel: float):

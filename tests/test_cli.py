@@ -555,6 +555,8 @@ def _ragged(rows):
         ("too few rows", "matrix: expected 3 rows, got 2"),
         ("nan", "matrix row 2 column 3: entries must be finite, got [nan, 0.0]"),
         ("huge integer", "matrix row 2 column 3: entry is outside the float64 range"),
+        # np.array would read them as 1 and 0 among the numbers of the matrix
+        ("bools", "matrix row 2 column 3: entries must be numbers, got [True, False]"),
     ],
 )
 def test_malformed_matrix_exit2_located_without_traceback(tmp_path, case, located):
@@ -567,6 +569,7 @@ def test_malformed_matrix_exit2_located_without_traceback(tmp_path, case, locate
         "too few rows": lambda rows: rows.pop(),
         "nan": _set(1, 2, [float("nan"), 0.0]),
         "huge integer": _set(1, 2, [10**400, 0]),
+        "bools": _set(1, 2, [True, False]),
     }[case]
     path = tmp_path / "bad.json"
     path.write_text(_matrix_case(mutate)())

@@ -241,6 +241,9 @@ _ROW = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         [_ROW, [[0.0, 1.0], [1j, 0.0], [4.0, 5.0]], _ROW],
         [_ROW, [[0.0, 1.0], 2.0, [4.0, 5.0]], _ROW],
         [_ROW, _ROW, [[0.0, 1.0], [2.0, 3.0], [4.0]]],
+        # json's true and false are not numbers, alone or among numbers
+        [[[True, False]] * 3] * 3,
+        [[[0, 0], [True, False], [1, 0.5]], _ROW, _ROW],
     ],
 )
 def test_malformed_matrix_message_matches_reference(rows):
@@ -254,14 +257,14 @@ def test_malformed_matrix_message_matches_reference(rows):
 @pytest.mark.parametrize(
     "rows",
     [
-        [[[True, False], [False, False]], [[False, True], [True, True]]],
-        [[[True, False], [1, 0.5]], [[0, 1], [False, 1.0]]],
+        [[[2**64, 0.5], [0, 0]], [[0, 0], [1.5, -(2**64)]]],
+        [[[10**300, -(10**300)], [1, 0]], [[0, 1], [0.25, -0.25]]],
         [[(0.0, 1.0), (2.0, 3.0)], [(4.0, 5.0), (6.0, 7.0)]],
         [[[2**70, 0], [0.5, 0]], [[0, 0], [0, -(2**70)]]],
     ],
 )
 def test_entries_outside_the_fast_path_still_parse(rows):
-    # bools, tuple pairs and integers beyond int64 take the per-entry walk
+    # tuple pairs, and integers beyond uint64 that np.array keeps as objects
     assert np.array_equal(
         uio._parse_matrix(rows, 2, "m"), parse_matrix_reference(rows, 2, "m")
     )
@@ -324,17 +327,47 @@ def test_fuzzed_matrices_give_located_errors():
 
 
 def _reference_json(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False, default=pairs_reference)
+    """The text ``write_document`` must write for ``doc``: json's compact
+    layout of the document with every matrix listified, and a newline."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False, default=pairs_reference) + "\n"
 
 
-def _documents_to_dump():
+def _written(doc, tmp_path) -> str:
+    path = tmp_path / "written.json"
+    uio.write_document(doc, str(path))
+    return path.read_bytes().decode("utf-8")
+
+
+#: labels whose JSON text holds quotes, backslashes, escapes and the text
+#: that stands in for a matrix or opens one
+_ODD_LABELS = [
+    'x "matrix":null y', '"matrix":[[[0,0]]]', 'k"matrix', "back\\slash\\", "tab\tnew\nline",
+    "phase θ → \U0001d70b", "ключ", '"matrix":null',
+]
+
+
+def _diagonal_only() -> GeneratorSet:
+    return GeneratorSet(Algebra("u", 6), (make_general_direction(Algebra("u", 6)),))
+
+
+def _generator_set_documents():
     rng = np.random.default_rng(5)
     yield uio.generator_set_to_document(three_level_set())
     yield uio.generator_set_to_document(two_qubit_set(full=True), {"tau_edge": 1e-10})
     for d, m, kind in ((2, 2, "u"), (5, 3, "su"), (9, 4, "u")):
         yield uio.generator_set_to_document(random_instance(rng, d, m, kind))
-    diagonal_only = GeneratorSet(Algebra("u", 6), (make_general_direction(Algebra("u", 6)),))
-    for gen_set in (three_level_set(), diagonal_only):
+    for gen_set in (three_level_set(), _diagonal_only()):
+        for style in BridgeStyle:
+            yield uio.generator_set_to_document(repair(gen_set, style=style).resulting_set)
+    odd = uio.generator_set_to_document(three_level_set(), {"relation_bound": 10**400})
+    for g, kind, label in zip(odd["generators"], ("extreme", "mixed"), _ODD_LABELS):
+        g["matrix"] = np.array(_random_rows(rng, 3, kind), dtype=float).view(complex)[..., 0]
+        g["label"] = label
+    yield odd
+
+
+def _verdict_documents():
+    for gen_set in (three_level_set(), _diagonal_only()):
         for style in BridgeStyle:
             plan = repair(gen_set, style=style)
             yield uio.verdict_to_document(
@@ -342,36 +375,19 @@ def _documents_to_dump():
                 epsilon_max=epsilon_bound(plan.resulting_set),
                 repair=uio.repair_plan_to_document(plan),
             )
-    odd = uio.generator_set_to_document(three_level_set())
-    gens = odd["generators"]
-    gens[0]["matrix"] = _random_rows(rng, 3, "extreme")
-    gens[1]["matrix"] = _random_rows(rng, 3, "mixed")
-    gens.append({"label": "empty", "matrix": []})
-    gens.append({"label": "empty row", "matrix": [[], [[1.0, 2.0]]]})
-    gens.append({"label": "tuples", "matrix": [[(1.0, 2.0), [3.0, 4.5]], ((0.5, 0.25), [1.0, 2.0])]})
-    gens.append({"label": "not pairs", "matrix": [1.5, "x", None, {"a": [1.0]}]})
-    gens.append({"label": "flat", "matrix": [[1.0, 2.0], [3.0, 4.0]]})
-    gens.append({"label": "not floats", "matrix": [[[True, None]], [["re", 1.0]], [[1, 2.5]]]})
-    gens.append({"label": "empty arrays", "matrix": np.zeros((0, 0)), "rows": np.zeros((2, 0))})
-    odd["matrix"] = [[[0.1, -0.0]]]
-    odd["nested"] = {"deeper": [{"matrix": [[[1e-300, 5e-324]]], "matrix2": np.array([[1.0, 2.0]])}]}
-    odd["unicode"] = "phase θ → \U0001d70b"
-    yield odd
-    # a string that looks like the renderer's placeholder
-    slot = uio.generator_set_to_document(three_level_set())
-    slot["generators"][0]["label"] = uio._MATRIX_SLOT
-    yield slot
+    s = _scanned_three_level_set()
+    yield uio.verdict_to_document(check_universality(s), epsilon_max=epsilon_bound(s))
 
 
 def test_dump_json_is_byte_identical_to_json(tmp_path):
-    for n, doc in enumerate(_documents_to_dump()):
-        want = _reference_json(doc)
+    # verdicts keep json's indent=2 layout; generator sets are written in
+    # json's compact layout
+    for doc in _verdict_documents():
         buf = StringIO()
         uio.dump_json(doc, buf)
-        assert buf.getvalue() == want
-        path = tmp_path / f"doc{n}.json"
-        uio.write_document(doc, str(path))
-        assert path.read_bytes() == (want + "\n").encode("utf-8")
+        assert buf.getvalue() == json.dumps(doc, indent=2, allow_nan=False)
+    for doc in _generator_set_documents():
+        assert _written(doc, tmp_path) == _reference_json(doc)
 
 
 _SPECIAL_FLOATS = np.array(
@@ -417,58 +433,87 @@ def _random_array(rng, d: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_dump_json_renders_arrays_like_json(seed):
-    # json.dumps(..., default=pairs_reference) is json.dumps of the document
-    # with every array listified
+def test_dump_json_renders_arrays_like_json(seed, tmp_path, monkeypatch):
+    # write_document against json.dumps of the document with every array
+    # listified, with the rows of a matrix looked up in blocks of any size
     rng = np.random.default_rng([seed, 29])
     for d in (1, 2, 3, int(rng.integers(4, 25))):
+        monkeypatch.setattr(uio, "_BLOCK_ENTRIES", int(rng.choice([1, 2, 7, 64, 1 << 16])))
         doc = {
             "dimension": d,
             "generators": [
-                {"label": f"g{j}", "matrix": _random_array(rng, d)} for j in range(3)
+                {"label": f"g{j}", "matrix": _random_array(rng, d)} for j in range(4)
             ],
-            "nested": {"deeper": [{"matrix": _random_array(rng, d)}]},
         }
         try:
             want = _reference_json(doc)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                uio.dump_json(doc, StringIO())
+                _written(doc, tmp_path)
             assert str(got.value) == str(exc)
             continue
-        buf = StringIO()
-        uio.dump_json(doc, buf)
-        assert buf.getvalue() == want
+        assert _written(doc, tmp_path) == want
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_dump_json_rejects_nonfinite_matrix_entries_like_json(bad):
-    doc = _doc()
-    doc["generators"][1]["matrix"][2][1] = [0.0, bad]
-    arrays = uio.generator_set_to_document(three_level_set())
-    arrays["generators"][1]["matrix"][2, 1] = complex(0.0, bad)
-    for doc in (doc, arrays):
-        with pytest.raises(ValueError) as want:
-            _reference_json(doc)
-        with pytest.raises(ValueError) as got:
-            uio.dump_json(doc, StringIO())
-        assert str(got.value) == str(want.value)
-
-
-def test_matrix_to_pairs_gives_plain_floats():
-    M = np.array([[1 + 2j, -0.0 - 0.0j], [5e-324j, 3]])
-    pairs = uio.matrix_to_pairs(M)
-    assert pairs == [[[1.0, 2.0], [-0.0, -0.0]], [[0.0, 5e-324], [3.0, 0.0]]]
-    assert {type(x) for row in pairs for pair in row for x in pair} == {float}
-    assert uio.matrix_to_pairs(np.eye(2, dtype=int)) == [
-        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
-    ]
-    # as json's default, it leaves every other type unserializable
-    with pytest.raises(TypeError) as want:
-        json.dumps({"x": {1}}, indent=2)
-    with pytest.raises(TypeError) as got:
-        uio.dump_json({"x": {1}, "m": np.eye(2)}, StringIO())
+def test_dump_json_rejects_nonfinite_matrix_entries_like_json(bad, tmp_path):
+    doc = uio.generator_set_to_document(three_level_set())
+    doc["generators"][1]["matrix"][2, 1] = complex(0.0, bad)
+    with pytest.raises(ValueError) as want:
+        _reference_json(doc)
+    with pytest.raises(ValueError) as got:
+        _written(doc, tmp_path)
     assert str(got.value) == str(want.value)
+
+
+def _extreme_set() -> GeneratorSet:
+    """u(3) with entries -0.0, 5e-324 and +-1e308, and a drift that is not
+    the first generator."""
+    drift = np.diag([1e308j, -5e-324j, complex(-0.0, 2.5)])
+    coupling = np.full((3, 3), complex(-0.0, -0.0))
+    coupling[0, 1], coupling[1, 0] = complex(1e308, 5e-324), complex(-1e308, 5e-324)
+    coupling[1, 2], coupling[2, 1] = complex(-5e-324, -1e308), complex(5e-324, -1e308)
+    return GeneratorSet(
+        Algebra("u", 3), (Generator(coupling, "c"), Generator(drift, "d")), general_index=1
+    )
+
+
+def _round_trip_sets():
+    rng = np.random.default_rng(41)
+    for d in range(1, 13):
+        for kind in ("u", "su"):
+            gen_set = random_instance(rng, d, int(rng.integers(1, 4)), kind)
+            gens = gen_set.generators
+            labels = [_ODD_LABELS[int(k)] for k in rng.integers(0, len(_ODD_LABELS), len(gens))]
+            gens = tuple(Generator(g.matrix, label) for g, label in zip(gens[1:] + gens[:1], labels))
+            yield GeneratorSet(gen_set.algebra, gens, general_index=len(gens) - 1)
+    for gen_set in (three_level_set(), _diagonal_only(), random_instance(rng, 9, 3, "su", p=0.1)):
+        for style in BridgeStyle:
+            yield repair(gen_set, style=style).resulting_set
+    yield _extreme_set()
+
+
+def test_written_documents_read_back_bit_for_bit(tmp_path, monkeypatch):
+    # what write_document writes is read by the text reader, never through
+    # json's nested lists, and gives back the same set to the last bit
+    parse_matrix = uio._parse_matrix
+
+    def read_from_text(rows, d, where):
+        assert isinstance(rows, uio._ReadMatrix), f"{where} took the list path"
+        return parse_matrix(rows, d, where)
+
+    monkeypatch.setattr(uio, "_parse_matrix", read_from_text)
+    tolerances = {"tau_edge": 1e-10, "relation_bound": 10**400}
+    path = str(tmp_path / "set.json")
+    for n, gen_set in enumerate(_round_trip_sets()):
+        uio.write_document(uio.generator_set_to_document(gen_set, tolerances if n % 2 else None), path)
+        got, got_tolerances = uio.load_input_document(path)
+        assert got_tolerances == (tolerances if n % 2 else {})
+        assert got.algebra == gen_set.algebra
+        assert got.general_index == gen_set.general_index
+        assert [g.label for g in got.generators] == [g.label for g in gen_set.generators]
+        for g_in, g_out in zip(gen_set.generators, got.generators):
+            assert _bits(g_out.matrix).tobytes() == _bits(g_in.matrix.astype(complex)).tobytes()
 
 
 # ---------------------------------------------------------------------------
