@@ -26,15 +26,17 @@ system = GeneratorSet(Algebra("u", 3), (drift, Generator(rot, "rot12")))
 verdict = check_universality(system)
 print("verdict:", verdict.status.value)
 print("components (0-based):", verdict.components)
-print("invariant witness:", verdict.witness_subspace)
-# -> reducible; {0,1} never talks to {2}
+print("invariant witness:", verdict.components[0])
+# -> reducible; {0,1} never talks to {2}, so the component of vertex 0
+# spans an invariant subspace
 
 # repair: bridge the component of vertex 0 to the outside.  The
 # "paper-example" rule takes the largest index inside, a=1, and b=2, i.e.
-# the elementary generator coupling levels 2 and 3.
+# the elementary generator coupling levels 2 and 3, appended as the last
+# generator of the repaired set.
 plan = repair(system, selection="paper-example")
 print("\nbridges added:", [(a, b, style.value) for a, b, style in plan.bridges])
-print("bridge matrix:\n", plan.added_generators[0].matrix.real)
+print("bridge matrix:\n", plan.resulting_set.generators[-1].matrix.real)
 
 verdict = check_universality(plan.resulting_set)
 print("\nafter repair:", verdict.status.value)

@@ -36,7 +36,6 @@ from .generators import (
 from .linalg import (
     commutator,
     from_skew_coords,
-    matrix_exp,
     operator_norm,
     skew_coords,
 )
@@ -60,7 +59,6 @@ from .repair import (
 from .oracle import (
     LieClosureReport,
     closure_block_partition,
-    coordinate_subspace_scan,
     lie_closure,
 )
 
@@ -77,7 +75,6 @@ __all__ = [
     # linalg
     "commutator",
     "operator_norm",
-    "matrix_exp",
     "skew_coords",
     "from_skew_coords",
     # generators
@@ -111,5 +108,4 @@ __all__ = [
     "LieClosureReport",
     "lie_closure",
     "closure_block_partition",
-    "coordinate_subspace_scan",
 ]

@@ -20,12 +20,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, io
 from .errors import InvalidInput, NumericalFailure
 from .generators import Algebra, epsilon_bound, least_step_bound, step_bound
-from .linalg import matrix_exp, operator_norm
+from .linalg import operator_norm
 from .oracle import closure_block_partition, lie_closure
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
 from .universality import build_coupling_graph, check_universality, VerdictStatus
@@ -34,6 +32,13 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_BROKEN_PIPE = 141
+
+# ||exp(t X) - I|| = 2 max_k |sin(t lambda_k / 2)| over the eigenphases
+# lambda_k of a skew-Hermitian X, and max_k |lambda_k| = ||X||.  At
+# t = 0.99 eps with eps = pi / (2 ||X||) the largest argument is 0.99 pi / 4,
+# below pi / 2 where |sin| grows, so the distance of every nonzero generator
+# is this constant, whatever X is
+_DISTANCE_AT_099 = 2.0 * math.sin(0.99 * math.pi / 4)
 
 
 def _resolve_tolerances(file_overrides: dict, args) -> io.RunTolerances:
@@ -123,7 +128,7 @@ def _cmd_repair(args) -> int:
         eps = epsilon_bound(gen_set)
     except InvalidInput:
         eps = math.inf
-    if plan.added_generators:
+    if plan.bridges:
         eps = min(eps, math.pi / 2)
     doc = io.verdict_to_document(
         verdict, epsilon_max=eps, repair=io.repair_plan_to_document(plan)
@@ -158,8 +163,7 @@ def _cmd_epsilon(args) -> int:
             "epsilon_max": None if math.isinf(b) else b,
         }
         if math.isfinite(b):
-            U = matrix_exp(gen.matrix, 0.99 * b)
-            entry["distance_at_0.99"] = operator_norm(U - np.eye(gen_set.dim))
+            entry["distance_at_0.99"] = _DISTANCE_AT_099
         per_gen.append(entry)
     lines = [f"epsilon_max (set): {eps:.6g}"]
     for entry in per_gen:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 
 #: relative tolerance for the skew-Hermitian symmetry defect
 TAU_SYM = 1e-12
@@ -79,31 +79,6 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def operator_norm(A: np.ndarray) -> float:
     """Largest singular value of ``A`` (the spectral norm)."""
     return float(np.linalg.norm(A, 2))
-
-
-def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Unitary exponential ``exp(t A)`` of a skew-Hermitian matrix.
-
-    Computed by unitary diagonalization of the Hermitian matrix ``-iA``:
-    with ``-iA = V diag(w) V†`` (real ``w``), ``exp(tA) = V diag(e^{itw}) V†``.
-    This keeps the result unitary to eigensolver accuracy for any ``t``,
-    unlike a truncated series.
-
-    Raises
-    ------
-    InvalidInput
-        If ``A`` is not skew-Hermitian.
-    NumericalFailure
-        If the eigendecomposition does not converge.
-    """
-    A = as_complex_matrix(A)
-    if not is_skew_hermitian(A):
-        raise InvalidInput("matrix_exp requires a skew-Hermitian matrix")
-    try:
-        w, V = np.linalg.eigh(-1j * A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    return (V * np.exp(1j * t * w)) @ V.conj().T
 
 
 def skew_coords(A: np.ndarray) -> np.ndarray:

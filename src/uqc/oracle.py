@@ -1,4 +1,4 @@
-"""Brute-force cross-checks for the graph criterion.
+"""Brute-force Lie-closure cross-check for the graph criterion.
 
 ``lie_closure`` grows an orthonormal basis of the real Lie algebra generated
 by the set via iterated commutators, which gives an independent dimension
@@ -11,14 +11,12 @@ u(d) (``linalg.skew_coords``), so skew-Hermiticity holds by construction and
 Frobenius norms, hence every tolerance, keep their meaning.  Commutators are
 formed, projected off the basis and admitted a block of at most ``_BLOCK``
 at a time, which bounds the working memory whatever d is.
-``coordinate_subspace_scan`` enumerates invariant coordinate subspaces
-directly, a second independent oracle for the connectivity reduction.  Both
-read the coupling structure through the one edge rule of
-:mod:`uqc.universality` (``|A_rl| > tau_edge * max|A|``, via
-``extract_coupling_graph``): the closure partition feeds it the closure
-basis, the scan every generator.  Both are desk-scale tools with hard caps:
-the closure at d = CLOSURE_DIM_LIMIT (the minimal pair of u(12) takes about
-0.05 s, of u(20) about 0.3 s), the scan at d = SCAN_DIM_LIMIT.
+``closure_block_partition`` reads the block structure of the closure basis
+through the one edge rule of :mod:`uqc.universality` (``|A_rl| > tau_edge *
+max|A|``, via ``extract_coupling_graph``), for comparison with the
+generator-level components.  The closure is a desk-scale tool with a hard
+cap at d = CLOSURE_DIM_LIMIT (the minimal pair of u(12) takes about 0.05 s,
+of u(20) about 0.3 s).
 """
 
 from __future__ import annotations
@@ -54,8 +52,6 @@ _BLOCK = 64
 #: projected off the basis); the minimal pair of u(20) takes about 0.3 s on
 #: a 2-core Xeon VM with one BLAS thread.  The cap keeps exit codes stable
 CLOSURE_DIM_LIMIT = 20
-#: hard cap for coordinate_subspace_scan (2^d subsets)
-SCAN_DIM_LIMIT = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,44 +292,3 @@ def closure_block_partition(
     """
     graph = extract_coupling_graph(report.dim, enumerate(report.basis_matrices), tau_edge)
     return tuple(tuple(c) for c in connected_components(graph))
-
-
-def coordinate_subspace_scan(
-    gen_set: GeneratorSet, tau_edge: float = TAU_EDGE
-) -> list[tuple[int, ...]]:
-    """Enumerate all nontrivial proper invariant coordinate subspaces.
-
-    A 0-based index set S is invariant when no generator carries weight
-    between S and its complement.  Every edge {r, l} of the coupling graph
-    of all generators (designated included) gives the two directed
-    constraints "l in S implies r in S" and its reverse.  Checks all
-    2^d - 2 candidate subsets with a vectorized cut test, independently of
-    any connectivity reasoning; the result must coincide with the unions of
-    connected components.
-    """
-    d = gen_set.dim
-    if d > SCAN_DIM_LIMIT:
-        raise InvalidInput(
-            f"subspace scan enumerates 2^d subsets and is capped at "
-            f"d = {SCAN_DIM_LIMIT}; use the coupling-graph check instead"
-        )
-
-    graph = extract_coupling_graph(
-        d, ((j, g.matrix) for j, g in enumerate(gen_set.generators)), tau_edge
-    )
-    crossing = [*graph.edges, *((l, r) for r, l in graph.edges)]
-
-    n_masks = 1 << d
-    masks = np.arange(n_masks, dtype=np.uint32)
-    ok = np.ones(n_masks, dtype=bool)
-    for r, l in crossing:
-        # S invariant demands: not (l in S and r outside S)
-        in_l = ((masks >> l) & 1).astype(bool)
-        in_r = ((masks >> r) & 1).astype(bool)
-        ok &= ~(in_l & ~in_r)
-    ok[0] = ok[n_masks - 1] = False  # exclude empty and full
-
-    found = []
-    for m in np.nonzero(ok)[0].tolist():
-        found.append(tuple(v for v in range(d) if (m >> v) & 1))
-    return sorted(found, key=lambda s: (len(s), s))

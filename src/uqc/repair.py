@@ -43,8 +43,13 @@ SELECTION_RULES = ("smallest", "paper-example")
 
 @dataclass(frozen=True)
 class RepairPlan:
+    """The bridges ``(a, b, style)`` in the order they were appended.
+
+    The bridge generators are the last ``len(bridges)`` generators of
+    ``resulting_set``, the input set itself when no bridge is needed.
+    """
+
     bridges: tuple[tuple[int, int, BridgeStyle], ...]
-    added_generators: tuple[Generator, ...]
     resulting_set: GeneratorSet
 
 
@@ -90,7 +95,6 @@ def repair(
     added = tuple(bridge_generator(a, b, gen_set.dim, style) for a, b, _ in bridges)
     return RepairPlan(
         bridges=tuple(bridges),
-        added_generators=added,
         resulting_set=gen_set.with_extra(added) if added else gen_set,
     )
 

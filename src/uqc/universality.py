@@ -9,7 +9,7 @@ reduces to connected components plus the drift-spectrum scan.
 This module holds the package's single edge rule,
 :func:`extract_coupling_graph` (an off-diagonal entry is an edge when
 ``|A_rl| > tau_edge * max|A|``), and its single components routine,
-:func:`connected_components`.  Repair and both oracles reuse them.
+:func:`connected_components`.  Repair and the closure oracle reuse them.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class UniversalityVerdict:
     member, members ascending); ``permutation`` lists old indices in the
     order that groups components contiguously, so conjugating a generator by
     the associated permutation matrix makes it block-diagonal with
-    ``block_sizes``.  ``witness_subspace`` is the component of vertex 0 when
-    reducible.  ``degenerate_spectrum`` surfaces a designated diagonal whose
+    ``block_sizes``.  When reducible, every component (``components[0]``,
+    the component of vertex 0, among them) spans an invariant coordinate
+    subspace.  ``degenerate_spectrum`` surfaces a designated diagonal whose
     phases collide; the criterion then certifies nothing and the status is at
     most CONDITIONALLY_UNIVERSAL.
     """
@@ -80,7 +81,6 @@ class UniversalityVerdict:
     components: tuple[tuple[int, ...], ...]
     permutation: tuple[int, ...]
     block_sizes: tuple[int, ...]
-    witness_subspace: tuple[int, ...] | None
     general_direction: SpectrumIndependenceVerdict
     degenerate_spectrum: bool = False
 
@@ -154,8 +154,7 @@ def check_universality(
     CONSTRUCTED_EXACT at every d, without a scan; any other drift is scanned
     for d <= SPECTRUM_SCAN_LIMIT and SKIPPED above.  A connected graph with a
     failed, degenerate, or skipped scan is CONDITIONALLY_UNIVERSAL; a
-    disconnected graph is REDUCIBLE with the full partition, permutation, and
-    witness component of vertex 0.
+    disconnected graph is REDUCIBLE with the full partition and permutation.
     """
     validate_tolerance("relation_bound", relation_bound)
     validate_tolerance("tau_rel", tau_rel)
@@ -189,8 +188,6 @@ def check_universality(
         components=components,
         permutation=tuple(v for comp in components for v in comp),
         block_sizes=tuple(len(c) for c in components),
-        # the component of vertex 0
-        witness_subspace=components[0] if len(components) > 1 else None,
         general_direction=direction,
         degenerate_spectrum=degenerate,
     )

@@ -18,6 +18,7 @@ from uqc import (
     validate_set,
 )
 from uqc.errors import InvalidInput, NumericalFailure
+from uqc.universality import TAU_EDGE, extract_coupling_graph
 
 
 def three_level_set() -> GeneratorSet:
@@ -114,6 +115,31 @@ def reachable_from(graph, start: int) -> set[int]:
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def invariant_subspaces_reference(gen_set: GeneratorSet) -> list[tuple[int, ...]]:
+    """Every nontrivial proper invariant coordinate subspace, by enumeration.
+
+    Test-only reference for ``connected_components``: a 0-based index set S
+    is invariant when no generator (designated included) carries weight
+    between S and its complement.  Every edge {r, l} of the coupling graph
+    gives the two constraints "l in S implies r in S" and its reverse; all
+    2^d - 2 candidate subsets are tested at once, with no connectivity
+    reasoning, so the result must be the unions of connected components.
+    """
+    d = gen_set.dim
+    graph = extract_coupling_graph(
+        d, ((j, g.matrix) for j, g in enumerate(gen_set.generators)), TAU_EDGE
+    )
+    masks = np.arange(1 << d, dtype=np.uint64)
+    ok = np.ones(1 << d, dtype=bool)
+    for r, l in graph.edges:
+        in_r = (masks >> np.uint64(r)) & np.uint64(1)
+        in_l = (masks >> np.uint64(l)) & np.uint64(1)
+        ok &= in_r == in_l
+    ok[0] = ok[-1] = False  # exclude empty and full
+    found = [tuple(v for v in range(d) if (m >> v) & 1) for m in np.flatnonzero(ok).tolist()]
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:

@@ -27,6 +27,7 @@ from uqc.repair import SELECTION_RULES
 from conftest import (
     json_document,
     random_instance,
+    random_sparse_offdiag,
     three_level_set,
     time_limit,
     two_qubit_set,
@@ -334,6 +335,28 @@ def test_epsilon_report(capsys, u3_path):
     assert drift["distance_at_0.99"] < np.sqrt(2.0)
 
 
+def test_epsilon_distance_is_the_closed_form(capsys, tmp_path):
+    # 2 sin(0.99 pi / 4) for every nonzero generator, whatever its scale;
+    # a zero generator has no bound and no distance
+    rng = np.random.default_rng(37)
+    s = three_level_set()
+    gens = [*s.generators, Generator(np.zeros((3, 3)), "zero")]
+    for scale in (1e-150, 1e150):
+        M = random_sparse_offdiag(rng, 3, p=1.0) * scale
+        gens.append(Generator(M, f"x{scale:g}"))
+    path = tmp_path / "in.json"
+    uio.write_document(uio.generator_set_to_document(GeneratorSet(s.algebra, tuple(gens))), str(path))
+    code, out, _ = _run(capsys, ["epsilon", str(path)])
+    assert code == 0
+    entries = json.loads(out)["generators"]
+    assert [e["label"] for e in entries] == ["drift", "rot12", "zero", "x1e-150", "x1e+150"]
+    for e in entries:
+        if e["label"] == "zero":
+            assert e["epsilon_max"] is None and "distance_at_0.99" not in e
+        else:
+            assert e["distance_at_0.99"] == 1.4030628515417114
+
+
 def test_epsilon_empty_generator_list_exit2(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"algebra": "u", "dimension": 2, "generators": []}))
@@ -342,7 +365,8 @@ def test_epsilon_empty_generator_list_exit2(capsys, tmp_path):
 
 
 def test_epsilon_takes_one_norm_per_generator(capsys, u3_path, tmp_path, monkeypatch):
-    # one SVD per generator for its norm and bound, one for its distance
+    # one SVD per generator gives its norm and bound; its distance is a
+    # closed form
     from uqc import cli, linalg
 
     expected = _run(capsys, ["epsilon", u3_path])
@@ -355,7 +379,7 @@ def test_epsilon_takes_one_norm_per_generator(capsys, u3_path, tmp_path, monkeyp
     monkeypatch.setattr(linalg, "operator_norm", counted)
     monkeypatch.setattr(cli, "operator_norm", counted)
     assert _run(capsys, ["epsilon", u3_path]) == expected
-    assert len(calls) == 2 * len(three_level_set().generators) == 4
+    assert len(calls) == len(three_level_set().generators) == 2
 
     zero = GeneratorSet(Algebra("u", 2), (Generator(np.zeros((2, 2)), "drift"),))
     path = tmp_path / "zero.json"
@@ -667,8 +691,9 @@ def test_repair_epsilon_equals_the_bound_of_the_repaired_set(capsys, tmp_path, s
             ["repair", str(path), "--style", style, "--selection", selection, "--out", str(out)],
         )
         assert code == 0
-        plan = repair(uio.load_input_document(str(path))[0], style=style, selection=selection)
-        assert plan.added_generators
+        loaded = uio.load_input_document(str(path))[0]
+        plan = repair(loaded, style=style, selection=selection)
+        assert plan.resulting_set.generators[len(loaded.generators):]
         eps = json.loads(stdout)["epsilon_max"]
         assert eps == epsilon_bound(plan.resulting_set)
         bridge_bound_taken += eps == np.pi / 2

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from uqc import (
     Algebra,
@@ -443,7 +444,7 @@ def test_epsilon_bound_rotation_boundary():
     s = GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), Generator(A)))
     bounds = epsilon_bound_per_generator(s)
     assert bounds[1] == pytest.approx(np.pi / 2, rel=1e-12)
-    dist = linalg.operator_norm(linalg.matrix_exp(A, np.pi / 2) - np.eye(2))
+    dist = linalg.operator_norm(scipy.linalg.expm(np.pi / 2 * A) - np.eye(2))
     assert dist == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
@@ -478,11 +479,32 @@ def test_epsilon_bound_scaling():
         assert b2 == pytest.approx(b1 / c, rel=1e-10)
 
 
+def _skew_cases(rng):
+    """Nonzero skew-Hermitian matrices: dense, diagonal, rank-2, degenerate."""
+    for d in range(1, 13):
+        yield random_skew(rng, d)
+        yield np.diag(1j * rng.standard_normal(d))
+        if d >= 2:
+            u, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+            yield np.outer(u, v.conj()) - np.outer(v, u.conj())
+            # eigenphases +-1, each repeated: a random unitary conjugate
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            phases = np.where(np.arange(d) < d // 2, 1.0, -1.0)
+            yield (Q * (1j * phases)) @ Q.conj().T
+
+
 def test_distance_below_sqrt2_at_099():
+    # ||exp(t X) - I|| = 2 max|sin(t lambda / 2)| and max|lambda| = ||X||, so
+    # at t = 0.99 pi / (2 ||X||) the distance is 2 sin(0.99 pi / 4) for every
+    # nonzero X, at any scale; uqc epsilon reports that constant
+    closed_form = 2.0 * np.sin(0.99 * np.pi / 4)
+    assert closed_form == 1.4030628515417114 < np.sqrt(2.0)
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        d = int(rng.integers(2, 8))
-        X = random_skew(rng, d)
-        eps = 0.99 * np.pi / (2 * linalg.operator_norm(X))
-        dist = linalg.operator_norm(linalg.matrix_exp(X, eps) - np.eye(d))
-        assert dist < np.sqrt(2.0)
+    worst = 0.0
+    for X in _skew_cases(rng):
+        for scale in (1e-150, 1.0, 1e150):
+            Y = scale * X
+            eps = 0.99 * np.pi / (2 * linalg.operator_norm(Y))
+            dist = linalg.operator_norm(scipy.linalg.expm(eps * Y) - np.eye(len(Y)))
+            worst = max(worst, abs(dist - closed_form))
+    assert worst <= 1e-15

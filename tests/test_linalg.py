@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from uqc import linalg
 from uqc.errors import InvalidInput
@@ -84,53 +83,6 @@ def test_operator_norm_unitary_invariance():
         assert linalg.operator_norm(Q @ A @ Q.conj().T) == pytest.approx(
             linalg.operator_norm(A), rel=1e-10, abs=1e-10
         )
-
-
-def test_matrix_exp_zero_time_is_identity():
-    rng = np.random.default_rng(5)
-    A = random_skew(rng, 4)
-    assert np.allclose(linalg.matrix_exp(A, 0.0), np.eye(4), atol=1e-12)
-
-
-def test_matrix_exp_diagonal():
-    theta = np.array([0.3, -1.2, 2.5])
-    U = linalg.matrix_exp(np.diag(1j * theta), 1.0)
-    assert np.allclose(U, np.diag(np.exp(1j * theta)), atol=1e-12)
-
-
-def test_matrix_exp_rotation_block():
-    # exp(eps (E12 - E21)) = [[cos, sin], [-sin, cos]]
-    eps = 0.37
-    A = np.array([[0, 1], [-1, 0]], dtype=complex)
-    expected = np.array(
-        [[np.cos(eps), np.sin(eps)], [-np.sin(eps), np.cos(eps)]], dtype=complex
-    )
-    assert np.allclose(linalg.matrix_exp(A, eps), expected, atol=1e-12)
-
-
-def test_matrix_exp_matches_pade_oracle():
-    # independent route: scipy's expm uses Pade scaling-and-squaring
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        d = int(rng.integers(2, 7))
-        A = random_skew(rng, d)
-        t = float(rng.uniform(-2, 2))
-        assert np.allclose(linalg.matrix_exp(A, t), scipy.linalg.expm(t * A), atol=1e-11)
-
-
-def test_matrix_exp_unitary_for_large_arguments():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        d = int(rng.integers(2, 7))
-        A = random_skew(rng, d)
-        t = 1e3 / linalg.operator_norm(A)  # ||tA|| = 1e3
-        U = linalg.matrix_exp(A, t)
-        assert linalg.max_abs(U.conj().T @ U - np.eye(d)) <= 1e-10
-
-
-def test_matrix_exp_rejects_non_skew():
-    with pytest.raises(InvalidInput):
-        linalg.matrix_exp(np.array([[0, 1], [1, 0]], dtype=complex), 1.0)
 
 
 def test_skew_coords_roundtrip():

@@ -14,7 +14,6 @@ from uqc import (
     closure_block_partition,
     connected_components,
     build_coupling_graph,
-    coordinate_subspace_scan,
     lie_closure,
     make_general_direction,
     minimal_pair,
@@ -25,6 +24,7 @@ from uqc.oracle import CLOSURE_DIM_LIMIT, TAU_CLOSE
 
 from conftest import (
     embed_real,
+    invariant_subspaces_reference,
     lie_closure_reference,
     random_instance,
     three_level_set,
@@ -315,25 +315,19 @@ def test_inheritance_on_random_instances():
 
 
 # ---------------------------------------------------------------------------
-# coordinate subspace scan
+# invariant coordinate subspaces, enumerated by the test-only reference
 
 
 def test_scan_three_level():
-    assert coordinate_subspace_scan(three_level_set()) == [(2,), (0, 1)]
+    assert invariant_subspaces_reference(three_level_set()) == [(2,), (0, 1)]
 
 
 def test_scan_universal_empty():
-    assert coordinate_subspace_scan(_repaired_three_level()) == []
+    assert invariant_subspaces_reference(_repaired_three_level()) == []
 
 
 def test_scan_two_qubit_reduced():
-    assert coordinate_subspace_scan(two_qubit_set(full=False)) == [(0, 2), (1, 3)]
-
-
-def test_scan_dimension_guard():
-    s = minimal_pair(Algebra("u", 21))
-    with pytest.raises(InvalidInput):
-        coordinate_subspace_scan(s)
+    assert invariant_subspaces_reference(two_qubit_set(full=False)) == [(0, 2), (1, 3)]
 
 
 def test_scan_equals_component_unions():
@@ -350,7 +344,7 @@ def test_scan_equals_component_unions():
                 sorted(v for b, c in enumerate(comps) if (mask >> b) & 1 for v in c)
             )
             expected.add(union)
-        assert set(coordinate_subspace_scan(s)) == expected
+        assert set(invariant_subspaces_reference(s)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -404,5 +398,3 @@ def test_oracles_reject_bad_tolerances():
     for tau_edge in (0.0, 1.0, float("nan")):
         with pytest.raises(InvalidInput, match="tau_edge"):
             closure_block_partition(report, tau_edge=tau_edge)
-        with pytest.raises(InvalidInput, match="tau_edge"):
-            coordinate_subspace_scan(s, tau_edge=tau_edge)

@@ -33,11 +33,13 @@ def test_three_level_smallest_rule():
 
 
 def test_three_level_largest_inside_rule_exact_bridge():
-    plan = repair(three_level_set(), selection="paper-example")
+    s = three_level_set()
+    plan = repair(s, selection="paper-example")
     assert plan.bridges == ((1, 2, BridgeStyle.ANTISYMMETRIC),)
     expected = np.zeros((3, 3), dtype=complex)
     expected[1, 2], expected[2, 1] = 1.0, -1.0
-    assert np.array_equal(plan.added_generators[0].matrix, expected)
+    (added,) = plan.resulting_set.generators[len(s.generators):]
+    assert np.array_equal(added.matrix, expected)
 
 
 def test_paper_example_alias():
@@ -72,7 +74,7 @@ def test_component_count_drops_by_one_each_round():
     counts = [len(connected_components(build_coupling_graph(s)))]
     current = s
     plan = repair(s)
-    for gen in plan.added_generators:
+    for gen in plan.resulting_set.generators[len(s.generators):]:
         current = current.with_extra([gen])
         counts.append(len(connected_components(build_coupling_graph(current))))
     assert counts == [5, 4, 3, 2, 1]
@@ -86,8 +88,10 @@ def test_repair_universal_input_is_noop():
 
 
 def test_symmetric_bridge_style():
-    plan = repair(three_level_set(), style="sym")
-    M = plan.added_generators[0].matrix
+    s = three_level_set()
+    plan = repair(s, style="sym")
+    (added,) = plan.resulting_set.generators[len(s.generators):]
+    M = added.matrix
     assert M[0, 2] == 1.0j and M[2, 0] == 1.0j
     assert check_universality(plan.resulting_set).status is VerdictStatus.UNIVERSAL
 
@@ -147,11 +151,12 @@ def test_one_pass_repair_matches_round_by_round(style, selection):
         plan = repair(s, style=style, selection=selection)
         bridges, added = _repair_by_rounds(s, style, selection)
         assert list(plan.bridges) == bridges
-        assert len(plan.added_generators) == len(added)
-        for got, want in zip(plan.added_generators, added):
+        got_added = plan.resulting_set.generators[len(s.generators):]
+        assert len(got_added) == len(added)
+        for got, want in zip(got_added, added):
             assert got.label == want.label
             assert np.array_equal(got.matrix, want.matrix)
-        assert plan.resulting_set.generators[len(s.generators):] == plan.added_generators
+        assert plan.resulting_set.generators[: len(s.generators)] == s.generators
 
 
 def test_repair_builds_the_graph_once(monkeypatch):

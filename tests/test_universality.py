@@ -101,7 +101,7 @@ def test_three_level_reducible():
     verdict = check_universality(three_level_set())
     assert verdict.status is VerdictStatus.REDUCIBLE
     assert verdict.components == ((0, 1), (2,))
-    assert verdict.witness_subspace == (0, 1)
+    assert verdict.components[0] == (0, 1)
     assert verdict.block_sizes == (2, 1)
     assert verdict.general_direction.independent
 
