@@ -7,10 +7,11 @@ verdict), 2 flags a parse/validation problem, 3 a numerical failure, and 141
 means stdout was a pipe whose reader had gone before the output was
 written, as in ``uqc check set.json | true`` when ``true`` exits first; no
 traceback is printed then.  Stdout carries the verdict or report; the sets
-that ``repair`` and ``construct`` build go to ``--out`` alone.  The
-environment variable UQC_TOLERANCE_PROFILE (strict | default | loose) picks
-the edge-threshold tier; the input file's ``tolerances`` section and the
-``--tau-edge`` flag override it in that order.
+that ``repair`` and ``construct`` build go to ``--out`` alone.  Tolerances
+are resolved here alone: the library defaults, then the edge-threshold tier
+that the environment variable UQC_TOLERANCE_PROFILE (strict | default |
+loose) picks, then the input file's ``tolerances`` section, then the
+``--tau-edge`` flag.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import sys
 
 from . import __version__, io
 from .errors import InvalidInput, NumericalFailure
-from .generators import Algebra, epsilon_bound, least_step_bound, step_bound
+from .generators import RELATION_BOUND, TAU_RELATION, Algebra, validate_tolerance
+from .generators import epsilon_bound, least_step_bound, step_bound
 from .linalg import operator_norm
-from .oracle import closure_block_partition, lie_closure
+from .oracle import TAU_CLOSURE_RANK, closure_block_partition, lie_closure
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
-from .universality import build_coupling_graph, check_universality, VerdictStatus
+from .universality import TAU_EDGE, build_coupling_graph, check_universality, VerdictStatus
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -41,20 +43,42 @@ EXIT_BROKEN_PIPE = 141
 _DISTANCE_AT_099 = 2.0 * math.sin(0.99 * math.pi / 4)
 
 
-def _resolve_tolerances(file_overrides: dict, args) -> io.RunTolerances:
-    tols = io.RunTolerances()
+#: the tolerances a run resolves, at their library defaults; the keys are
+#: the names a document's ``tolerances`` section may hold
+_TOLERANCE_DEFAULTS = {
+    "tau_edge": TAU_EDGE,
+    "tau_rank": TAU_CLOSURE_RANK,
+    "tau_rel": TAU_RELATION,
+    "relation_bound": RELATION_BOUND,
+}
+#: UQC_TOLERANCE_PROFILE values and the edge threshold each selects
+_PROFILE_TAU_EDGE = {"strict": 1e-13, "default": 1e-12, "loose": 1e-9}
+
+
+def _resolve_tolerances(overrides: dict, args) -> dict:
+    """The run's tolerances by name, in the order of the module docstring;
+    each value from the file or the flag is validated, naming its source."""
+    tols = dict(_TOLERANCE_DEFAULTS)
     profile = os.environ.get("UQC_TOLERANCE_PROFILE")
     if profile:
-        tols.apply_profile(profile)
-    tols.apply_overrides(file_overrides)
+        if profile not in _PROFILE_TAU_EDGE:
+            raise InvalidInput(
+                f"unknown tolerance profile {profile!r}; "
+                f"expected one of {sorted(_PROFILE_TAU_EDGE)}"
+            )
+        tols["tau_edge"] = _PROFILE_TAU_EDGE[profile]
+    for key, value in overrides.items():
+        if key not in _TOLERANCE_DEFAULTS:
+            raise InvalidInput(f"tolerances: unknown key {key!r}")
+        tols[key] = validate_tolerance(key, value, "input file tolerances")
     if getattr(args, "tau_edge", None) is not None:
-        tols.set("tau_edge", args.tau_edge, "flag --tau-edge")
+        tols["tau_edge"] = validate_tolerance("tau_edge", args.tau_edge, "flag --tau-edge")
     return tols
 
 
 def _oracle_section(gen_set, verdict, tols):
-    report = lie_closure(gen_set, tau_rank=tols.tau_rank)
-    partition = closure_block_partition(report, tau_edge=tols.tau_edge)
+    report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
+    partition = closure_block_partition(report, tau_edge=tols["tau_edge"])
     agrees = partition == verdict.components
     if verdict.status is VerdictStatus.UNIVERSAL:
         agrees = agrees and report.dimension == report.target_dimension
@@ -82,9 +106,9 @@ def _cmd_check(args) -> int:
     tols = _resolve_tolerances(overrides, args)
     verdict = check_universality(
         gen_set,
-        tau_edge=tols.tau_edge,
-        relation_bound=tols.relation_bound,
-        tau_rel=tols.tau_rel,
+        tau_edge=tols["tau_edge"],
+        relation_bound=tols["relation_bound"],
+        tau_rel=tols["tau_rel"],
     )
     try:
         eps = epsilon_bound(gen_set)
@@ -96,7 +120,7 @@ def _cmd_check(args) -> int:
     if args.text:
         labels = [g.label for g in gen_set.generators]
         graph_text = io.render_graph_text(
-            build_coupling_graph(gen_set, tols.tau_edge), labels
+            build_coupling_graph(gen_set, tols["tau_edge"]), labels
         )
     _emit(args, doc, io.render_verdict_text(doc, graph_text))
     return EXIT_OK
@@ -108,7 +132,7 @@ def _cmd_repair(args) -> int:
     plan = repair(
         gen_set,
         style=BridgeStyle(args.style),
-        tau_edge=tols.tau_edge,
+        tau_edge=tols["tau_edge"],
         selection=args.selection,
     )
     io.write_document(
@@ -117,9 +141,9 @@ def _cmd_repair(args) -> int:
     )
     verdict = check_universality(
         plan.resulting_set,
-        tau_edge=tols.tau_edge,
-        relation_bound=tols.relation_bound,
-        tau_rel=tols.tau_rel,
+        tau_edge=tols["tau_edge"],
+        relation_bound=tols["relation_bound"],
+        tau_rel=tols["tau_rel"],
     )
     # epsilon_bound(plan.resulting_set) without an SVD per bridge: every
     # bridge has operator norm exactly 1, so its bound is pi/2; a set whose
@@ -150,13 +174,15 @@ def _cmd_construct(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     gen_set, overrides = io.load_input_document(args.input)
+    # no tolerance enters the bound; they are resolved all the same, so that
+    # a bad tolerances section or profile exits 2 here as in every command
     _resolve_tolerances(overrides, args)
     # one SVD per generator gives both its norm and its bound
     norms = [operator_norm(gen.matrix) for gen in gen_set.generators]
-    bounds = [step_bound(nrm) for nrm in norms]
-    eps = least_step_bound(bounds)
+    eps = least_step_bound(norms)
     per_gen = []
-    for gen, nrm, b in zip(gen_set.generators, norms, bounds):
+    for gen, nrm in zip(gen_set.generators, norms):
+        b = step_bound(nrm)
         entry = {
             "label": gen.label,
             "operator_norm": nrm,
@@ -167,8 +193,10 @@ def _cmd_epsilon(args) -> int:
         per_gen.append(entry)
     lines = [f"epsilon_max (set): {eps:.6g}"]
     for entry in per_gen:
-        if entry["epsilon_max"] is None:
+        if entry["operator_norm"] == 0.0:
             lines.append(f"  {entry['label']}: zero generator, unconstrained")
+        elif entry["epsilon_max"] is None:
+            lines.append(f"  {entry['label']}: epsilon_max beyond float64, unconstrained")
         else:
             lines.append(
                 f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
@@ -181,8 +209,8 @@ def _cmd_epsilon(args) -> int:
 def _cmd_oracle(args) -> int:
     gen_set, overrides = io.load_input_document(args.input)
     tols = _resolve_tolerances(overrides, args)
-    report = lie_closure(gen_set, tau_rank=tols.tau_rank)
-    partition = closure_block_partition(report, tau_edge=tols.tau_edge)
+    report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
+    partition = closure_block_partition(report, tau_edge=tols["tau_edge"])
     doc = io.closure_report_to_document(report, partition)
     if args.text:
         comps = " ".join(

@@ -427,16 +427,28 @@ def is_constructed_direction(theta, algebra: Algebra) -> bool:
 
 
 def step_bound(norm: float) -> float:
-    """pi / (2 * norm) for a generator of operator norm ``norm``; +inf for 0."""
+    """pi / (2 * norm) for a generator of operator norm ``norm``; +inf for 0.
+
+    The bound of a nonzero norm below pi / (2 * float64 max), about
+    8.8e-309, is beyond float64 and is +inf too: every step is allowed.
+    """
     return math.inf if norm == 0.0 else math.pi / (2.0 * norm)
 
 
-def least_step_bound(bounds) -> float:
-    """The least finite per-generator bound; InvalidInput if none is finite."""
-    finite = [b for b in bounds if math.isfinite(b)]
-    if not finite:
-        raise InvalidInput("epsilon bound undefined: every generator is zero")
-    return min(finite)
+def least_step_bound(norms: list[float]) -> float:
+    """The least finite :func:`step_bound` over the operator norms ``norms``.
+
+    InvalidInput if none is finite: every generator is zero, or every
+    nonzero one has a bound beyond float64.
+    """
+    finite = [b for b in map(step_bound, norms) if math.isfinite(b)]
+    if finite:
+        return min(finite)
+    if any(norms):
+        raise InvalidInput(
+            "epsilon bound undefined: every nonzero generator has a bound beyond float64"
+        )
+    raise InvalidInput("epsilon bound undefined: every generator is zero")
 
 
 def epsilon_bound_per_generator(gen_set: GeneratorSet) -> list[float]:
@@ -452,4 +464,4 @@ def epsilon_bound(gen_set: GeneratorSet) -> float:
     stays strictly below sqrt(2) for 0 < eps < pi/(2*||X||) and reaches it
     exactly at the bound.  Zero generators impose no constraint.
     """
-    return least_step_bound(epsilon_bound_per_generator(gen_set))
+    return least_step_bound([linalg.operator_norm(gen.matrix) for gen in gen_set.generators])

@@ -30,7 +30,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -40,58 +39,9 @@ from .generators import (
     Algebra,
     Generator,
     GeneratorSet,
-    RELATION_BOUND,
-    TAU_RELATION,
     validate_set,  # not called here; bench/tracing.py wraps this name
-    validate_tolerance,
 )
-from .oracle import TAU_CLOSURE_RANK
-from .universality import TAU_EDGE, CouplingGraph, UniversalityVerdict
-
-#: UQC_TOLERANCE_PROFILE values and the edge threshold each selects
-TOLERANCE_PROFILES = {
-    "strict": 1e-13,
-    "default": 1e-12,
-    "loose": 1e-9,
-}
-
-
-@dataclass
-class RunTolerances:
-    """Effective tolerances for one CLI invocation.
-
-    Resolution order: built-in defaults, then the UQC_TOLERANCE_PROFILE
-    environment profile (edge threshold only), then the input document's
-    ``tolerances`` section, then explicit flags.  Every value is checked by
-    :func:`uqc.generators.validate_tolerance` as it is set, naming where it
-    came from.
-    """
-
-    tau_edge: float = TAU_EDGE
-    tau_rank: float = TAU_CLOSURE_RANK
-    tau_rel: float = TAU_RELATION
-    relation_bound: int = RELATION_BOUND
-
-    def set(self, name: str, value, source: str) -> "RunTolerances":
-        setattr(self, name, validate_tolerance(name, value, source))
-        return self
-
-    def apply_profile(self, profile: str) -> "RunTolerances":
-        if profile not in TOLERANCE_PROFILES:
-            raise InvalidInput(
-                f"unknown tolerance profile {profile!r}; "
-                f"expected one of {sorted(TOLERANCE_PROFILES)}"
-            )
-        return self.set(
-            "tau_edge", TOLERANCE_PROFILES[profile], f"UQC_TOLERANCE_PROFILE={profile}"
-        )
-
-    def apply_overrides(self, overrides: dict) -> "RunTolerances":
-        for key, value in overrides.items():
-            if key not in ("tau_edge", "tau_rank", "tau_rel", "relation_bound"):
-                raise InvalidInput(f"tolerances: unknown key {key!r}")
-            self.set(key, value, "input file tolerances")
-        return self
+from .universality import CouplingGraph, UniversalityVerdict
 
 
 def _require(cond: bool, message: str):

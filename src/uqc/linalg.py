@@ -3,7 +3,7 @@
 Everything here works on plain ``numpy`` arrays of shape (d, d) with complex
 dtype; ``commutator``, ``skew_coords`` and ``from_skew_coords`` also take
 stacks of them.  ``skew_coords`` maps u(d) isometrically onto R^(d*d), the
-coordinates the closure oracle computes in.  Matrices are "skew-Hermitian"
+coordinates the closure oracle computes in.  ``is_skew_hermitian`` holds
 when ``A + A.conj().T`` vanishes up to ``TAU_SYM`` relative to the largest
 entry; all predicates and thresholds below are relative so the routines are
 scale-invariant.
@@ -54,14 +54,9 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def skew_defect(A: np.ndarray) -> float:
-    """Max-entry magnitude of ``A + A†``, the deviation from skew-Hermitianity."""
-    return max_abs(A + A.conj().T)
-
-
-def is_skew_hermitian(A: np.ndarray, tau: float = TAU_SYM) -> bool:
-    """``A + A†`` within ``tau`` of the largest entry of ``A``, at any scale."""
-    return skew_defect(A) <= tau * max_abs(A)
+def is_skew_hermitian(A: np.ndarray) -> bool:
+    """``A + A†`` within ``TAU_SYM`` of the largest entry of ``A``, at any scale."""
+    return max_abs(A + A.conj().T) <= TAU_SYM * max_abs(A)
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ coordinates in an orthonormal Hermitian (generalised Gell-Mann) basis of
 u(d) (``linalg.skew_coords``), so skew-Hermiticity holds by construction and
 Frobenius norms, hence every tolerance, keep their meaning.  Commutators are
 formed, projected off the basis and admitted a block of at most ``_BLOCK``
-at a time, which bounds the working memory whatever d is.
+at a time, which bounds the working memory whatever d is.  The report gives
+the basis back as matrices, with its dimension and the certified residual.
 ``closure_block_partition`` reads the block structure of the closure basis
 through the one edge rule of :mod:`uqc.universality` (``|A_rl| > tau_edge *
 max|A|``, via ``extract_coupling_graph``), for comparison with the
@@ -33,8 +34,6 @@ from .universality import TAU_EDGE, connected_components, extract_coupling_graph
 
 #: relative acceptance threshold for rank-increasing commutators
 TAU_CLOSURE_RANK = 1e-10
-#: relative closure-defect tolerance certified in reports
-TAU_CLOSE = 1e-9
 #: growth-phase acceptance floor: a direction accepted from a leftover of
 #: size L carries out-of-span roundoff of order eps/L, so chasing leftovers
 #: below ~sqrt(eps) during growth turns roundoff into runaway fake rank;
@@ -58,11 +57,12 @@ CLOSURE_DIM_LIMIT = 20
 class LieClosureReport:
     """Orthonormal basis of the generated real Lie algebra.
 
-    ``basis`` holds orthonormal rows of d*d real coordinates in the
-    Hermitian basis of :func:`uqc.linalg.skew_coords`; ``basis_matrices``
-    are the same elements in matrix form.  ``rounds`` counts frontier
-    generations: the elements added in one generation are bracketed with
-    the seeds in the next, over growth and every certification regrowth.
+    ``basis_matrices`` are the basis elements as d x d skew-Hermitian
+    matrices, orthonormal in the Frobenius inner product; their
+    coordinates are ``linalg.skew_coords(np.array(basis_matrices))``.
+    ``rounds`` counts frontier generations: the elements added in one
+    generation are bracketed with the seeds in the next, over growth and
+    every certification regrowth.
     ``residual_max`` is the largest relative component outside the final
     basis over the brackets of every basis element with every seed; small
     values certify that the span is invariant under ad_s for each seed s,
@@ -71,8 +71,6 @@ class LieClosureReport:
     """
 
     dim: int
-    algebra_kind: str
-    basis: np.ndarray
     basis_matrices: tuple[np.ndarray, ...]
     dimension: int
     target_dimension: int
@@ -271,8 +269,6 @@ def lie_closure(gen_set: GeneratorSet, tau_rank: float = TAU_CLOSURE_RANK) -> Li
     n = basis.n
     return LieClosureReport(
         dim=d,
-        algebra_kind=gen_set.algebra.kind,
-        basis=basis.coords[:n],
         basis_matrices=tuple(basis.mats[:n]),
         dimension=n,
         target_dimension=gen_set.algebra.target_dimension,

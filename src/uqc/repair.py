@@ -53,16 +53,26 @@ class RepairPlan:
     resulting_set: GeneratorSet
 
 
-def bridge_generator(a: int, b: int, dim: int, style: BridgeStyle) -> Generator:
-    """Elementary skew-Hermitian coupling of basis indices a and b (0-based)."""
+def _coupling(dim: int, a, b, c, style: BridgeStyle) -> np.ndarray:
+    """sum_k c_k (E_{a_k b_k} - E_{b_k a_k}), or i * sum_k c_k (E_{a_k b_k} +
+    E_{b_k a_k}) in the symmetric style, over distinct off-diagonal pairs.
+
+    ``a``, ``b`` and ``c`` are scalars or arrays of one length.  A negative
+    c_k gives the symmetric entries a real part of -0.0, as i * c_k does in
+    complex arithmetic.
+    """
     M = np.zeros((dim, dim), dtype=complex)
     if style is BridgeStyle.ANTISYMMETRIC:
-        M[a, b] = 1.0
-        M[b, a] = -1.0
+        M[a, b] = c
+        M[b, a] = -c
     else:
-        M[a, b] = 1.0j
-        M[b, a] = 1.0j
-    return Generator(matrix=M, label=f"bridge({a + 1},{b + 1})")
+        M[a, b] = M[b, a] = 1j * c
+    return M
+
+
+def bridge_generator(a: int, b: int, dim: int, style: BridgeStyle) -> Generator:
+    """Elementary skew-Hermitian coupling of basis indices a and b (0-based)."""
+    return Generator(matrix=_coupling(dim, a, b, 1.0, style), label=f"bridge({a + 1},{b + 1})")
 
 
 def repair(
@@ -99,26 +109,20 @@ def repair(
     )
 
 
-def _chain_matrix(d: int, coefficients, symmetric: bool) -> np.ndarray:
+def _chain(algebra: Algebra, coefficients, style: BridgeStyle) -> Generator:
+    d = algebra.dim
     c = np.ones(d - 1) if coefficients is None else np.asarray(coefficients, dtype=float)
     if c.shape != (d - 1,):
         raise InvalidInput(f"expected {d - 1} chain coefficients, got {c.shape}")
     if np.any(c == 0.0):
         raise InvalidInput("chain coefficients must all be nonzero")
-    M = np.zeros((d, d), dtype=complex)
-    for j, cj in enumerate(c):
-        if symmetric:
-            M[j, j + 1] = 1.0j * cj
-            M[j + 1, j] = 1.0j * cj
-        else:
-            M[j, j + 1] = cj
-            M[j + 1, j] = -cj
-    return M
+    j = np.arange(d - 1)
+    return Generator(_coupling(d, j, j + 1, c, style), "chain")
 
 
 def antisymmetric_chain(algebra: Algebra, coefficients=None) -> Generator:
     """Nearest-neighbor coupling chain: sum_j c_j (E_{j,j+1} - E_{j+1,j})."""
-    return Generator(_chain_matrix(algebra.dim, coefficients, symmetric=False), "chain")
+    return _chain(algebra, coefficients, BridgeStyle.ANTISYMMETRIC)
 
 
 def symmetric_chain(algebra: Algebra, coefficients=None) -> Generator:
@@ -128,7 +132,7 @@ def symmetric_chain(algebra: Algebra, coefficients=None) -> Generator:
     coupling graph; offered for hardware whose couplings are Hermitian-
     symmetric.
     """
-    return Generator(_chain_matrix(algebra.dim, coefficients, symmetric=True), "chain")
+    return _chain(algebra, coefficients, BridgeStyle.SYMMETRIC_IMAGINARY)
 
 
 def minimal_pair(
@@ -149,15 +153,9 @@ def minimal_pair(
             f"(got d = {algebra.dim}); its document grows as d^2"
         )
     style = BridgeStyle(style)
-    drift = make_general_direction(algebra)
-    gens = [drift]
+    gens = [make_general_direction(algebra)]
     if algebra.dim > 1:
-        chain = (
-            antisymmetric_chain(algebra, coefficients)
-            if style is BridgeStyle.ANTISYMMETRIC
-            else symmetric_chain(algebra, coefficients)
-        )
-        gens.append(chain)
+        gens.append(_chain(algebra, coefficients, style))
     elif coefficients is not None and len(coefficients) != 0:
         raise InvalidInput("d = 1 admits no chain coefficients")
     return GeneratorSet(algebra=algebra, generators=tuple(gens), general_index=0)

@@ -305,8 +305,6 @@ def lie_closure_reference(gen_set: GeneratorSet, tau_rank: float = 1e-10) -> Lie
         raise NumericalFailure("closure certification did not stabilize")
     return LieClosureReport(
         dim=d,
-        algebra_kind=gen_set.algebra.kind,
-        basis=basis,
         basis_matrices=tuple(mats),
         dimension=len(mats),
         target_dimension=gen_set.algebra.target_dimension,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from uqc import (
     repair,
 )
 from uqc import io as uio
-from uqc.cli import main
+from uqc.cli import _resolve_tolerances, main
+from uqc.errors import InvalidInput
 from uqc.repair import SELECTION_RULES
 
 from conftest import (
@@ -357,6 +359,37 @@ def test_epsilon_distance_is_the_closed_form(capsys, tmp_path):
             assert e["distance_at_0.99"] == 1.4030628515417114
 
 
+@pytest.mark.parametrize(
+    "scale, label, message",
+    [
+        (1e-309, "epsilon_max beyond float64", "every nonzero generator has a bound beyond float64"),
+        (0.0, "zero generator", "every generator is zero"),
+    ],
+)
+def test_epsilon_of_a_subnormal_generator_is_not_called_zero(capsys, tmp_path, scale, label, message):
+    # at a norm below about 8.8e-309, pi / (2 ||X||) is beyond float64:
+    # every step is allowed, yet the generator is not zero, and check
+    # counts its edges
+    drift, chain = uqc.minimal_pair(Algebra("u", 3)).generators
+    path = tmp_path / "small.json"
+    small = GeneratorSet(Algebra("u", 3), (drift, Generator(chain.matrix * scale, "chain")))
+    uio.write_document(uio.generator_set_to_document(small), str(path))
+    code, out, _ = _run(capsys, ["epsilon", str(path), "--text"])
+    assert code == 0
+    assert out.splitlines()[2] == f"  chain: {label}, unconstrained"
+    code, out, _ = _run(capsys, ["epsilon", str(path)])
+    entry = json.loads(out)["generators"][1]
+    assert entry["epsilon_max"] is None and "distance_at_0.99" not in entry
+    assert (entry["operator_norm"] > 0) == (scale > 0)
+    code, out, _ = _run(capsys, ["check", str(path)])
+    assert json.loads(out)["status"] == ("universal" if scale else "reducible")
+
+    both = GeneratorSet(Algebra("u", 3), (Generator(drift.matrix * scale, "drift"), small.generators[1]))
+    uio.write_document(uio.generator_set_to_document(both), str(path))
+    code, out, err = _run(capsys, ["epsilon", str(path)])
+    assert (code, out, err) == (2, "", f"error: epsilon bound undefined: {message}\n")
+
+
 def test_epsilon_empty_generator_list_exit2(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"algebra": "u", "dimension": 2, "generators": []}))
@@ -457,16 +490,21 @@ def test_choice_lists_are_the_library_names(capsys):
         assert all(names in out for names in listed)
 
 
-def test_tolerance_profile_env(capsys, tmp_path, monkeypatch):
-    # coupling entry at relative 1e-10: an edge at the default threshold
-    # (1e-12), invisible under the loose profile (1e-9)
+def _weak_coupling_path(tmp_path, tolerances=None) -> str:
+    """A u(3) set whose coupling entry at relative 1e-10 is an edge at the
+    default threshold (1e-12), invisible under the loose profile (1e-9)."""
     drift = Generator(np.diag(1j * np.sqrt([2.0, 3.0, 5.0])), "d")
     A = np.zeros((3, 3), dtype=complex)
     A[0, 1], A[1, 0] = 1.0, -1.0
     A[1, 2], A[2, 1] = 1e-10, -1e-10
     s = GeneratorSet(Algebra("u", 3), (drift, Generator(A, "x")))
     path = tmp_path / "weak.json"
-    uio.write_document(uio.generator_set_to_document(s), str(path))
+    uio.write_document(uio.generator_set_to_document(s, tolerances), str(path))
+    return str(path)
+
+
+def test_tolerance_profile_env(capsys, tmp_path, monkeypatch):
+    path = _weak_coupling_path(tmp_path)
 
     code, out, _ = _run(capsys, ["check", str(path)])
     assert json.loads(out)["status"] == "universal"
@@ -483,6 +521,97 @@ def test_tolerance_profile_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
     code, out, _ = _run(capsys, ["check", str(path), "--tau-edge", "1e-12"])
     assert json.loads(out)["status"] == "universal"
+
+
+def test_tolerance_profile_mapping(monkeypatch):
+    for profile, tau_edge in [("strict", 1e-13), ("default", 1e-12), ("loose", 1e-9)]:
+        monkeypatch.setenv("UQC_TOLERANCE_PROFILE", profile)
+        assert _resolve_tolerances({}, Namespace())["tau_edge"] == tau_edge
+    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "sloppy")
+    with pytest.raises(InvalidInput) as exc:
+        _resolve_tolerances({}, Namespace())
+    assert str(exc.value) == (
+        "unknown tolerance profile 'sloppy'; expected one of ['default', 'loose', 'strict']"
+    )
+
+
+def test_tolerance_overrides(monkeypatch):
+    monkeypatch.delenv("UQC_TOLERANCE_PROFILE", raising=False)
+    file_values = {"tau_edge": 1e-10, "tau_rank": 1e-8, "tau_rel": 1e-7, "relation_bound": 4}
+    assert _resolve_tolerances(file_values, Namespace()) == file_values
+    assert _resolve_tolerances({}, Namespace(tau_edge=None)) == {
+        "tau_edge": 1e-12, "tau_rank": 1e-10, "tau_rel": 1e-9, "relation_bound": 10
+    }
+    with pytest.raises(InvalidInput) as exc:
+        _resolve_tolerances({"tau_typo": 1.0}, Namespace())
+    assert str(exc.value) == "tolerances: unknown key 'tau_typo'"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau_edge", -1.0),
+        ("tau_edge", 2.0),
+        ("tau_edge", float("nan")),
+        ("tau_edge", True),
+        ("tau_edge", "1e-12"),
+        ("tau_rank", 0.0),
+        ("tau_rank", float("inf")),
+        ("tau_rel", -1e-9),
+        ("relation_bound", 0),
+        ("relation_bound", True),
+        ("relation_bound", 10.0),
+    ],
+)
+def test_bad_tolerance_override_names_key_and_source(capsys, tmp_path, key, value):
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
+    doc["tolerances"] = {key: value}
+    path = tmp_path / "bad_tol.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity as bare literals
+    want = "a finite number in (0, 1)" if key == "tau_edge" else "a finite number > 0"
+    want = "an integer >= 1" if key == "relation_bound" else want
+    code, out, err = _run(capsys, ["check", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} (input file tolerances): expected {want}, got {value!r}\n"
+
+
+def test_file_tolerances_beat_the_profile_and_the_flag_beats_both(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
+    path = _weak_coupling_path(tmp_path, {"tau_edge": 1e-12})
+    code, out, _ = _run(capsys, ["check", path])
+    assert json.loads(out)["status"] == "universal"
+    code, out, _ = _run(capsys, ["check", path, "--tau-edge", "1e-9"])
+    assert json.loads(out)["status"] == "reducible"
+
+    monkeypatch.delenv("UQC_TOLERANCE_PROFILE")
+    path = _weak_coupling_path(tmp_path, {"tau_edge": 1e-9})
+    code, out, _ = _run(capsys, ["check", path])
+    assert json.loads(out)["status"] == "reducible"
+    code, out, _ = _run(capsys, ["check", path, "--tau-edge", "1e-12"])
+    assert json.loads(out)["status"] == "universal"
+
+
+def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path, monkeypatch):
+    # no tolerance enters the bound, but a bad one exits 2 as in every command
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
+    doc["tolerances"] = {"tau_rank": -1.0}
+    path = tmp_path / "bad_tol.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["epsilon", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: tau_rank (input file tolerances): expected a finite number > 0, got -1.0\n"
+
+    doc["tolerances"] = {"tau_typo": 1.0}
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["epsilon", str(path)])
+    assert (code, out, err) == (2, "", "error: tolerances: unknown key 'tau_typo'\n")
+
+    del doc["tolerances"]
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "bogus")
+    code, out, err = _run(capsys, ["epsilon", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown tolerance profile 'bogus'")
 
 
 @pytest.mark.parametrize("command", ["check", "repair", "oracle"])

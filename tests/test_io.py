@@ -126,49 +126,6 @@ def test_nonfinite_residual_serializes_as_null():
     uio.dump_json(doc, StringIO())  # must not emit bare Infinity
 
 
-def test_tolerance_profile_mapping():
-    assert uio.RunTolerances().apply_profile("strict").tau_edge == 1e-13
-    assert uio.RunTolerances().apply_profile("default").tau_edge == 1e-12
-    assert uio.RunTolerances().apply_profile("loose").tau_edge == 1e-9
-    with pytest.raises(InvalidInput):
-        uio.RunTolerances().apply_profile("sloppy")
-
-
-def test_tolerance_overrides():
-    tols = uio.RunTolerances().apply_overrides(
-        {"tau_edge": 1e-10, "tau_rank": 1e-8, "tau_rel": 1e-7, "relation_bound": 4}
-    )
-    assert (tols.tau_edge, tols.tau_rank, tols.tau_rel, tols.relation_bound) == (
-        1e-10,
-        1e-8,
-        1e-7,
-        4,
-    )
-    with pytest.raises(InvalidInput, match="unknown key"):
-        uio.RunTolerances().apply_overrides({"tau_typo": 1.0})
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("tau_edge", -1.0),
-        ("tau_edge", 2.0),
-        ("tau_edge", float("nan")),
-        ("tau_edge", True),
-        ("tau_edge", "1e-12"),
-        ("tau_rank", 0.0),
-        ("tau_rank", float("inf")),
-        ("tau_rel", -1e-9),
-        ("relation_bound", 0),
-        ("relation_bound", True),
-        ("relation_bound", 10.0),
-    ],
-)
-def test_bad_tolerance_override_names_key_and_source(key, value):
-    with pytest.raises(InvalidInput, match=f"{key} \\(input file tolerances\\)"):
-        uio.RunTolerances().apply_overrides({key: value})
-
-
 @pytest.mark.parametrize("field", ["dimension", "general_index"])
 def test_bool_integer_fields_rejected(field):
     doc = _doc()
