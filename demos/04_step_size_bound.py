@@ -13,7 +13,6 @@ from uqc import (
     Generator,
     GeneratorSet,
     epsilon_bound,
-    epsilon_bound_per_generator,
     operator_norm,
 )
 
@@ -24,8 +23,9 @@ system = GeneratorSet(Algebra("u", 3), (drift, Generator(rot, "rot12")))
 
 eps_max = epsilon_bound(system)
 print(f"set-level bound: eps_max = {eps_max:.6f}  (= pi / (2*sqrt(5)))")
-for gen, b in zip(system.generators, epsilon_bound_per_generator(system)):
-    print(f"  {gen.label}: ||X|| = {operator_norm(gen.matrix):.4f}, eps_max = {b:.4f}")
+for gen in system.generators:
+    norm = operator_norm(gen.matrix)
+    print(f"  {gen.label}: ||X|| = {norm:.4f}, eps_max = {np.pi / (2 * norm):.4f}")
 
 print("\ndistance to identity vs step size (drift):")
 for frac in (0.25, 0.5, 0.9, 0.99, 1.0, 1.2):

@@ -28,7 +28,6 @@ from .generators import (
     SpectrumIndependenceVerdict,
     check_general_direction,
     epsilon_bound,
-    epsilon_bound_per_generator,
     make_general_direction,
     phases_of,
     validate_set,
@@ -50,11 +49,9 @@ from .universality import (
 from .repair import (
     BridgeStyle,
     RepairPlan,
-    antisymmetric_chain,
     bridge_generator,
     minimal_pair,
     repair,
-    symmetric_chain,
 )
 from .oracle import (
     LieClosureReport,
@@ -88,7 +85,6 @@ __all__ = [
     "make_general_direction",
     "phases_of",
     "epsilon_bound",
-    "epsilon_bound_per_generator",
     # universality
     "CouplingGraph",
     "UniversalityVerdict",
@@ -102,8 +98,6 @@ __all__ = [
     "repair",
     "bridge_generator",
     "minimal_pair",
-    "antisymmetric_chain",
-    "symmetric_chain",
     # oracle
     "LieClosureReport",
     "lie_closure",

@@ -28,7 +28,7 @@ from .generators import epsilon_bound, least_step_bound, step_bound
 from .linalg import operator_norm
 from .oracle import TAU_CLOSURE_RANK, closure_block_partition, lie_closure
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
-from .universality import TAU_EDGE, build_coupling_graph, check_universality, VerdictStatus
+from .universality import TAU_EDGE, check_universality, VerdictStatus
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,12 +116,7 @@ def _cmd_check(args) -> int:
         eps = None
     oracle = _oracle_section(gen_set, verdict, tols) if args.oracle else None
     doc = io.verdict_to_document(verdict, epsilon_max=eps, oracle=oracle)
-    graph_text = None
-    if args.text:
-        labels = [g.label for g in gen_set.generators]
-        graph_text = io.render_graph_text(
-            build_coupling_graph(gen_set, tols["tau_edge"]), labels
-        )
+    graph_text = io.render_graph_text(gen_set, tols["tau_edge"]) if args.text else None
     _emit(args, doc, io.render_verdict_text(doc, graph_text))
     return EXIT_OK
 

@@ -77,7 +77,9 @@ class GeneratorSet:
     """Ordered generators plus the target algebra, validated once as it is built.
 
     Building one (also by :meth:`with_extra` or ``dataclasses.replace``) runs
-    :func:`validate_set`; an empty label becomes ``g{j+1}``, as in documents.
+    :func:`validate_set`; an empty label becomes ``g{j+1}``, as in documents,
+    and each matrix (nested lists or a real array, say) is stored as a
+    complex array before it is validated.
     Whether the designated drift is :func:`make_general_direction`'s is read
     off its phases (:func:`is_constructed_direction`), not stored.
     """
@@ -87,11 +89,15 @@ class GeneratorSet:
     general_index: int = 0
 
     def __post_init__(self):
-        gens = tuple(
-            gen if gen.label else replace(gen, label=f"g{j + 1}")
-            for j, gen in enumerate(self.generators)
-        )
-        object.__setattr__(self, "generators", gens)
+        # each matrix as the complex array validate_set checks; a labelled
+        # generator with a complex128 array is kept as it is, not copied
+        gens = []
+        for j, gen in enumerate(self.generators):
+            matrix = np.asarray(gen.matrix, dtype=complex)
+            if matrix is not gen.matrix or not gen.label:
+                gen = Generator(matrix, gen.label or f"g{j + 1}")
+            gens.append(gen)
+        object.__setattr__(self, "generators", tuple(gens))
         validate_set(self)
 
     @property
@@ -109,24 +115,20 @@ class GeneratorSet:
 def validate_tolerance(name: str, value, source: str = "argument"):
     """Return ``value`` if it is admissible for tolerance ``name``.
 
-    ``tau_edge`` must be a finite number in (0, 1): at 0 or below every
-    stored entry becomes an edge, and at 1 or above no entry does, not even
-    a repair bridge.  ``tau_rank`` and ``tau_rel`` must be finite and
-    positive; ``relation_bound`` an integer >= 1.  Bools are rejected
-    everywhere.  ``source`` (flag, input file, profile, argument) is named
-    in the InvalidInput raised otherwise.
+    ``tau_edge``, ``tau_rank`` and ``tau_rel`` are relative cutoffs, each a
+    finite number in (0, 1).  At 1 or above none of them separates anything:
+    no entry is an edge (not even a repair bridge), no generator enters the
+    closure, and the relation 1 = 0 passes with residual 1.  At 0 or below
+    every stored entry is an edge.  ``relation_bound`` must be an integer
+    >= 1.  Bools are rejected everywhere.  ``source`` (flag, input file,
+    profile, argument) is named in the InvalidInput raised otherwise.
     """
     if name == "relation_bound":
         want = "an integer >= 1"
         ok = isinstance(value, numbers.Integral) and value >= 1
     else:
-        want = "a finite number in (0, 1)" if name == "tau_edge" else "a finite number > 0"
-        ok = (
-            isinstance(value, numbers.Real)
-            and math.isfinite(value)
-            and value > 0
-            and (name != "tau_edge" or value < 1)
-        )
+        want = "a finite number in (0, 1)"
+        ok = isinstance(value, numbers.Real) and 0 < value < 1
     if not ok or isinstance(value, (bool, np.bool_)):
         raise InvalidInput(f"{name} ({source}): expected {want}, got {value!r}")
     return value
@@ -449,11 +451,6 @@ def least_step_bound(norms: list[float]) -> float:
             "epsilon bound undefined: every nonzero generator has a bound beyond float64"
         )
     raise InvalidInput("epsilon bound undefined: every generator is zero")
-
-
-def epsilon_bound_per_generator(gen_set: GeneratorSet) -> list[float]:
-    """pi / (2 * ||X||) per generator; +inf for zero generators."""
-    return [step_bound(linalg.operator_norm(gen.matrix)) for gen in gen_set.generators]
 
 
 def epsilon_bound(gen_set: GeneratorSet) -> float:

@@ -41,7 +41,7 @@ from .generators import (
     GeneratorSet,
     validate_set,  # not called here; bench/tracing.py wraps this name
 )
-from .universality import CouplingGraph, UniversalityVerdict
+from .universality import UniversalityVerdict, extract_coupling_graph
 
 
 def _require(cond: bool, message: str):
@@ -597,16 +597,30 @@ def _matrix_chunks(M: np.ndarray):
 _MAX_EDGE_LINES = 40
 
 
-def render_graph_text(graph: CouplingGraph, labels: list[str]) -> str:
-    lines = [f"coupling graph: {graph.dim} vertices, {len(graph.edges)} edges"]
-    for n, (r, l) in enumerate(sorted(graph.edges)):
-        if n == _MAX_EDGE_LINES:
-            lines.append(f"  ... ({len(graph.edges) - _MAX_EDGE_LINES} more edges)")
-            break
+def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
+    """The coupling graph's edges, each with the generators that carry it.
+
+    A generator carries an edge when the edge rule applied to it alone keeps
+    the edge; the designated drift carries none.  Carriers are listed in
+    generator order with max(|A_rl|, |A_lr|); edges past the first
+    ``_MAX_EDGE_LINES`` are only counted.
+    """
+    carriers = [
+        (gen, extract_coupling_graph(gen_set.dim, [gen.matrix], tau_edge).edges)
+        for j, gen in enumerate(gen_set.generators)
+        if j != gen_set.general_index
+    ]
+    edges = sorted(frozenset().union(*(own for _, own in carriers)))
+    lines = [f"coupling graph: {gen_set.dim} vertices, {len(edges)} edges"]
+    for r, l in edges[:_MAX_EDGE_LINES]:
         sources = ", ".join(
-            f"{labels[j]}(|{mag:.3g}|)" for j, mag in graph.edge_source[(r, l)]
+            f"{gen.label}(|{max(abs(gen.matrix[r, l]), abs(gen.matrix[l, r])):.3g}|)"
+            for gen, own in carriers
+            if (r, l) in own
         )
         lines.append(f"  {r + 1} -- {l + 1}   via {sources}")
+    if len(edges) > _MAX_EDGE_LINES:
+        lines.append(f"  ... ({len(edges) - _MAX_EDGE_LINES} more edges)")
     return "\n".join(lines)
 
 

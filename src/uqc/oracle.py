@@ -14,10 +14,11 @@ at a time, which bounds the working memory whatever d is.  The report gives
 the basis back as matrices, with its dimension and the certified residual.
 ``closure_block_partition`` reads the block structure of the closure basis
 through the one edge rule of :mod:`uqc.universality` (``|A_rl| > tau_edge *
-max|A|``, via ``extract_coupling_graph``), for comparison with the
-generator-level components.  The closure is a desk-scale tool with a hard
-cap at d = CLOSURE_DIM_LIMIT (the minimal pair of u(12) takes about 0.05 s,
-of u(20) about 0.3 s).
+max|A|``, via ``extract_coupling_graph``, one boolean mask per basis
+matrix), for comparison with the generator-level components; it keeps no
+record of which basis matrix gave which edge.  The closure is a desk-scale
+tool with a hard cap at d = CLOSURE_DIM_LIMIT (the minimal pair of u(12)
+takes about 0.05 s, of u(20) about 0.3 s).
 """
 
 from __future__ import annotations
@@ -282,9 +283,9 @@ def closure_block_partition(
 ) -> tuple[tuple[int, ...], ...]:
     """Block partition induced by the closure basis itself.
 
-    Treats every basis matrix as an edge source (diagonal ones contribute
+    Applies the edge rule to every basis matrix (diagonal ones contribute
     nothing) and returns the connected components, ordered like the
     generator-level partition for direct comparison.
     """
-    graph = extract_coupling_graph(report.dim, enumerate(report.basis_matrices), tau_edge)
+    graph = extract_coupling_graph(report.dim, report.basis_matrices, tau_edge)
     return tuple(tuple(c) for c in connected_components(graph))

@@ -109,32 +109,6 @@ def repair(
     )
 
 
-def _chain(algebra: Algebra, coefficients, style: BridgeStyle) -> Generator:
-    d = algebra.dim
-    c = np.ones(d - 1) if coefficients is None else np.asarray(coefficients, dtype=float)
-    if c.shape != (d - 1,):
-        raise InvalidInput(f"expected {d - 1} chain coefficients, got {c.shape}")
-    if np.any(c == 0.0):
-        raise InvalidInput("chain coefficients must all be nonzero")
-    j = np.arange(d - 1)
-    return Generator(_coupling(d, j, j + 1, c, style), "chain")
-
-
-def antisymmetric_chain(algebra: Algebra, coefficients=None) -> Generator:
-    """Nearest-neighbor coupling chain: sum_j c_j (E_{j,j+1} - E_{j+1,j})."""
-    return _chain(algebra, coefficients, BridgeStyle.ANTISYMMETRIC)
-
-
-def symmetric_chain(algebra: Algebra, coefficients=None) -> Generator:
-    """Imaginary-symmetric chain i * sum_j c_j (E_{j,j+1} + E_{j+1,j}).
-
-    Same off-diagonal support as the antisymmetric chain, hence an identical
-    coupling graph; offered for hardware whose couplings are Hermitian-
-    symmetric.
-    """
-    return _chain(algebra, coefficients, BridgeStyle.SYMMETRIC_IMAGINARY)
-
-
 def minimal_pair(
     algebra: Algebra,
     coefficients=None,
@@ -142,10 +116,13 @@ def minimal_pair(
 ) -> GeneratorSet:
     """Two-generator universal set: constructed drift + coupling chain.
 
-    The chain couples 1-2-...-d into a single path, so the coupling graph is
-    connected for any nonzero coefficients; together with the constructed
-    drift the set is universal.  For d = 1 the drift alone suffices.  Raises
-    InvalidInput for d > CONSTRUCT_DIM_LIMIT before any work is done.
+    The chain sum_j c_j (E_{j,j+1} - E_{j+1,j}), or i * sum_j c_j (E_{j,j+1}
+    + E_{j+1,j}) in the symmetric style (c_j = 1 by default), couples
+    1-2-...-d into a single path, so the coupling graph is connected for any
+    nonzero coefficients and both styles give the same graph; together with
+    the constructed drift the set is universal.  For d = 1 the drift alone
+    suffices.  Raises InvalidInput for d > CONSTRUCT_DIM_LIMIT before any
+    work is done.
     """
     if algebra.dim > CONSTRUCT_DIM_LIMIT:
         raise InvalidInput(
@@ -153,9 +130,16 @@ def minimal_pair(
             f"(got d = {algebra.dim}); its document grows as d^2"
         )
     style = BridgeStyle(style)
+    d = algebra.dim
     gens = [make_general_direction(algebra)]
-    if algebra.dim > 1:
-        gens.append(_chain(algebra, coefficients, style))
+    if d > 1:
+        c = np.ones(d - 1) if coefficients is None else np.asarray(coefficients, dtype=float)
+        if c.shape != (d - 1,):
+            raise InvalidInput(f"expected {d - 1} chain coefficients, got {c.shape}")
+        if np.any(c == 0.0):
+            raise InvalidInput("chain coefficients must all be nonzero")
+        j = np.arange(d - 1)
+        gens.append(Generator(_coupling(d, j, j + 1, c, style), "chain"))
     elif coefficients is not None and len(coefficients) != 0:
         raise InvalidInput("d = 1 admits no chain coefficients")
     return GeneratorSet(algebra=algebra, generators=tuple(gens), general_index=0)

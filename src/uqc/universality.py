@@ -4,7 +4,10 @@ Index the standard basis of C^d by graph vertices and put an edge {r, l}
 wherever some non-designated generator has a nonzero (r, l) entry.  With a
 valid diagonal drift, a nontrivial invariant coordinate subspace exists if
 and only if this graph is disconnected, so the whole universality decision
-reduces to connected components plus the drift-spectrum scan.
+reduces to connected components plus the drift-spectrum scan.  The graph is
+its edge set and nothing more; which generator carries an edge is worked out
+only where ``uqc check --text`` prints it (``io.render_graph_text``), by the
+same rule applied to one generator at a time.
 
 This module holds the package's single edge rule,
 :func:`extract_coupling_graph` (an off-diagonal entry is an edge when
@@ -19,7 +22,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
 from .generators import (
     GeneratorSet,
     IndependenceStatus,
@@ -43,17 +45,10 @@ SPECTRUM_SCAN_LIMIT = 32
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Undirected graph on 0-based basis indices.
-
-    ``edges`` are (r, l) pairs with r < l; ``edge_source`` maps each edge to
-    the contributing (source index, entry magnitude) pairs, where the source
-    index is the matrix's position in the list the graph was built from
-    (the generator list for :func:`build_coupling_graph`).
-    """
+    """Undirected graph on 0-based basis indices: ``edges`` are (r, l) pairs, r < l."""
 
     dim: int
     edges: frozenset[tuple[int, int]]
-    edge_source: dict[tuple[int, int], list[tuple[int, float]]]
 
 
 class VerdictStatus(Enum):
@@ -85,24 +80,20 @@ class UniversalityVerdict:
     degenerate_spectrum: bool = False
 
 
-def extract_coupling_graph(dim: int, sources, tau_edge: float) -> CouplingGraph:
-    """The edge rule, applied to ``(source index, matrix)`` pairs.
+def extract_coupling_graph(dim: int, matrices, tau_edge: float) -> CouplingGraph:
+    """The edge rule, applied to d x d matrices.
 
     An off-diagonal entry of a matrix A is kept when ``|A_rl| > tau_edge *
-    max|A|``; kept entries are symmetrised into undirected edges (r < l),
-    and ``edge_source`` records each contributing source with the larger of
-    the two entry magnitudes.  Diagonal matrices contribute nothing.
+    max|A|``; the kept entries of all the matrices, symmetrised, are the
+    undirected edges (r < l).  Diagonal matrices contribute nothing.
     """
     validate_tolerance("tau_edge", tau_edge)
-    edge_source: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for j, A in sources:
+    kept = np.zeros((dim, dim), dtype=bool)
+    for A in matrices:
         mags = np.abs(A)
-        mags = np.maximum(mags, mags.T)
-        keep = np.triu(mags > tau_edge * linalg.max_abs(A), 1)
-        rr, ll = np.nonzero(keep)
-        for r, l, mag in zip(rr.tolist(), ll.tolist(), mags[rr, ll].tolist()):
-            edge_source.setdefault((r, l), []).append((j, mag))
-    return CouplingGraph(dim=dim, edges=frozenset(edge_source), edge_source=edge_source)
+        kept |= mags > tau_edge * mags.max(initial=0.0)
+    rr, ll = np.nonzero(np.triu(kept | kept.T, 1))
+    return CouplingGraph(dim=dim, edges=frozenset(zip(rr.tolist(), ll.tolist())))
 
 
 def build_coupling_graph(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> CouplingGraph:
@@ -111,12 +102,10 @@ def build_coupling_graph(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> C
     The designated diagonal contributes nothing, even through off-diagonal
     roundoff; additional diagonal generators contribute nothing vacuously.
     """
-    sources = (
-        (j, gen.matrix)
-        for j, gen in enumerate(gen_set.generators)
-        if j != gen_set.general_index
+    matrices = (
+        gen.matrix for j, gen in enumerate(gen_set.generators) if j != gen_set.general_index
     )
-    return extract_coupling_graph(gen_set.dim, sources, tau_edge)
+    return extract_coupling_graph(gen_set.dim, matrices, tau_edge)
 
 
 def connected_components(graph: CouplingGraph) -> list[list[int]]:

@@ -128,9 +128,7 @@ def invariant_subspaces_reference(gen_set: GeneratorSet) -> list[tuple[int, ...]
     reasoning, so the result must be the unions of connected components.
     """
     d = gen_set.dim
-    graph = extract_coupling_graph(
-        d, ((j, g.matrix) for j, g in enumerate(gen_set.generators)), TAU_EDGE
-    )
+    graph = extract_coupling_graph(d, [g.matrix for g in gen_set.generators], TAU_EDGE)
     masks = np.arange(1 << d, dtype=np.uint64)
     ok = np.ones(1 << d, dtype=bool)
     for r, l in graph.edges:

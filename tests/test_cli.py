@@ -556,8 +556,10 @@ def test_tolerance_overrides(monkeypatch):
         ("tau_edge", True),
         ("tau_edge", "1e-12"),
         ("tau_rank", 0.0),
+        ("tau_rank", 1.0),
         ("tau_rank", float("inf")),
         ("tau_rel", -1e-9),
+        ("tau_rel", 1.0),
         ("relation_bound", 0),
         ("relation_bound", True),
         ("relation_bound", 10.0),
@@ -568,8 +570,7 @@ def test_bad_tolerance_override_names_key_and_source(capsys, tmp_path, key, valu
     doc["tolerances"] = {key: value}
     path = tmp_path / "bad_tol.json"
     path.write_text(json.dumps(doc))  # json writes NaN and Infinity as bare literals
-    want = "a finite number in (0, 1)" if key == "tau_edge" else "a finite number > 0"
-    want = "an integer >= 1" if key == "relation_bound" else want
+    want = "an integer >= 1" if key == "relation_bound" else "a finite number in (0, 1)"
     code, out, err = _run(capsys, ["check", str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: {key} (input file tolerances): expected {want}, got {value!r}\n"
@@ -599,7 +600,9 @@ def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path, monkey
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, ["epsilon", str(path)])
     assert (code, out) == (2, "")
-    assert err == "error: tau_rank (input file tolerances): expected a finite number > 0, got -1.0\n"
+    assert err == (
+        "error: tau_rank (input file tolerances): expected a finite number in (0, 1), got -1.0\n"
+    )
 
     doc["tolerances"] = {"tau_typo": 1.0}
     path.write_text(json.dumps(doc))
@@ -933,7 +936,7 @@ def test_a_hermitian_coupling_is_refused_at_every_scale(capsys, tmp_path, scale)
             2, "", "error: generator 1 (coupling) is not skew-Hermitian\n"
         )
 
-    skew = uqc.antisymmetric_chain(algebra).matrix * scale
+    skew = uqc.minimal_pair(algebra).generators[1].matrix * scale
     path = _write_raw(tmp_path / "skew.json", [("drift", drift), ("coupling", skew)])
     code, out, _ = _run(capsys, ["check", path])
     assert code == 0 and json.loads(out)["status"] == "universal"
@@ -959,6 +962,50 @@ def test_an_empty_label_is_named_by_its_position_everywhere(capsys, tmp_path):
     assert _run(capsys, ["check", bad]) == (
         2, "", "error: generator 1 (g2) is not skew-Hermitian\n"
     )
+
+
+def _graph_lines(capsys, path, *flags) -> list[str]:
+    code, out, err = _run(capsys, ["check", path, "--text", *flags])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    return lines[next(i for i, line in enumerate(lines) if line.startswith("coupling graph:")):]
+
+
+def test_check_text_lists_the_generators_that_carry_each_edge(capsys, tmp_path):
+    # 1 -- 2 is carried by "a" and by the unlabeled third generator, listed
+    # in generator order; a's 1e-14 on 2 -- 3 is below its own
+    # tau_edge * max|A| = 2e-13, so g3 alone carries that edge; the drift,
+    # designated though second, has off-diagonal roundoff on 1 -- 3 that
+    # would pass the same cutoff in any other generator
+    algebra = Algebra("u", 4)
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 1], a[1, 0] = 0.7, -0.7
+    a[1, 2], a[2, 1] = 1e-14, -1e-14
+    a[2, 3], a[3, 2] = 2.0, -2.0
+    drift = uqc.make_general_direction(algebra).matrix.copy()
+    drift[0, 2], drift[2, 0] = 1e-12, -1e-12
+    b = np.zeros((4, 4), dtype=complex)
+    b[0, 1] = b[1, 0] = 0.3j
+    b[1, 2], b[2, 1] = 1.5, -1.5
+    s = GeneratorSet(algebra, (Generator(a, "a"), Generator(drift, "drift"), Generator(b)), 1)
+    path = str(tmp_path / "carriers.json")
+    uio.write_document(uio.generator_set_to_document(s), path)
+    assert _graph_lines(capsys, path, "--tau-edge", "1e-13") == [
+        "coupling graph: 4 vertices, 3 edges",
+        "  1 -- 2   via a(|0.7|), g3(|0.3|)",
+        "  2 -- 3   via g3(|1.5|)",
+        "  3 -- 4   via a(|2|)",
+    ]
+
+
+@pytest.mark.parametrize("d", [41, 45])
+def test_check_text_counts_the_edges_past_the_first_forty(capsys, tmp_path, d):
+    path = str(tmp_path / "chain.json")
+    uio.write_document(uio.generator_set_to_document(uqc.minimal_pair(Algebra("u", d))), path)
+    lines = _graph_lines(capsys, path)
+    listed = [f"  {j} -- {j + 1}   via chain(|1|)" for j in range(1, 41)]
+    more = [f"  ... ({d - 41} more edges)"] if d > 41 else []
+    assert lines == [f"coupling graph: {d} vertices, {d - 1} edges", *listed, *more]
 
 
 def test_an_empty_label_is_named_by_its_position_in_matrix_errors(capsys, tmp_path):

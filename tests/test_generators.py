@@ -11,12 +11,15 @@ from uqc import (
     Generator,
     GeneratorSet,
     IndependenceStatus,
+    VerdictStatus,
     check_general_direction,
+    check_universality,
     epsilon_bound,
-    epsilon_bound_per_generator,
+    lie_closure,
     linalg,
     make_general_direction,
     phases_of,
+    repair,
     validate_set,
 )
 from uqc.errors import (
@@ -26,7 +29,13 @@ from uqc.errors import (
     NotTraceless,
 )
 
-from uqc.generators import TAU_RELATION, _first_primes, _pslq_relation, _relation_vector
+from uqc.generators import (
+    TAU_RELATION,
+    _first_primes,
+    _pslq_relation,
+    _relation_vector,
+    step_bound,
+)
 
 from conftest import pslq_reference, three_level_set, random_skew
 
@@ -88,6 +97,41 @@ def test_with_extra_validates_the_new_set():
     with pytest.raises(NotSkewHermitian) as err:
         s.with_extra([Generator(np.eye(3, dtype=complex), "identity")])
     assert err.value.generator_index == len(s.generators)
+
+
+def test_list_real_and_complex_matrices_give_the_same_answers():
+    # a set stores each matrix as the complex array it validated, so nested
+    # lists and real arrays reach every entry point as complex input does
+    drift = make_general_direction(Algebra("u", 3)).matrix
+    coupling = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+    forms = [
+        (drift.tolist(), coupling),
+        (drift, np.array(coupling, dtype=float)),
+        (drift, np.array(coupling, dtype=complex)),
+    ]
+    answers = []
+    for matrices in forms:
+        s = GeneratorSet(Algebra("u", 3), tuple(Generator(M) for M in matrices))
+        assert all(g.matrix.dtype == complex for g in s.generators)
+        verdict = check_universality(s)
+        plan = repair(s)
+        answers.append((
+            verdict.status,
+            verdict.components,
+            lie_closure(s).dimension,
+            plan.bridges,
+            check_universality(plan.resulting_set).status,
+        ))
+    assert answers[0][:2] == (VerdictStatus.REDUCIBLE, ((0, 1), (2,)))
+    assert answers[0][4] is VerdictStatus.UNIVERSAL
+    assert answers[1] == answers[0] and answers[2] == answers[0]
+    # a complex128 array is stored as it is, not copied
+    assert GeneratorSet(Algebra("u", 3), (Generator(drift),)).generators[0].matrix is drift
+    # and a list that is not skew-Hermitian is refused as an array is
+    with pytest.raises(NotSkewHermitian) as err:
+        hermitian = np.abs(coupling).tolist()
+        GeneratorSet(Algebra("u", 3), (Generator(drift.tolist()), Generator(hermitian)))
+    assert err.value.generator_index == 1
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +486,7 @@ def test_epsilon_bound_rotation_boundary():
     # sqrt(2) = 2*sin(pi/4), so strictly below holds only for eps < bound
     A = np.array([[0, 1], [-1, 0]], dtype=complex)
     s = GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), Generator(A)))
-    bounds = epsilon_bound_per_generator(s)
-    assert bounds[1] == pytest.approx(np.pi / 2, rel=1e-12)
+    assert step_bound(linalg.operator_norm(A)) == pytest.approx(np.pi / 2, rel=1e-12)
     dist = linalg.operator_norm(scipy.linalg.expm(np.pi / 2 * A) - np.eye(2))
     assert dist == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
@@ -457,7 +500,7 @@ def test_epsilon_bound_excludes_zero_generators():
     )
     # the zero generator contributes +inf and drops out of the minimum
     assert epsilon_bound(s) == pytest.approx(np.pi / 2, rel=1e-12)
-    assert math.isinf(epsilon_bound_per_generator(s)[2])
+    assert math.isinf(step_bound(linalg.operator_norm(Z)))
 
 
 def test_epsilon_bound_all_zero_rejected():
@@ -474,8 +517,8 @@ def test_epsilon_bound_scaling():
         c = float(rng.uniform(0.1, 10.0))
         s1 = GeneratorSet(Algebra("u", d), (Generator(np.diag(1j * np.arange(1, d + 1, dtype=float))), Generator(X)))
         s2 = GeneratorSet(Algebra("u", d), (Generator(np.diag(1j * np.arange(1, d + 1, dtype=float))), Generator(c * X)))
-        b1 = epsilon_bound_per_generator(s1)[1]
-        b2 = epsilon_bound_per_generator(s2)[1]
+        b1 = step_bound(linalg.operator_norm(s1.generators[1].matrix))
+        b2 = step_bound(linalg.operator_norm(s2.generators[1].matrix))
         assert b2 == pytest.approx(b1 / c, rel=1e-10)
 
 

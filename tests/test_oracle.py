@@ -396,7 +396,7 @@ def test_graph_oracle_agreement_at_d_7_to_10():
 
 def test_oracles_reject_bad_tolerances():
     s = three_level_set()
-    for tau_rank in (0.0, -1e-10, float("nan"), True):
+    for tau_rank in (0.0, -1e-10, 1.0, 2.0, float("nan"), True):
         with pytest.raises(InvalidInput, match="tau_rank"):
             lie_closure(s, tau_rank=tau_rank)
     report = lie_closure(s)

@@ -8,7 +8,6 @@ from uqc import (
     BridgeStyle,
     GeneratorSet,
     VerdictStatus,
-    antisymmetric_chain,
     bridge_generator,
     build_coupling_graph,
     check_universality,
@@ -17,7 +16,6 @@ from uqc import (
     make_general_direction,
     minimal_pair,
     repair,
-    symmetric_chain,
     validate_set,
 )
 from uqc.errors import InvalidInput
@@ -228,7 +226,7 @@ def test_minimal_pair_is_path_graph():
 
 
 def test_symmetric_chain_d3():
-    g = symmetric_chain(Algebra("u", 3))
+    g = minimal_pair(Algebra("u", 3), style="sym").generators[1]
     expected = np.zeros((3, 3), dtype=complex)
     expected[0, 1] = expected[1, 0] = 1.0j
     expected[1, 2] = expected[2, 1] = 1.0j
@@ -236,7 +234,7 @@ def test_symmetric_chain_d3():
 
 
 def test_symmetric_chain_d2_is_imaginary_pauli_x():
-    g = symmetric_chain(Algebra("u", 2), coefficients=[1.0])
+    g = minimal_pair(Algebra("u", 2), [1.0], "sym").generators[1]
     assert np.array_equal(g.matrix, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -245,8 +243,8 @@ def test_chain_styles_share_edge_set():
     for d in range(2, 10):
         c = rng.uniform(0.5, 2.0, size=d - 1) * rng.choice([-1.0, 1.0], size=d - 1)
         algebra = Algebra("u", d)
-        s_a = GeneratorSet(algebra, (make_general_direction(algebra), antisymmetric_chain(algebra, c)))
-        s_s = GeneratorSet(algebra, (make_general_direction(algebra), symmetric_chain(algebra, c)))
+        s_a = minimal_pair(algebra, c, "antisym")
+        s_s = minimal_pair(algebra, c, "sym")
         assert build_coupling_graph(s_a).edges == build_coupling_graph(s_s).edges
 
 

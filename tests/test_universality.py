@@ -7,7 +7,6 @@ from uqc import (
     GeneratorSet,
     IndependenceStatus,
     VerdictStatus,
-    antisymmetric_chain,
     build_coupling_graph,
     check_universality,
     connected_components,
@@ -28,7 +27,6 @@ from conftest import random_instance, reachable_from, three_level_set, two_qubit
 def test_three_level_edges():
     graph = build_coupling_graph(three_level_set())
     assert graph.edges == frozenset({(0, 1)})
-    assert graph.edge_source[(0, 1)] == [(1, 1.0)]
 
 
 def test_two_qubit_reduced_edges():
@@ -84,6 +82,7 @@ def test_bad_tau_edge_rejected(tau_edge):
         {"tau_rel": 0.0},
         {"tau_rel": float("nan")},
         {"tau_rel": -1e-9},
+        {"tau_rel": 1.0},
     ],
 )
 def test_bad_scan_tolerances_rejected(kwargs):
@@ -232,7 +231,7 @@ def test_scan_skipped_gives_conditional():
             algebra,
             (
                 Generator(1.5 * make_general_direction(algebra).matrix, "drift"),
-                antisymmetric_chain(algebra),
+                minimal_pair(algebra).generators[1],
             ),
         )
         verdict = check_universality(s)
