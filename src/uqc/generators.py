@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -28,6 +29,7 @@ from .errors import (
     InvalidInput,
     NotSkewHermitian,
     NotTraceless,
+    ValidationError,
 )
 
 #: relative tolerance for |trace| in su mode
@@ -46,6 +48,16 @@ _PSLQ_GAMMA = math.sqrt(4.0 / 3.0)
 _PSLQ_MAXSTEPS = 10_000
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy's too, bools not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Algebra:
     """Target algebra: all skew-Hermitian ('u') or traceless ones ('su')."""
@@ -56,6 +68,7 @@ class Algebra:
     def __post_init__(self):
         if self.kind not in ("u", "su"):
             raise InvalidInput(f"algebra kind must be 'u' or 'su', got {self.kind!r}")
+        object.__setattr__(self, "dim", _integer(self.dim, "algebra dimension"))
         if self.dim < 1:
             raise InvalidInput(f"algebra dimension must be >= 1, got {self.dim}")
 
@@ -76,10 +89,13 @@ class Generator:
 class GeneratorSet:
     """Ordered generators plus the target algebra, validated once as it is built.
 
-    Building one (also by :meth:`with_extra` or ``dataclasses.replace``) runs
-    :func:`validate_set`; an empty label becomes ``g{j+1}``, as in documents,
-    and each matrix (nested lists or a real array, say) is stored as a
-    complex array before it is validated.
+    This is the one gate a generator matrix passes.  Building a set (also by
+    :meth:`with_extra` or ``dataclasses.replace``) gives an empty label
+    ``g{j+1}``, as in documents, stores each matrix (nested lists or a real
+    array, say) as a complex array and runs :func:`validate_set`.  A matrix
+    numpy cannot read as complex (ragged rows, strings) raises
+    ValidationError naming the generator's index and label, as every
+    other per-generator error does.  ``general_index`` must be an integer.
     Whether the designated drift is :func:`make_general_direction`'s is read
     off its phases (:func:`is_constructed_direction`), not stored.
     """
@@ -93,11 +109,19 @@ class GeneratorSet:
         # generator with a complex128 array is kept as it is, not copied
         gens = []
         for j, gen in enumerate(self.generators):
-            matrix = np.asarray(gen.matrix, dtype=complex)
+            label = gen.label or f"g{j + 1}"
+            try:
+                matrix = np.asarray(gen.matrix, dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"generator {j} ({label}) is not a complex matrix: {exc}",
+                    generator_index=j,
+                ) from None
             if matrix is not gen.matrix or not gen.label:
-                gen = Generator(matrix, gen.label or f"g{j + 1}")
+                gen = Generator(matrix, label)
             gens.append(gen)
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "general_index", _integer(self.general_index, "general_index"))
         validate_set(self)
 
     @property
@@ -174,8 +198,9 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
 
     Every :class:`GeneratorSet` runs this when built; call it again only to
     check a set whose arrays were changed in place.  Raises (always naming
-    the offending generator index):
+    the offending generator's index and label):
 
+    - ValidationError     if a matrix is not d x d or has a NaN or inf entry,
     - NotSkewHermitian    if some |A + A†| exceeds TAU_SYM * max|A|,
     - NotTraceless        in su mode, if some matrix has |trace| too large,
     - DesignatedNotDiagonal  if the designated generator has off-diagonal
@@ -193,10 +218,15 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
         )
     d = raw.algebra.dim
     for j, gen in enumerate(raw.generators):
-        A = linalg.as_complex_matrix(gen.matrix)
-        if A.shape[0] != d:
-            raise InvalidInput(
-                f"generator {j} has dimension {A.shape[0]}, expected {d}"
+        A = gen.matrix
+        if A.shape != (d, d):
+            raise ValidationError(
+                f"generator {j} ({gen.label}) has shape {A.shape}, expected {(d, d)}",
+                generator_index=j,
+            )
+        if not np.isfinite(A).all():
+            raise ValidationError(
+                f"generator {j} ({gen.label}) has non-finite entries", generator_index=j
             )
         if not linalg.is_skew_hermitian(A):
             raise NotSkewHermitian(
@@ -224,7 +254,10 @@ def spectrum_is_degenerate(theta: np.ndarray) -> bool:
     theta = np.asarray(theta, dtype=float)
     if theta.size <= 1:
         return False
-    sep = np.min(np.diff(np.sort(theta)))
+    # a gap between phases near -1e308 and 1e308 overflows to inf, which
+    # is larger than any threshold: the answer stands without the warning
+    with np.errstate(over="ignore"):
+        sep = np.min(np.diff(np.sort(theta)))
     return sep <= TAU_SPECTRUM * max(1e-300, float(np.max(np.abs(theta))))
 
 
@@ -433,8 +466,10 @@ def step_bound(norm: float) -> float:
 
     The bound of a nonzero norm below pi / (2 * float64 max), about
     8.8e-309, is beyond float64 and is +inf too: every step is allowed.
+    pi is halved rather than the norm doubled, so that a norm near the top
+    of float64 keeps its bound (both are exact, so no other bound changes).
     """
-    return math.inf if norm == 0.0 else math.pi / (2.0 * norm)
+    return math.inf if norm == 0.0 else (math.pi / 2.0) / norm
 
 
 def least_step_bound(norms: list[float]) -> float:

@@ -10,9 +10,11 @@ is a position in the generator list and stays 0-based, default 0.
 bytes of the file into its complex ndarray, with no nested lists: a
 vectorised pass checks the "[],"-skeleton and the number tokens, and each
 distinct token is converted once.  json parses only the rest of the
-document.  A document that reader does not take goes as a whole through
-``json.loads`` and :func:`parse_input_document`; either way gives the same
-matrices, bit for bit, and the same error messages.
+document, in which each matrix is that ndarray.  A document that reader
+does not take goes as a whole through ``json.loads`` and
+:func:`parse_input_document`; either way gives the same matrices, bit for
+bit, and the same error messages.  :class:`GeneratorSet` then checks the
+set's invariants.
 
 A generator-set document (:func:`generator_set_to_document`) holds each
 matrix as its complex ndarray.  :func:`write_document` writes it in json's
@@ -89,17 +91,17 @@ def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
     """A d x d complex matrix from ``rows`` of [re, im] pairs.
 
     A matrix the text reader of :func:`load_input_document` has already
-    read comes as a :class:`_ReadMatrix` and is taken as it is.  Rows from
-    json are converted by one ``np.array`` call into a (d, d, 2) real
-    array, which is then viewed as complex without a copy.  Anything else
-    (wrong shape, strings, bools, integers beyond float64) goes to
+    read comes as its ndarray (json never yields one) and is returned as
+    it is.  Rows from json are converted by one ``np.array`` call into a
+    (d, d, 2) real array, which is then viewed as complex without a copy.
+    Anything else (wrong shape, strings, bools, integers beyond float64) goes to
     :func:`_walk_matrix`, which applies the same checks one entry at a
     time and names the first failing row and column.  ``np.array`` reads a
     bool among numbers as a number, so the types of the entries are looked
     at too.
     """
-    if isinstance(rows, _ReadMatrix):
-        return rows.array
+    if isinstance(rows, np.ndarray):
+        return rows
     pairs = None
     if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
         try:
@@ -210,15 +212,6 @@ class _NotPlain(Exception):
     """The document holds something the text reader leaves to json."""
 
 
-class _ReadMatrix:
-    """A matrix the text reader has read, standing in for its rows."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 #: a "matrix" key and the start of its array value
 _MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 _WHITESPACE = b" \t\n\r"
@@ -285,7 +278,7 @@ def _read_matrix_text(data: bytes) -> dict:
     # that is not JSON fails as such, whatever else is wrong with it
     arrays = [_lex_matrix(_compact(data, start, stop, 2 * d * d), d) for start, stop in spans]
     for g, M in zip(gens, arrays):
-        g["matrix"] = _ReadMatrix(M)
+        g["matrix"] = M
     return obj
 
 

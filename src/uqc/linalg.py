@@ -31,24 +31,6 @@ def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, l
 
 
-def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix and validate it.
-
-    Raises
-    ------
-    InvalidInput
-        If the array is not square, is empty, or contains NaN/Inf.
-    """
-    A = np.asarray(entries, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] < 1:
-        raise InvalidInput("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise InvalidInput("matrix contains non-finite entries")
-    return A
-
-
 def max_abs(A: np.ndarray) -> float:
     """Largest entry magnitude (0.0 for an empty array)."""
     return float(np.max(np.abs(A))) if A.size else 0.0

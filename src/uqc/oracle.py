@@ -23,6 +23,7 @@ takes about 0.05 s, of u(20) about 0.3 s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,18 @@ class LieClosureReport:
     residual_max: float
 
 
+def _over(A: np.ndarray, m: float) -> np.ndarray:
+    """``A / m`` for a real m > 0, also where 1/m is beyond float64.
+
+    numpy divides a complex array by a real number as a product with its
+    reciprocal, which is inf for a subnormal m.  Such an A and m are scaled
+    by 2**64 first, exactly; every other A keeps the bits of ``A / m``.
+    """
+    if 1.0 / m < math.inf:
+        return A / m
+    return (A * 2.0**64) * (1.0 / (m * 2.0**64))
+
+
 class _Basis:
     """Orthonormal closure basis, in coordinates and as matrices.
 
@@ -97,7 +110,7 @@ class _Basis:
         self.mats = np.zeros((d * d, d, d), dtype=complex)
         # each generator over its largest entry, so no norm overflows or
         # underflows at any scale; a zero generator adds nothing
-        G = [g.matrix / m for g in gen_set.generators if (m := linalg.max_abs(g.matrix)) > 0]
+        G = [_over(g.matrix, m) for g in gen_set.generators if (m := linalg.max_abs(g.matrix)) > 0]
         self.admit(linalg.skew_coords(np.reshape(G, (-1, d, d))), tau, None)
         self.k = self.n
 

@@ -390,6 +390,37 @@ def test_epsilon_of_a_subnormal_generator_is_not_called_zero(capsys, tmp_path, s
     assert (code, out, err) == (2, "", f"error: epsilon bound undefined: {message}\n")
 
 
+def _u2_path(tmp_path, phases, coupling):
+    """A u(2) document: drift i diag(phases) and coupling c (E_12 - E_21)."""
+    c = np.array([[0.0, coupling], [-coupling, 0.0]])
+    gens = (Generator(np.diag(1j * np.asarray(phases)), "drift"), Generator(c, "c"))
+    path = tmp_path / "u2.json"
+    uio.write_document(uio.generator_set_to_document(GeneratorSet(Algebra("u", 2), gens)), str(path))
+    return str(path)
+
+
+def test_epsilon_of_a_generator_at_the_top_of_float64(capsys, tmp_path):
+    # pi / (2 ||X||) overflowed the doubled norm and printed 0 here
+    path = _u2_path(tmp_path, [1.0, 2.0], 1e308)
+    code, out, _ = _run(capsys, ["epsilon", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["epsilon_max"] == doc["generators"][1]["epsilon_max"] == 1.5707963267948964e-308
+    code, out, _ = _run(capsys, ["check", path])
+    assert json.loads(out)["epsilon_max"] == 1.5707963267948964e-308
+
+
+def test_check_keeps_its_stderr_clean_at_the_ends_of_float64(capsys, tmp_path):
+    # phases near -1e308 and 1e308 overflowed the spectrum's gap with a
+    # warning; a subnormal coupling overflowed the oracle's reciprocal and
+    # the closure lost it
+    code, _, err = _run(capsys, ["check", _u2_path(tmp_path, [1e308, -1e308], 1.0)])
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, ["check", "--oracle", _u2_path(tmp_path, [1.0, 2.0], 1e-320)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"] == {"dimension": 4, "target_dimension": 4, "agrees": True}
+
+
 def test_epsilon_empty_generator_list_exit2(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"algebra": "u", "dimension": 2, "generators": []}))

@@ -27,6 +27,7 @@ from uqc.errors import (
     InvalidInput,
     NotSkewHermitian,
     NotTraceless,
+    ValidationError,
 )
 
 from uqc.generators import (
@@ -34,6 +35,7 @@ from uqc.generators import (
     _first_primes,
     _pslq_relation,
     _relation_vector,
+    spectrum_is_degenerate,
     step_bound,
 )
 
@@ -90,6 +92,57 @@ def test_validate_rejects_dimension_mismatch():
             Algebra("u", 3),
             (Generator(np.diag([1j, 2j, 3j])), Generator(np.diag([1j, 2j]))),
         )
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, 1], [-1]],
+        "not a matrix",
+        np.array([[np.nan, 1], [-1, 0]]),
+        [[None, 1], [-1, 0]],
+        np.zeros((2, 3)),
+        np.zeros((1, 2, 2)),
+        np.zeros((0, 0)),
+        np.zeros((3, 3)),
+    ],
+    ids=["ragged", "string", "nan", "none", "2x3", "1x2x2", "0x0", "3x3"],
+)
+def test_every_bad_matrix_is_refused_naming_its_generator(matrix):
+    # the set is the one gate of a generator matrix: conversion, shape and
+    # finiteness errors name the generator as the invariants' errors do
+    drift = Generator(np.diag([1j, 2j]), "drift")
+    with pytest.raises(ValidationError) as err:
+        GeneratorSet(Algebra("u", 2), (drift, Generator(matrix, "c")))
+    assert err.value.generator_index == 1
+    assert "generator 1 (c)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "dim", [2.0, 2.5, True, np.bool_(True), "2", None],
+    ids=["2.0", "2.5", "True", "np.True_", "str", "None"],
+)
+def test_algebra_dimension_must_be_an_integer(dim):
+    with pytest.raises(InvalidInput, match="algebra dimension must be an integer"):
+        Algebra("u", dim)
+
+
+@pytest.mark.parametrize(
+    "index", [1.0, True, np.bool_(True), "1", None],
+    ids=["1.0", "True", "np.True_", "str", "None"],
+)
+def test_general_index_must_be_an_integer(index):
+    gens = (Generator(np.diag([1j, 2j])), Generator(np.diag([3j, 5j])))
+    with pytest.raises(InvalidInput, match="general_index must be an integer"):
+        GeneratorSet(Algebra("u", 2), gens, general_index=index)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    algebra = Algebra("u", np.int64(2))
+    s = GeneratorSet(algebra, (Generator(np.diag([1j, 2j])), Generator(np.diag([3j, 5j]))),
+                     general_index=np.int32(1))
+    assert type(algebra.dim) is int and algebra == Algebra("u", 2)
+    assert type(s.general_index) is int and s.designated is s.generators[1]
 
 
 def test_with_extra_validates_the_new_set():
@@ -186,6 +239,14 @@ def test_shifted_sqrt2_combination_dependent():
 def test_degenerate_phases_dependent():
     verdict = check_general_direction(np.array([1.0, 1.0, 2.0]), Algebra("u", 3))
     assert verdict.status is IndependenceStatus.DEPENDENT
+
+
+def test_spectrum_gaps_that_overflow_are_not_degenerate():
+    # the gap between -1e308 and 1e308 overflows to inf, with no warning
+    # (RuntimeWarnings fail this suite)
+    assert not spectrum_is_degenerate(np.array([1e308, -1e308]))
+    assert not spectrum_is_degenerate(np.array([-1.7e308, 0.0, 1.7e308]))
+    assert spectrum_is_degenerate(np.array([1e308, 1e308, -1e308]))
 
 
 def test_zero_phase_gives_unit_relation():
@@ -501,6 +562,16 @@ def test_epsilon_bound_excludes_zero_generators():
     # the zero generator contributes +inf and drops out of the minimum
     assert epsilon_bound(s) == pytest.approx(np.pi / 2, rel=1e-12)
     assert math.isinf(step_bound(linalg.operator_norm(Z)))
+
+
+def test_step_bound_at_both_ends_of_float64():
+    # pi / (2 * norm) would double 1e308 to inf and give 0; below about
+    # 8.8e-309 the bound itself is beyond float64
+    assert step_bound(1e308) == 1.5707963267948964e-308
+    assert step_bound(sys.float_info.max) > 0.0
+    assert step_bound(1.0) == math.pi / 2.0
+    assert step_bound(1e-309) == math.inf
+    assert step_bound(0.0) == math.inf
 
 
 def test_epsilon_bound_all_zero_rejected():

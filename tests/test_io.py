@@ -456,7 +456,7 @@ def test_written_documents_read_back_bit_for_bit(tmp_path, monkeypatch):
     parse_matrix = uio._parse_matrix
 
     def read_from_text(rows, d, where):
-        assert isinstance(rows, uio._ReadMatrix), f"{where} took the list path"
+        assert isinstance(rows, np.ndarray), f"{where} took the list path"
         return parse_matrix(rows, d, where)
 
     monkeypatch.setattr(uio, "_parse_matrix", read_from_text)
@@ -712,7 +712,7 @@ def test_plain_documents_take_the_text_reader(tmp_path, monkeypatch):
     parse_matrix = uio._parse_matrix
 
     def read_from_text(rows, d, where):
-        assert isinstance(rows, uio._ReadMatrix), f"{where} took the list path"
+        assert isinstance(rows, np.ndarray), f"{where} took the list path"
         return parse_matrix(rows, d, where)
 
     monkeypatch.setattr(uio, "_parse_matrix", read_from_text)

@@ -133,10 +133,3 @@ def test_commutator_against_a_stack_matches_one_at_a_time():
             assert np.allclose(C, one, rtol=0, atol=1e-13 * max(1.0, linalg.max_abs(one)))
     with pytest.raises(InvalidInput):
         linalg.commutator(np.eye(2), np.zeros((4, 3, 3)))
-
-
-def test_as_complex_matrix_rejects_bad_shapes():
-    with pytest.raises(InvalidInput):
-        linalg.as_complex_matrix(np.zeros((2, 3)))
-    with pytest.raises(InvalidInput):
-        linalg.as_complex_matrix(np.array([[np.nan, 0], [0, 0]]))

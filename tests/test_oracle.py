@@ -214,14 +214,22 @@ def test_closure_of_large_minimal_pairs_is_fast():
 
 
 def test_closure_does_not_depend_on_the_scale_of_the_generators():
-    # norms of the raw generators overflow at 1e160 and underflow at 1e-200
+    # norms of the raw generators overflow at 1e160 and underflow at
+    # 1e-200; at 1e-310 and 1e-320 the largest entries are subnormal, and
+    # their reciprocals beyond float64.  Rounded to subnormals, a random su
+    # drift's phases no longer sum to 0 within the trace tolerance, so its
+    # last phase is set to minus the sum of the others, which is exact there
     rng = np.random.default_rng(89)
     sets = [minimal_pair(Algebra(kind, 4)) for kind in ("u", "su")]
     sets.append(_block_diagonal_set(rng, "su", (3, 2))[0])
     for s in sets:
         expected = lie_closure(s).dimension
-        for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200):
-            gens = tuple(Generator(g.matrix * scale, g.label) for g in s.generators)
+        for scale in (1e-320, 1e-310, 1e-200, 1e-160, 1.0, 1e160, 1e200):
+            matrices = [g.matrix * scale for g in s.generators]
+            if s.algebra.kind == "su":
+                drift = matrices[s.general_index]
+                drift[-1, -1] = -drift.diagonal()[:-1].sum()
+            gens = tuple(Generator(M, g.label) for M, g in zip(matrices, s.generators))
             scaled = GeneratorSet(s.algebra, gens, s.general_index)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
