@@ -318,6 +318,3 @@ def main(argv=None) -> int:
             pass
         return EXIT_BROKEN_PIPE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

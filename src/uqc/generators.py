@@ -32,7 +32,9 @@ from .errors import (
     ValidationError,
 )
 
-#: relative tolerance for |trace| in su mode
+#: relative tolerance for |trace| in su mode; a trace within d subnormal
+#: ulps (d * 2**-1074) also passes, since each entry of a matrix scaled into
+#: the subnormal range carries that much rounding whatever its scale
 TAU_TRACE = 1e-12
 #: relative tolerance for off-diagonal entries of the designated generator
 TAU_DIAG = 1e-12
@@ -233,7 +235,9 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
                 f"generator {j} ({gen.label}) is not skew-Hermitian",
                 generator_index=j,
             )
-        if raw.algebra.kind == "su" and abs(np.trace(A)) > TAU_TRACE * d * linalg.max_abs(A):
+        if raw.algebra.kind == "su" and abs(np.trace(A)) > d * max(
+            TAU_TRACE * linalg.max_abs(A), math.ulp(0.0)
+        ):
             raise NotTraceless(
                 f"generator {j} ({gen.label}) has nonzero trace in su mode",
                 generator_index=j,

@@ -556,10 +556,13 @@ def _matrix_chunks(M: np.ndarray):
     pairs of floats, in pieces of whole rows.
 
     Each distinct float, told apart by its bits so that -0.0 is not 0.0, is
-    formatted once with ``float.__repr__``, as json does; the all-zero row
-    is formatted once; every other row goes through one ``%s`` template.
-    The rows are rendered a block of about :data:`_BLOCK_ENTRIES` entries at
-    a time, so that a large matrix costs no temporaries of its size.
+    formatted once with ``float.__repr__``, as json does.  A block of rows
+    is the text of as many all-zero rows, built once per matrix, with the
+    two floats of each pair that is not (+0.0, +0.0) put in place of its
+    zeros: a row costs Python work per nonzero pair only, and copies of the
+    zero text between them.  The rows are rendered a block of about
+    :data:`_BLOCK_ENTRIES` entries at a time, so that a large matrix costs
+    no temporaries of its size.
     """
     F = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
     finite = np.isfinite(F)
@@ -567,20 +570,30 @@ def _matrix_chunks(M: np.ndarray):
         # json's own error for the first bad value in json's order
         json.dumps(F[~finite][0].item(), allow_nan=False)
     bits = F.view(np.uint64)
+    n_rows, n_cols = bits.shape[0], bits.shape[1] // 2
     # most entries are +0.0: the distinct values are sought among the others
     values = np.unique(np.append(bits[bits != 0], np.uint64(0)))
     reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
-    template = "[" + ",".join(["[%s,%s]"] * (bits.shape[1] // 2)) + "]"
-    zero = template % (("0.0",) * bits.shape[1])
-    step = max(1, _BLOCK_ENTRIES // bits.shape[1])
+    zero_row = "[" + ",".join(["[0.0,0.0]"] * n_cols) + "]"
+    row = len(zero_row) + 1  # with the comma after it
+    step = max(1, _BLOCK_ENTRIES // (2 * n_cols))
+    zeros = ",".join([zero_row] * min(step, n_rows))
     yield "["
-    for lo in range(0, len(bits), step):
+    for lo in range(0, n_rows, step):
         block = bits[lo:lo + step]
-        zero_rows = ~block.any(axis=1)
-        live = block[~zero_rows]  # the rows that are not all +0.0
-        texts = iter(reprs[np.searchsorted(values, live)].tolist())
-        rows = [zero if is_zero else template % tuple(next(texts)) for is_zero in zero_rows.tolist()]
-        yield ("," if lo else "") + ",".join(rows)
+        r, c = np.nonzero(block[:, 0::2] | block[:, 1::2])
+        at = np.searchsorted(values, block.reshape(-1, n_cols, 2)[r, c])
+        # the two 0.0 of each nonzero pair's "[0.0,0.0]" in the block of zero
+        # rows are replaced; the zero text kept runs from the "]" of one such
+        # pair to the "[" of the next, both included
+        opens = r * row + c * len("[0.0,0.0],") + 1
+        kept_from = np.append(0, opens + len("[0.0,0.0")).tolist()
+        kept_to = np.append(opens + 1, len(block) * row - 1).tolist()
+        pieces = [","] * (4 * len(opens) + 1)  # kept, re, ",", im, kept, ...
+        pieces[0::4] = map(zeros.__getitem__, map(slice, kept_from, kept_to))
+        pieces[1::4] = reprs[at[:, 0]].tolist()
+        pieces[3::4] = reprs[at[:, 1]].tolist()
+        yield ("," if lo else "") + "".join(pieces)
     yield "]"
 
 

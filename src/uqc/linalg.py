@@ -54,7 +54,14 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(A: np.ndarray) -> float:
-    """Largest singular value of ``A`` (the spectral norm)."""
+    """Largest singular value of ``A`` (the spectral norm).
+
+    The singular values of a diagonal ``A`` are its |A_ii|, so a matrix with
+    no nonzero entry off the diagonal, such as a drift, takes no SVD.
+    """
+    diag = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(diag):
+        return max_abs(diag)
     return float(np.linalg.norm(A, 2))
 
 

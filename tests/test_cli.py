@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -795,6 +796,54 @@ def test_closed_stdout_exits_without_traceback(u3_path, tmp_path):
         with proc.stderr:
             stderr = proc.stderr.read().decode()
         assert (proc.wait(timeout=60), stderr) == (141, ""), argv
+
+
+def test_process_entry_writes_what_main_writes(capsys, monkeypatch, u3_path, tmp_path):
+    # python -m uqc ends through uqc.__main__.run, which freezes the garbage
+    # collector before the interpreter exits.  Each run must write the
+    # stdout, stderr, exit code and --out bytes of main called here, and
+    # main must leave this process's collector as it found it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    out = tmp_path / "out.json"
+    bad = tmp_path / "ragged.json"
+    bad.write_text('{"algebra":"u","dimension":2,"generators":[{"matrix":[[[0.0,1.0]]]}]}')
+    cases = [
+        ["check", u3_path],
+        ["check", u3_path, "--text"],
+        ["check", u3_path, "--oracle"],
+        ["repair", u3_path, "--out", str(out)],
+        ["construct", "--dim", "3", "--out", str(out)],
+        ["epsilon", u3_path],
+        ["oracle", u3_path],
+        ["--version"],
+        ["check"],
+        ["check", str(bad)],
+    ]
+
+    def written():
+        if not out.exists():
+            return None
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    gc_state = gc.get_freeze_count(), gc.isenabled()
+    codes = set()
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqc", *argv],
+            env=_uqc_env(), capture_output=True, text=True, timeout=60,
+        )
+        want = proc.returncode, proc.stdout, proc.stderr, written()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err, written()) == want, argv
+        codes.add(code)
+    assert (gc.get_freeze_count(), gc.isenabled()) == gc_state
+    assert codes == {0, 2}
 
 
 def test_importing_the_cli_leaves_mpmath_out(tmp_path):

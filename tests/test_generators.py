@@ -72,9 +72,12 @@ def test_validate_rejects_nondiagonal_designated():
 
 
 def test_validate_rejects_traceful_in_su_mode():
-    with pytest.raises(NotTraceless) as err:
-        GeneratorSet(Algebra("su", 2), (Generator(np.diag([1j, 2j])),))
-    assert err.value.generator_index == 0
+    # at subnormal scale the trace check allows d subnormal ulps of
+    # rounding, far less than this trace
+    for scale in (1.0, 1e-315, 1e-320):
+        with pytest.raises(NotTraceless) as err:
+            GeneratorSet(Algebra("su", 2), (Generator(scale * np.diag([1j, 2j])),))
+        assert err.value.generator_index == 0
 
 
 def test_validate_rejects_empty_and_bad_index():

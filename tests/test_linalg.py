@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,26 @@ def test_operator_norm_identity():
 def test_operator_norm_diagonal():
     A = np.diag(1j * np.sqrt([2.0, 3.0, 5.0]))
     assert linalg.operator_norm(A) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+
+
+def test_operator_norm_of_a_diagonal_is_its_largest_entry_without_an_svd():
+    # the singular values of a diagonal matrix are its |A_ii|.  On an
+    # imaginary diagonal, a drift's, |A_ii| is exact and LAPACK's SVD lands
+    # within an ulp of it; on a complex one, np.abs is within an ulp of the
+    # modulus and the SVD within a few
+    rng = np.random.default_rng(53)
+    for k in range(400):
+        d = int(rng.integers(1, 65))
+        scale = 10.0 ** rng.uniform(-300, 300)
+        diag = scale * (1j * rng.normal(size=d) + (k % 2) * rng.normal(size=d))
+        diag[rng.random(d) < 0.2] = 0.0
+        A = np.diag(diag)
+        want = float(np.max(np.abs(diag)))
+        assert linalg.operator_norm(A) == want
+        z = complex(diag[np.argmax(np.abs(diag))])
+        assert abs(want - math.hypot(z.real, z.imag)) <= np.spacing(want)
+        if k % 2 == 0:
+            assert abs(want - np.linalg.norm(A, 2)) <= np.spacing(want)
 
 
 def test_operator_norm_embedded_rotation():
