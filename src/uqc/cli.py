@@ -172,7 +172,7 @@ def _cmd_epsilon(args) -> int:
     # no tolerance enters the bound; they are resolved all the same, so that
     # a bad tolerances section or profile exits 2 here as in every command
     _resolve_tolerances(overrides, args)
-    # one SVD per generator gives both its norm and its bound
+    # one operator_norm per generator gives both its norm and its bound
     norms = [operator_norm(gen.matrix) for gen in gen_set.generators]
     eps = least_step_bound(norms)
     per_gen = []

@@ -8,8 +8,9 @@ is a position in the generator list and stays 0-based, default 0.
 
 :func:`load_input_document` reads each generator's matrix straight from the
 bytes of the file into its complex ndarray, with no nested lists: a
-vectorised pass checks the "[],"-skeleton and the number tokens, and each
-distinct token is converted once.  json parses only the rest of the
+vectorised pass checks the "[],"-skeleton, an exact ``[0.0,0.0]`` pair
+costs one word compare, the number tokens of the other pairs are checked
+and each distinct token is converted once.  json parses only the rest of the
 document, in which each matrix is that ndarray.  A document that reader
 does not take goes as a whole through ``json.loads`` and
 :func:`parse_input_document`; either way gives the same matrices, bit for
@@ -185,21 +186,20 @@ def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
     same matrices, bit for bit, and the same errors.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # only the bytes are kept: the text beside them would double
-            # the memory a large file takes while its matrices are read
-            data = fh.read().encode("utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8
-        raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     try:
         obj = _read_matrix_text(data)
     except _NotPlain:
         try:
-            obj = json.loads(data.decode("utf-8"))
+            # newlines as a file read in text mode has them, which is what
+            # the line and column of json's errors count
+            obj = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
         except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, integers past the digit limit, nesting too deep
+            # not UTF-8, JSONDecodeError, integers past the digit limit,
+            # nesting too deep
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     return parse_input_document(obj)
 
@@ -215,16 +215,19 @@ class _NotPlain(Exception):
 #: a "matrix" key and the start of its array value
 _MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 _WHITESPACE = b" \t\n\r"
-#: the bytes of JSON numbers; every other byte of a matrix is one of "[],"
+#: the bytes of JSON numbers; every other byte of a matrix is whitespace or one of "[],"
 _NUMBER_BYTES = b"0123456789+-.eE"
 #: the longest number token read here; a float's repr has at most 24 bytes
 _TOKEN_MAX = 32
 #: NULs after the text, so that a window of _TOKEN_MAX bytes fits at every token
 _PAD = bytes(_TOKEN_MAX)
 _ZERO_KEY = int.from_bytes(b"0.0", "little")
+#: the 8 bytes after the '[' of an exact zero pair
+_ZERO_PAIR = int.from_bytes(b"0.0,0.0]", "little")
 #: the low n bytes of a uint64, for n = 0..8
 _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-_CHUNK = 1 << 20
+#: the bytes of pairs lexed at a time; their int64 offsets take 8 times that
+_CHUNK = 1 << 17
 
 
 def _read_matrix_text(data: bytes) -> dict:
@@ -276,37 +279,10 @@ def _read_matrix_text(data: bytes) -> dict:
         raise _NotPlain
     # every span is read before any field is checked, so that a document
     # that is not JSON fails as such, whatever else is wrong with it
-    arrays = [_lex_matrix(_compact(data, start, stop, 2 * d * d), d) for start, stop in spans]
+    arrays = [_lex_matrix(b"".join((memoryview(data)[start:stop], _PAD)), d) for start, stop in spans]
     for g, M in zip(gens, arrays):
         g["matrix"] = M
     return obj
-
-
-def _compact(data: bytes, start: int, stop: int, tokens: int) -> bytes:
-    """``data[start:stop]`` without whitespace, followed by :data:`_PAD`.
-
-    Whitespace between the bytes of one number would join them into one
-    token once removed, so the runs of number bytes in the span as written
-    must number ``tokens``, the count the matrix must hold; otherwise this
-    raises :class:`_NotPlain`.  The span is read in chunks of
-    :data:`_CHUNK` bytes, so that a whitespace-heavy matrix costs no
-    full-length temporaries.
-    """
-    view = memoryview(data)
-    pieces, runs, before = [], 0, False
-    for a in range(start, stop, _CHUNK):
-        chunk = view[a:min(a + _CHUNK, stop)]
-        u = np.frombuffer(chunk, dtype=np.uint8)
-        # number bytes, told apart from whitespace and "[],"; any other
-        # byte is left in the skeleton, which then does not match
-        number = (u >= 43) & (u != 44) & (u != 91) & (u != 93)
-        runs += int(np.count_nonzero(number[1:] > number[:-1])) + int(number[0] and not before)
-        before = bool(number[-1])
-        pieces.append(bytes(chunk).translate(None, _WHITESPACE))
-    if runs != tokens:
-        raise _NotPlain
-    pieces.append(_PAD)
-    return b"".join(pieces)
 
 
 def _pairs_skeleton(d: int) -> bytes:
@@ -316,17 +292,75 @@ def _pairs_skeleton(d: int) -> bytes:
 
 
 def _lex_matrix(text: bytes, d: int) -> np.ndarray:
-    """The d x d complex matrix whose JSON text without whitespace,
-    followed by :data:`_PAD`, is ``text``.
+    """The d x d complex matrix whose JSON text, followed by :data:`_PAD`,
+    is ``text``.
 
-    The text must be exactly d rows of d [re, im] pairs of JSON numbers.
-    The "[],"-skeleton is checked by deleting the number bytes, after a
-    check that the text is long enough for it, so that a document that
-    declares a huge dimension costs nothing of that size.  Every pair slot
-    must hold one token, and no token may stand elsewhere.  Tokens are
-    checked for what ``float`` accepts and JSON does not (a leading '+', a
-    leading zero, a '.' without a digit on each side); ``float`` rejects
-    the rest.  The text is scanned in chunks of about :data:`_CHUNK` bytes.
+    The text must be exactly d rows of d [re, im] pairs of JSON numbers,
+    with whitespace anywhere between them.  The "[],"-skeleton is checked
+    by deleting the number bytes and the whitespace, after a check that
+    the text is long enough for it, so that a document that declares a
+    huge dimension costs nothing of that size.  By the skeleton, each pair
+    holds number bytes, whitespace and one ',' from its '[' up to the first
+    ']' after it.  A pair whose 8 bytes after its '[' are ``0.0,0.0]``
+    reads as +0.0 at the cost of that one word compare, which is most pairs
+    of a sparse matrix.  The other pairs are put one after another, in
+    pieces of about :data:`_CHUNK` bytes.  Whitespace between the bytes
+    of one number would join them into one token once removed, so the runs
+    of number bytes in a piece as written must number two per pair; then
+    its whitespace goes and :func:`_lex_pairs` reads it.  The text is
+    refused unless the number bytes inside the pairs are all it holds, so
+    that no number stands outside a pair.  Anything else raises
+    :class:`_NotPlain`.
+    """
+    n = d * d
+    size = len(text) - len(_PAD)
+    if size < 6 * n + 2 * d + 1:
+        raise _NotPlain
+    skeleton = _pairs_skeleton(d)
+    if text.translate(None, _NUMBER_BYTES + _WHITESPACE) != skeleton + _PAD:
+        raise _NotPlain
+    u = np.frombuffer(text, dtype=np.uint8)
+    # the '['s are the matrix's, then each row's followed by its d pairs';
+    # the ']'s each row's d pairs' followed by the row's, then the matrix's
+    opens = np.flatnonzero(u == 91)[1:].reshape(d, d + 1)[:, 1:].ravel()
+    closes = np.flatnonzero(u == 93)[:-1].reshape(d, d + 1)[:, :-1].ravel()
+    # the number bytes of the text (by the skeleton, its other bytes are
+    # "[]," and whitespace, the bytes up to b" "), and the number bytes and
+    # whitespace inside the pairs
+    numbers = size - len(skeleton) - int(np.count_nonzero(u[:size] <= 32))
+    inside = int((closes - opens).sum()) - 2 * n
+    live = np.flatnonzero(_words(text)[opens + 1] != _ZERO_PAIR)
+    opens, lengths = opens[live], closes[live] - opens[live] + 1
+    # the pairs put one after another: pair k is bytes ends[k] - lengths[k]
+    # up to ends[k], and byte b of it is byte b + shift[k] of the text
+    ends = np.cumsum(lengths)
+    shift = opens - (ends - lengths)
+    values = np.zeros((n, 2))
+    i = 0
+    while i < len(live):
+        a = ends[i] - lengths[i]
+        j = max(i + 1, int(np.searchsorted(ends, a + _CHUNK, side="right")))
+        piece = u[np.arange(a, ends[j - 1]) + np.repeat(shift[i:j], lengths[i:j])]
+        # number bytes, told apart from whitespace and "[],"
+        number = (piece >= 43) & (piece != 44) & (piece != 91) & (piece != 93)
+        if np.count_nonzero(number[1:] > number[:-1]) != 2 * (j - i):
+            raise _NotPlain
+        piece = piece.tobytes().translate(None, _WHITESPACE)
+        inside -= ends[j - 1] - a - len(piece)
+        values[live[i:j]] = _lex_pairs(piece + _PAD, 2 * (j - i)).reshape(-1, 2)
+        i = j
+    if inside != numbers:
+        raise _NotPlain
+    return values.view(np.complex128).reshape(d, d)
+
+
+def _lex_pairs(text: bytes, n: int) -> np.ndarray:
+    """The ``n`` numbers of ``text``: whole [re, im] pairs of number bytes,
+    one after another, followed by :data:`_PAD`.
+
+    Every pair slot must hold one token.  Tokens are checked for what
+    ``float`` accepts and JSON does not (a leading '+', a leading zero, a
+    '.' without a digit on each side); ``float`` rejects the rest.
 
     Tokens of up to 8 bytes are told apart by their bytes packed into a
     uint64, and each distinct one is converted once; ``0.0``, the usual
@@ -337,71 +371,42 @@ def _lex_matrix(text: bytes, d: int) -> np.ndarray:
     integer zero, so ``float`` reads them as json does.  Anything else, or
     a value that is not finite, raises :class:`_NotPlain`.
     """
-    n = 2 * d * d
-    size = len(text) - len(_PAD)
-    # the chunks below start after a ']' (the first at the opening '[')
-    # and end with one, and a number before the '[' or after the last ']'
-    # would leave the skeleton whole
-    if size < n + 4 * d * d + 2 * d + 1 or text[0] != 91 or text[size - 1] != 93:
-        raise _NotPlain
-    if text.translate(None, _NUMBER_BYTES) != _pairs_skeleton(d) + _PAD:
-        raise _NotPlain
     u, words = np.frombuffer(text, dtype=np.uint8), _words(text)
-    has_plus = b"+" in text
-    short_at, short_keys, long_at, long_starts, long_lengths = [], [], [], [], []
-    count = a = 0
-    while a < size:
-        b = text.find(b"]", min(a + _CHUNK, size - 1)) + 1  # no token holds a ']'
-        v = u[a:b]
-        struct = (v == 44) | (v == 91) | (v == 93)
-        # a chunk after the first starts just past a ']', where a token
-        # stands outside the pair slots; else the chunk starts and ends with
-        # "[],", and its edges alternate between the start and the end of a token
-        if not struct[0]:
-            raise _NotPlain
-        edges = np.flatnonzero(struct[:-1] != struct[1:]) + (a + 1)
-        starts, ends = edges[0::2], edges[1::2]
-        # a token after ']' or before '[' stands outside the pair slots
-        if (u[starts - 1] == 93).any() or (u[ends] == 91).any():
-            raise _NotPlain
-        signed = u[starts] == 45
-        lead = u[starts + signed]  # the first digit of the integer part
-        after = u[starts + signed + 1]
-        digit = (v - 48) < 10
-        if (
-            ((lead == 48) & ((after - 48) < 10)).any()
-            or ((v[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
-            or (has_plus and ((v[1:] == 43) & ((v[:-1] | 32) != 101)).any())
-        ):
-            raise _NotPlain
-        lengths = ends - starts
-        short = lengths <= 8
-        keys = words[starts[short]] & _KEY_MASKS[lengths[short]]
-        live = keys != _ZERO_KEY
-        short_at.append(np.flatnonzero(short)[live] + count)
-        short_keys.append(keys[live])
-        far = ~short
-        long_at.append(np.flatnonzero(far) + count)
-        long_starts.append(starts[far])
-        long_lengths.append(lengths[far])
-        count += len(starts)
-        a = b
-    if count != n:
+    v = u[: len(text) - len(_PAD)]
+    # the text starts with a '[' and ends with a ']', so its edges
+    # alternate between the start and the end of a token
+    struct = (v == 44) | (v == 91) | (v == 93)
+    edges = np.flatnonzero(struct[:-1] != struct[1:]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) != n:
+        raise _NotPlain
+    signed = u[starts] == 45
+    lead = u[starts + signed]  # the first digit of the integer part
+    after = u[starts + signed + 1]
+    digit = (v - 48) < 10
+    if (
+        ((lead == 48) & ((after - 48) < 10)).any()
+        or ((v[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
+        or (b"+" in text and ((v[1:] == 43) & ((v[:-1] | 32) != 101)).any())
+    ):
         raise _NotPlain
     values = np.zeros(n)
-    keys = np.concatenate(short_keys)
-    if len(keys):
-        distinct, inverse = np.unique(keys, return_inverse=True)
+    lengths = ends - starts
+    short = np.flatnonzero(lengths <= 8)
+    keys = words[starts[short]] & _KEY_MASKS[lengths[short]]
+    live = keys != _ZERO_KEY
+    if live.any():
+        distinct, inverse = np.unique(keys[live], return_inverse=True)
         tokens = [k.to_bytes(8, "little").rstrip(b"\0") for k in distinct.tolist()]
-        values[np.concatenate(short_at)] = _numbers(tokens, as_int=True)[inverse]
-    lengths = np.concatenate(long_lengths)
-    if len(lengths):
-        if lengths.max() > _TOKEN_MAX:
+        values[short[live]] = _numbers(tokens, as_int=True)[inverse]
+    far = np.flatnonzero(lengths > 8)
+    if len(far):
+        if lengths[far].max() > _TOKEN_MAX:
             raise _NotPlain
-        tokens = _words(text, _TOKEN_MAX)[np.concatenate(long_starts)]
-        tokens.view(np.uint8).reshape(-1, _TOKEN_MAX)[np.arange(_TOKEN_MAX) >= lengths[:, None]] = 0
-        values[np.concatenate(long_at)] = _numbers(tokens.tolist(), as_int=False)
-    return values.view(np.complex128).reshape(d, d)
+        tokens = _words(text, _TOKEN_MAX)[starts[far]]
+        tokens.view(np.uint8).reshape(-1, _TOKEN_MAX)[np.arange(_TOKEN_MAX) >= lengths[far, None]] = 0
+        values[far] = _numbers(tokens.tolist(), as_int=False)
+    return values
 
 
 def _words(text: bytes, width: int = 8) -> np.ndarray:

@@ -53,16 +53,63 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
+def components(d: int, edges) -> list[list[int]]:
+    """Connected components of the graph on 0..d-1 with the (r, l) pairs
+    of ``edges``, ordered by smallest member, members ascending
+    (union-find; the edges after the one that joins the last two
+    components are not looked at)."""
+    parent = list(range(d))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
+    joins = d - 1
+    for r, l in edges:
+        ra, rb = find(r), find(l)
+        if ra != rb:
+            # the smaller root wins, so every root is its component's minimum
+            parent[max(ra, rb)] = min(ra, rb)
+            joins -= 1
+            if not joins:
+                break
+    groups: dict[int, list[int]] = {}
+    for v in range(d):
+        groups.setdefault(find(v), []).append(v)
+    return [groups[k] for k in sorted(groups)]
+
+
 def operator_norm(A: np.ndarray) -> float:
     """Largest singular value of ``A`` (the spectral norm).
 
-    The singular values of a diagonal ``A`` are its |A_ii|, so a matrix with
-    no nonzero entry off the diagonal, such as a drift, takes no SVD.
+    ``A`` is block-diagonal over the connected components of its own
+    nonzero support (an edge r -- l wherever A_rl or A_lr is nonzero), so
+    its norm is the largest over those blocks.  A block of one index is
+    |A_ii|, so a diagonal matrix, such as a drift, takes no SVD; the blocks
+    of each size larger than one take one stacked SVD.  A connected ``A``
+    is one dense SVD; otherwise the result may differ from that one in the
+    last few ulps.
     """
-    diag = np.diagonal(A)
-    if np.count_nonzero(A) == np.count_nonzero(diag):
-        return max_abs(diag)
-    return float(np.linalg.norm(A, 2))
+    d = len(A)
+    r, l = np.divmod(np.flatnonzero(A != 0), d)
+    off = r != l
+    comps = components(d, zip(r[off].tolist(), l[off].tolist()))
+    if len(comps) == 1 and d > 1:
+        return float(np.linalg.norm(A, 2))
+    by_size: dict[int, list[list[int]]] = {}
+    for comp in comps:
+        by_size.setdefault(len(comp), []).append(comp)
+    norm = 0.0
+    for size, group in by_size.items():
+        idx = np.array(group)
+        if size == 1:
+            block_norms = np.abs(A[idx[:, 0], idx[:, 0]])
+        else:
+            block_norms = np.linalg.norm(A[idx[:, :, None], idx[:, None, :]], 2, axis=(1, 2))
+        norm = max(norm, float(block_norms.max()))
+    return norm
 
 
 def skew_coords(A: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ same rule applied to one generator at a time.
 
 This module holds the package's single edge rule,
 :func:`extract_coupling_graph` (an off-diagonal entry is an edge when
-``|A_rl| > tau_edge * max|A|``), and its single components routine,
-:func:`connected_components`.  Repair and the closure oracle reuse them.
+``|A_rl| > tau_edge * max|A|``), and its components routine,
+:func:`connected_components`, the union-find of ``linalg.components``,
+which ``linalg.operator_norm`` also runs on a matrix's own support.
+Repair and the closure oracle reuse them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import linalg
 from .generators import (
     GeneratorSet,
     IndependenceStatus,
@@ -110,23 +113,7 @@ def build_coupling_graph(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> C
 
 def connected_components(graph: CouplingGraph) -> list[list[int]]:
     """Components ordered by smallest member, members ascending (union-find)."""
-    parent = list(range(graph.dim))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
-
-    for r, l in graph.edges:
-        ra, rb = find(r), find(l)
-        if ra != rb:
-            # the smaller root wins, so every root is its component's minimum
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.dim):
-        groups.setdefault(find(v), []).append(v)
-    return [groups[k] for k in sorted(groups)]
+    return linalg.components(graph.dim, graph.edges)
 
 
 def check_universality(

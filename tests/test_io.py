@@ -680,6 +680,9 @@ def test_text_reader_matches_the_json_path(tmp_path, monkeypatch):
         compact.replace('"matrix":[', '"matrix":5[', 1),
         "[" + compact + "]",
         "",
+        # not UTF-8, in a matrix and beside them
+        compact.encode().replace(b"[0.0,0.0]", b"[0.0,\xff0.0]", 1),
+        compact.encode().replace(b'"rot12"', b'"rot\xe912"', 1),
     ]
     read = uio._read_matrix_text
     taken = []
@@ -693,10 +696,10 @@ def test_text_reader_matches_the_json_path(tmp_path, monkeypatch):
     monkeypatch.setattr(uio, "_read_matrix_text", text_reader)
     outcomes = {"ok": 0, "error": 0}
     for n, text in enumerate(texts):
-        path = str(tmp_path / f"doc{n}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        # small chunks put chunk boundaries inside matrices; at 1 B every ']' is one
+        path = tmp_path / f"doc{n}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        path = str(path)
+        # small chunks cut the lexed pairs into many pieces; at 1 B each pair is one
         monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([1, 16, 64, 1 << 20])))
         want = _outcome(_json_path, path)
         with time_limit(10):
@@ -757,11 +760,25 @@ def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path, monkeypatch
     # the same outcome as json's, never another exception and never a hang
     rng = np.random.default_rng(4242)
     bases = []
-    for d, m, kind in ((1, 1, "u"), (2, 2, "u"), (3, 2, "su"), (4, 3, "u")):
-        doc = json_document(uio.generator_set_to_document(random_instance(rng, d, m, kind, p=0.5)))
+    docs = [
+        json_document(uio.generator_set_to_document(random_instance(rng, d, m, kind, p=0.5)))
+        for d, m, kind in ((1, 1, "u"), (2, 2, "u"), (3, 2, "su"), (4, 3, "u"))
+    ]
+    # every pair of every matrix the exact zero pair, which the reader
+    # takes by its text alone
+    docs.append({"algebra": "u", "dimension": 3, "generators": [
+        {"label": label, "matrix": [[[0.0, 0.0]] * 3] * 3} for label in ("drift", "zero")]})
+    for doc in docs:
         bases += [json.dumps(doc, separators=(",", ":")), json.dumps(doc, indent=2), json.dumps(doc)]
-    alphabet = [*"0123456789-+.eE[],  \n\t\r\"}{:aNI", "0.0", "-0", "1e5", "[0.0,0.0]", "],[", '"matrix":']
     path = str(tmp_path / "doc.json")
+    # a signed zero keeps its sign bit, in a pair that is not the zero pair
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(bases[-3].replace("[0.0,0.0]", "[-0.0,0.0]", 1).replace("[0.0,0.0]]", "[0.0,-0.0]]", 1))
+    M = uio.load_input_document(path)[0].generators[0].matrix
+    assert np.signbit(M[0, 0].real) and np.signbit(M[0, 2].imag)
+    assert np.count_nonzero(np.signbit(M.view(np.float64))) == 2
+    alphabet = [*"0123456789-+.eE[],  \n\t\r\"}{:aNI", "0.0", "-0", "1e5", "[0.0,0.0]", "],[", '"matrix":',
+                "0.0,0.0]", "[0.0,0.0]3", "3[0.0,0.0]", "[-0.0,0.0]", "[0.0,0.00]", "[0.0 ,0.0]"]
     for _ in range(2000):
         text = bases[int(rng.integers(len(bases)))]
         for _ in range(int(rng.integers(1, 4))):
@@ -777,9 +794,9 @@ def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 20])
 def test_text_reader_refuses_a_number_moved_next_to_a_chunk_edge(tmp_path, monkeypatch, chunk):
-    # a chunk after the first starts just past a ']': a number there, or
-    # just before a '[', keeps the skeleton whole but stands outside the
-    # pair slots, and the document must fail as json fails it
+    # a number just after a ']' or just before a '[' keeps the skeleton
+    # whole but stands outside the pair slots, and at every chunk size the
+    # document must fail as json fails it
     monkeypatch.setattr(uio, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     doc = json_document(uio.generator_set_to_document(random_instance(rng, 6, 2, "u", p=0.5)))

@@ -89,6 +89,25 @@ def test_operator_norm_of_a_diagonal_is_its_largest_entry_without_an_svd():
             assert abs(want - np.linalg.norm(A, 2)) <= np.spacing(want)
 
 
+def test_operator_norm_over_planted_blocks_is_within_ulps_of_one_svd():
+    # a block-diagonal matrix with its indices permuted: the largest norm
+    # over the components of its support lands within a few ulps of one SVD
+    # of the whole, for blocks of every size, skew or not, at any scale
+    rng = np.random.default_rng(59)
+    for k in range(300):
+        d = int(rng.integers(1, 65))
+        cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(0, d)), replace=False))
+        A = np.zeros((d, d), dtype=complex)
+        for block in np.split(np.arange(d), cuts):
+            B = rng.normal(size=(len(block), len(block))) + 1j * rng.normal(size=(len(block), len(block)))
+            B[rng.random(B.shape) < 0.3] = 0.0
+            A[np.ix_(block, block)] = B - B.conj().T if k % 2 else B
+        perm = rng.permutation(d)
+        A = 10.0 ** rng.uniform(-300, 300) * A[np.ix_(perm, perm)]
+        want = np.linalg.norm(A, 2)
+        assert abs(linalg.operator_norm(A) - want) <= 16 * np.spacing(want)
+
+
 def test_operator_norm_embedded_rotation():
     # E12 - E21 padded to d=3: singular values (1, 1, 0)
     A = np.zeros((3, 3), dtype=complex)
