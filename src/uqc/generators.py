@@ -219,6 +219,7 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
             f"{len(raw.generators)} generators"
         )
     d = raw.algebra.dim
+    scales = []  # max|A| of each generator
     for j, gen in enumerate(raw.generators):
         A = gen.matrix
         if A.shape != (d, d):
@@ -226,26 +227,30 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
                 f"generator {j} ({gen.label}) has shape {A.shape}, expected {(d, d)}",
                 generator_index=j,
             )
-        if not np.isfinite(A).all():
+        scales.append(linalg.max_abs(A))
+        # a NaN or an infinity in A makes max|A| so, and so may finite
+        # entries whose magnitude overflows
+        if not math.isfinite(scales[j]) and not np.isfinite(A).all():
             raise ValidationError(
                 f"generator {j} ({gen.label}) has non-finite entries", generator_index=j
             )
-        if not linalg.is_skew_hermitian(A):
+        if not linalg.is_skew_hermitian(A, scales[j]):
             raise NotSkewHermitian(
                 f"generator {j} ({gen.label}) is not skew-Hermitian",
                 generator_index=j,
             )
         if raw.algebra.kind == "su" and abs(np.trace(A)) > d * max(
-            TAU_TRACE * linalg.max_abs(A), math.ulp(0.0)
+            TAU_TRACE * scales[j], math.ulp(0.0)
         ):
             raise NotTraceless(
                 f"generator {j} ({gen.label}) has nonzero trace in su mode",
                 generator_index=j,
             )
 
-    A = raw.designated.matrix
-    off = A - np.diag(np.diag(A))
-    if linalg.max_abs(off) > TAU_DIAG * linalg.max_abs(A):
+    # the entries of the designated generator off its diagonal, a view of
+    # its matrix; their magnitudes are taken only if one of them is nonzero
+    off = raw.designated.matrix.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
+    if off.any() and linalg.max_abs(off) > TAU_DIAG * scales[raw.general_index]:
         raise DesignatedNotDiagonal(
             f"designated generator {raw.general_index} is not diagonal",
             generator_index=raw.general_index,

@@ -533,21 +533,24 @@ def write_document(doc: dict, path: str):
     renders the rest of the document in one call, with ``null`` in place of
     each matrix: a '"' inside a string is escaped, so with the keys
     :func:`generator_set_to_document` writes, ``"matrix":null`` stands in
-    that text only where a matrix goes.  Each matrix is rendered from its
-    values and streamed a block of rows at a time (:func:`_matrix_chunks`).
+    that text only where a matrix goes.  The matrices are rendered from
+    their values (:func:`_matrix_texts`) and streamed a block of rows at a
+    time.  Every value is checked before the file is opened, so a document
+    that json would refuse leaves the file as it was.
     """
     gens = doc["generators"]
     rest = {**doc, "generators": [{**g, "matrix": None} for g in gens]}
     pieces = json.dumps(rest, separators=(",", ":"), allow_nan=False).split('"matrix":null')
+    texts = _matrix_texts([g["matrix"] for g in gens])
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc}") from exc
     with fh:
         fh.write(pieces[0])
-        for g, after in zip(gens, pieces[1:]):
+        for text, after in zip(texts, pieces[1:]):
             fh.write('"matrix":')
-            fh.writelines(_matrix_chunks(g["matrix"]))
+            fh.writelines(text)
             fh.write(after)
         fh.write("\n")
 
@@ -556,50 +559,88 @@ def write_document(doc: dict, path: str):
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _matrix_chunks(M: np.ndarray):
-    """The compact JSON text of the 2-D array ``M`` as rows of [re, im]
-    pairs of floats, in pieces of whole rows.
+def _matrix_texts(matrices: list) -> list:
+    """The compact JSON text of each 2-D array of ``matrices`` as rows of
+    [re, im] pairs of floats: for each, an iterator over pieces of whole
+    rows.
 
-    Each distinct float, told apart by its bits so that -0.0 is not 0.0, is
-    formatted once with ``float.__repr__``, as json does.  A block of rows
-    is the text of as many all-zero rows, built once per matrix, with the
-    two floats of each pair that is not (+0.0, +0.0) put in place of its
-    zeros: a row costs Python work per nonzero pair only, and copies of the
-    zero text between them.  The rows are rendered a block of about
+    Every value is checked here, before any text is made: a NaN or an
+    infinity raises json's own ``ValueError`` for the first one in json's
+    order.  Only the nonzero float words are looked at, taken from each
+    matrix with one pass over its contiguous float view.  The distinct ones
+    among all the matrices, told apart by their bits so that -0.0 is not
+    0.0, are found by a sort and formatted once with ``float.__repr__``, as
+    json does; ``np.unique`` asked for the values alone would import
+    ``numpy.ma``, as numpy 2.4 does there.  A block of rows is
+    the text of as many all-zero rows, built once per shape, with the two
+    floats of each pair that is not (+0.0, +0.0) put in place of its zeros:
+    a row costs Python work per nonzero pair only, and copies of the zero
+    text between them.  The rows are rendered a block of about
     :data:`_BLOCK_ENTRIES` entries at a time, so that a large matrix costs
-    no temporaries of its size.
+    no text of its size.
     """
-    F = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
-    finite = np.isfinite(F)
+    bits = [np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64) for M in matrices]
+    # the document's float words one after another: the nonzero ones, and
+    # where they stand
+    offsets = np.cumsum([0] + [b.size for b in bits])
+    nonzero = [np.flatnonzero(b != 0) for b in bits]  # faster than on the words
+    words = np.concatenate([np.zeros(0, np.uint64), *map(np.take, bits, nonzero)])
+    where = np.concatenate([np.zeros(0, np.intp), *map(np.add, nonzero, offsets.tolist())])
+    floats = words.view(np.float64)
+    finite = np.isfinite(floats)
     if not finite.all():
-        # json's own error for the first bad value in json's order
-        json.dumps(F[~finite][0].item(), allow_nan=False)
-    bits = F.view(np.uint64)
-    n_rows, n_cols = bits.shape[0], bits.shape[1] // 2
-    # most entries are +0.0: the distinct values are sought among the others
-    values = np.unique(np.append(bits[bits != 0], np.uint64(0)))
+        json.dumps(floats[np.argmin(finite)].item(), allow_nan=False)
+    values = np.sort(np.append(words, np.uint64(0)))
+    values = values[np.append(True, values[1:] != values[:-1])]
     reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
-    zero_row = "[" + ",".join(["[0.0,0.0]"] * n_cols) + "]"
-    row = len(zero_row) + 1  # with the comma after it
-    step = max(1, _BLOCK_ENTRIES // (2 * n_cols))
-    zeros = ",".join([zero_row] * min(step, n_rows))
-    yield "["
-    for lo in range(0, n_rows, step):
-        block = bits[lo:lo + step]
-        r, c = np.nonzero(block[:, 0::2] | block[:, 1::2])
-        at = np.searchsorted(values, block.reshape(-1, n_cols, 2)[r, c])
-        # the two 0.0 of each nonzero pair's "[0.0,0.0]" in the block of zero
-        # rows are replaced; the zero text kept runs from the "]" of one such
-        # pair to the "[" of the next, both included
-        opens = r * row + c * len("[0.0,0.0],") + 1
-        kept_from = np.append(0, opens + len("[0.0,0.0")).tolist()
-        kept_to = np.append(opens + 1, len(block) * row - 1).tolist()
-        pieces = [","] * (4 * len(opens) + 1)  # kept, re, ",", im, kept, ...
-        pieces[0::4] = map(zeros.__getitem__, map(slice, kept_from, kept_to))
-        pieces[1::4] = reprs[at[:, 0]].tolist()
-        pieces[3::4] = reprs[at[:, 1]].tolist()
-        yield ("," if lo else "") + "".join(pieces)
-    yield "]"
+    # the pairs with a nonzero word, and the index in ``values`` of their two
+    # words, one of which may be +0.0
+    pair = where >> 1
+    new = np.ones(len(pair), dtype=bool)
+    new[1:] = pair[1:] != pair[:-1]
+    pairs = pair[new]
+    codes = np.zeros((len(pairs), 2), dtype=np.uint64)
+    codes[np.cumsum(new) - 1, where & 1] = words
+    codes = np.searchsorted(values, codes)
+    # each pair's matrix, row and column, and its block of rows
+    shapes = [b.shape for b in bits]
+    n_cols = np.array([c // 2 for _, c in shapes])
+    steps = np.maximum(1, _BLOCK_ENTRIES // (2 * n_cols))
+    blocks = np.cumsum([0] + [-(-r // s) for (r, _), s in zip(shapes, steps.tolist())])
+    m = np.searchsorted(offsets, 2 * pairs, side="right") - 1
+    r, c = np.divmod(pairs - offsets[m] // 2, n_cols[m])
+    step = steps[m]
+    row = 10 * n_cols[m] + 2  # "[", n times "[0.0,0.0],", less a ",", "]", ","
+    # the two 0.0 of each nonzero pair's "[0.0,0.0]" in the block of zero
+    # rows are replaced; the zero text kept runs from the "]" of one such
+    # pair to the "[" of the next, both included
+    opens = (r % step) * row + c * 10 + 1
+    cuts = np.searchsorted(blocks[m] + r // step, np.arange(blocks[-1] + 1)).tolist()
+    kept_from = (opens + len("[0.0,0.0")).tolist()
+    kept_to = (opens + 1).tolist()
+    re_text, im_text = reprs[codes[:, 0]].tolist(), reprs[codes[:, 1]].tolist()
+    zeros = {}  # the text of a block of zero rows, by shape
+
+    def chunks(k: int):
+        n_rows, n_cols = shapes[k][0], shapes[k][1] // 2
+        step = int(steps[k])
+        if shapes[k] not in zeros:
+            zero_row = "[" + ",".join(["[0.0,0.0]"] * n_cols) + "]"
+            zeros[shapes[k]] = ",".join([zero_row] * min(step, n_rows))
+        text = zeros[shapes[k]]
+        row = 10 * n_cols + 2
+        yield "["
+        for b, lo in enumerate(range(0, n_rows, step), int(blocks[k])):
+            i, j = cuts[b], cuts[b + 1]
+            pieces = [","] * (4 * (j - i) + 1)  # kept, re, ",", im, kept, ...
+            pieces[0::4] = map(text.__getitem__, map(
+                slice, [0, *kept_from[i:j]], [*kept_to[i:j], min(step, n_rows - lo) * row - 1]))
+            pieces[1::4] = re_text[i:j]
+            pieces[3::4] = im_text[i:j]
+            yield ("," if lo else "") + "".join(pieces)
+        yield "]"
+
+    return [chunks(k) for k in range(len(bits))]
 
 
 # ---------------------------------------------------------------------------

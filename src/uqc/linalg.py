@@ -36,9 +36,12 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def is_skew_hermitian(A: np.ndarray) -> bool:
-    """``A + A†`` within ``TAU_SYM`` of the largest entry of ``A``, at any scale."""
-    return max_abs(A + A.conj().T) <= TAU_SYM * max_abs(A)
+def is_skew_hermitian(A: np.ndarray, scale: float | None = None) -> bool:
+    """``A + A†`` within ``TAU_SYM`` of the largest entry of ``A``, at any
+    scale; ``scale`` is that entry's magnitude, ``max_abs(A)``, if known."""
+    if scale is None:
+        scale = max_abs(A)
+    return max_abs(A + A.conj().T) <= TAU_SYM * scale
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -875,6 +875,38 @@ def test_importing_the_cli_leaves_mpmath_out(tmp_path):
         assert last == "False 0"
 
 
+def test_commands_import_numpy_but_neither_numpy_ma_nor_mpmath(tmp_path):
+    # each command as `python -m uqc` runs it, in a fresh interpreter that
+    # reports at exit which of the modules it imported: every command needs
+    # numpy, --version included; none needs numpy.ma, which np.unique
+    # imports in numpy 2.4, nor mpmath
+    reducible, scanned = str(tmp_path / "u3.json"), str(tmp_path / "u6.json")
+    uio.write_document(uio.generator_set_to_document(three_level_set()), reducible)
+    uio.write_document(uio.generator_set_to_document(_scanned_pair(Algebra("u", 6))), scanned)
+    out = str(tmp_path / "out.json")
+    script = (
+        "import atexit, runpy, sys\n"
+        "modules = ('numpy', 'numpy.ma', 'mpmath')\n"
+        "atexit.register(lambda: print(*(m in sys.modules for m in modules), file=sys.stderr))\n"
+        "runpy.run_module('uqc', run_name='__main__')\n"
+    )
+    for argv in (
+        ["--version"],
+        ["check", reducible], ["check", scanned],
+        ["check", "--oracle", reducible], ["check", "--oracle", scanned],
+        ["epsilon", scanned], ["oracle", reducible],
+        ["repair", reducible, "--out", out], ["repair", reducible, "--style", "sym", "--out", out],
+        ["construct", "--dim", "64", "--out", out],
+        ["construct", "--dim", "7", "--algebra", "su", "--style", "sym", "--out", out],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=_uqc_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, (argv, result.stderr)
+        assert result.stderr.splitlines()[-1] == "True False False", (argv, result.stderr)
+
+
 def _reducible_sets():
     """Seeded reducible sets; every other one scaled by 1/16, so that its
     generators' bounds exceed a bridge's pi/2."""

@@ -423,6 +423,23 @@ def test_dump_json_rejects_nonfinite_matrix_entries_like_json(bad, tmp_path):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("j", [0, 1])
+def test_a_refused_document_leaves_the_file_as_it_was(j, tmp_path):
+    # every matrix is checked before the file is opened, and so truncated
+    path = tmp_path / "set.json"
+    before = b'{"kept": true}\n'
+    path.write_bytes(before)
+    doc = uio.generator_set_to_document(minimal_pair(Algebra("u", 4)))
+    doc["generators"][j]["matrix"] = doc["generators"][j]["matrix"].copy()
+    doc["generators"][j]["matrix"][3, 2] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError) as want:
+        _reference_json(doc)
+    with pytest.raises(ValueError) as got:
+        uio.write_document(doc, str(path))
+    assert str(got.value) == str(want.value)
+    assert path.read_bytes() == before
+
+
 def _extreme_set() -> GeneratorSet:
     """u(3) with entries -0.0, 5e-324 and +-1e308, and a drift that is not
     the first generator."""
