@@ -7,6 +7,12 @@ connectivity of a coupling graph on basis indices; disconnected sets can be
 repaired with elementary bridges, a two-generator universal pair can be
 constructed for any d, and every verdict can be cross-checked against a
 brute-force Lie-closure oracle.
+
+The oracle's names load :mod:`uqc.oracle` on first use, so that a process
+that never runs the oracle does not build it.  ``repair`` stays an eager
+import: the first import of the submodule ``uqc.repair`` binds the module
+to the package's name ``repair``, and only an import of the function right
+after it, as below, makes ``uqc.repair`` the function for good.
 """
 
 __version__ = "0.1.0"
@@ -53,11 +59,6 @@ from .repair import (
     minimal_pair,
     repair,
 )
-from .oracle import (
-    LieClosureReport,
-    closure_block_partition,
-    lie_closure,
-)
 
 __all__ = [
     "__version__",
@@ -103,3 +104,14 @@ __all__ = [
     "lie_closure",
     "closure_block_partition",
 ]
+
+#: names of :mod:`uqc.oracle` that resolve on first use (PEP 562)
+_ORACLE_NAMES = ("LieClosureReport", "lie_closure", "closure_block_partition")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

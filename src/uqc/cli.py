@@ -23,10 +23,9 @@ import sys
 
 from . import __version__, io
 from .errors import InvalidInput, NumericalFailure
-from .generators import RELATION_BOUND, TAU_RELATION, Algebra, validate_tolerance
-from .generators import epsilon_bound, least_step_bound, step_bound
+from .generators import RELATION_BOUND, TAU_CLOSURE_RANK, TAU_RELATION, Algebra
+from .generators import epsilon_bound, least_step_bound, step_bound, validate_tolerance
 from .linalg import operator_norm
-from .oracle import TAU_CLOSURE_RANK, closure_block_partition, lie_closure
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
 from .universality import TAU_EDGE, check_universality, VerdictStatus
 
@@ -76,6 +75,23 @@ def _resolve_tolerances(overrides: dict, args) -> dict:
     return tols
 
 
+# the commands call the oracle through these two names of this module,
+# which bench/tracing.py wraps
+def lie_closure(gen_set, tau_rank):
+    """:func:`uqc.oracle.lie_closure`; the oracle module loads on the first
+    call, so that only ``check --oracle`` and ``oracle`` build it."""
+    from .oracle import lie_closure
+
+    return lie_closure(gen_set, tau_rank=tau_rank)
+
+
+def closure_block_partition(report, tau_edge):
+    """:func:`uqc.oracle.closure_block_partition`, loaded as :func:`lie_closure` is."""
+    from .oracle import closure_block_partition
+
+    return closure_block_partition(report, tau_edge=tau_edge)
+
+
 def _oracle_section(gen_set, verdict, tols):
     report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
     partition = closure_block_partition(report, tau_edge=tols["tau_edge"])
@@ -94,9 +110,11 @@ def _print_json(doc: dict):
     sys.stdout.write("\n")
 
 
-def _emit(args, doc: dict, text: str):
+def _emit(args, doc: dict, text):
+    """Print ``text()`` under ``--text``, else ``doc`` as JSON; the text is
+    made only when it is printed."""
     if args.text:
-        print(text)
+        print(text())
     else:
         _print_json(doc)
 
@@ -116,8 +134,8 @@ def _cmd_check(args) -> int:
         eps = None
     oracle = _oracle_section(gen_set, verdict, tols) if args.oracle else None
     doc = io.verdict_to_document(verdict, epsilon_max=eps, oracle=oracle)
-    graph_text = io.render_graph_text(gen_set, tols["tau_edge"]) if args.text else None
-    _emit(args, doc, io.render_verdict_text(doc, graph_text))
+    _emit(args, doc, lambda: io.render_verdict_text(
+        doc, io.render_graph_text(gen_set, tols["tau_edge"])))
     return EXIT_OK
 
 
@@ -152,7 +170,7 @@ def _cmd_repair(args) -> int:
     doc = io.verdict_to_document(
         verdict, epsilon_max=eps, repair=io.repair_plan_to_document(plan)
     )
-    _emit(args, doc, io.render_verdict_text(doc))
+    _emit(args, doc, lambda: io.render_verdict_text(doc))
     return EXIT_OK
 
 
@@ -163,7 +181,7 @@ def _cmd_construct(args) -> int:
     io.write_document(io.generator_set_to_document(gen_set), args.out)
     n = len(gen_set.generators)
     doc = {"out": args.out, "algebra": args.algebra, "dimension": args.dim, "generators": n}
-    _emit(args, doc, f"wrote {args.out}: {args.algebra}({args.dim}), {n} generator(s)")
+    _emit(args, doc, lambda: f"wrote {args.out}: {args.algebra}({args.dim}), {n} generator(s)")
     return EXIT_OK
 
 
@@ -197,7 +215,7 @@ def _cmd_epsilon(args) -> int:
                 f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
                 f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
             )
-    _emit(args, {"epsilon_max": eps, "generators": per_gen}, "\n".join(lines))
+    _emit(args, {"epsilon_max": eps, "generators": per_gen}, lambda: "\n".join(lines))
     return EXIT_OK
 
 
@@ -234,19 +252,7 @@ def _add_format_flags(p: argparse.ArgumentParser):
     p.set_defaults(text=False)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uqc",
-        description=(
-            "Decide whether exponentiating a set of skew-Hermitian generators "
-            "yields a universal gate set for U(d) or SU(d), via the coupling-"
-            "graph criterion; repair, construct, and cross-check with a "
-            "Lie-closure oracle."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_check(sub):
     p = sub.add_parser("check", help="universality verdict for an input document")
     p.add_argument("input", help="path to a generator-set JSON document")
     p.add_argument("--oracle", action="store_true", help="also run the Lie-closure oracle")
@@ -254,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p)
     p.set_defaults(func=_cmd_check)
 
+
+def _add_repair(sub):
     p = sub.add_parser("repair", help="bridge disconnected components, write the new set")
     p.add_argument("input")
     p.add_argument("--style", choices=_STYLES, default="antisym")
@@ -272,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p)
     p.set_defaults(func=_cmd_repair)
 
+
+def _add_construct(sub):
     p = sub.add_parser("construct", help="write a minimal two-generator universal set")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--algebra", choices=["u", "su"], default="u")
@@ -280,23 +290,66 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p)
     p.set_defaults(func=_cmd_construct)
 
+
+def _add_epsilon(sub):
     p = sub.add_parser("epsilon", help="small-step bound per generator")
     p.add_argument("input")
     _add_format_flags(p)
     p.set_defaults(func=_cmd_epsilon)
 
+
+def _add_oracle(sub):
     p = sub.add_parser("oracle", help="Lie-closure report only")
     p.add_argument("input")
     p.add_argument("--tau-edge", type=float, default=None)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_oracle)
 
+
+#: each subcommand and the function that adds its parser, in the order of
+#: the help text
+_COMMANDS = {
+    "check": _add_check,
+    "repair": _add_repair,
+    "construct": _add_construct,
+    "epsilon": _add_epsilon,
+    "oracle": _add_oracle,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with the subparser of ``command`` alone, or of
+    every command when ``command`` is None.
+
+    :func:`main` builds the parser of the command its arguments name first,
+    and the whole tree otherwise (``--help``, ``--version``, no command, an
+    unknown one).  Either parser writes the same help, usage and errors for
+    those arguments: the top-level usage names every command either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="uqc",
+        description=(
+            "Decide whether exponentiating a set of skew-Hermitian generators "
+            "yields a universal gate set for U(d) or SU(d), via the coupling-"
+            "graph criterion; repair, construct, and cross-check with a "
+            "Lie-closure oracle."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # the whole tree lists its commands itself; a metavar there would also
+    # replace "command" in the error for a missing one
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         # a short output sits in the buffer until here; flushed at

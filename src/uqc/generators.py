@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,9 @@ TAU_DIAG = 1e-12
 TAU_SPECTRUM = 1e-9
 #: residual tolerance for accepted integer relations
 TAU_RELATION = 1e-9
+#: relative acceptance threshold of the closure oracle for rank-increasing
+#: commutators (:func:`uqc.oracle.lie_closure`)
+TAU_CLOSURE_RANK = 1e-10
 #: default bound on integer-relation coefficients
 RELATION_BOUND = 10
 #: PSLQ's pivot weight gamma (mpmath's and Bailey's choice, sqrt(4/3))
@@ -60,19 +63,62 @@ def _integer(value, name: str) -> int:
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Algebra:
-    """Target algebra: all skew-Hermitian ('u') or traceless ones ('su')."""
+class _Record:
+    """Base of the package's slotted records.
 
-    kind: str  # "u" | "su"
-    dim: int
+    A subclass lists its fields in ``__slots__`` and sets them once, in
+    ``__init__``, with :meth:`_fill`; after that assigning or deleting a
+    field raises AttributeError.  Records are plain classes, not
+    dataclasses: a frozen dataclass costs about a millisecond to create, at
+    every import of the package.  Equality is by identity unless the
+    subclass defines it.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("u", "su"):
-            raise InvalidInput(f"algebra kind must be 'u' or 'su', got {self.kind!r}")
-        object.__setattr__(self, "dim", _integer(self.dim, "algebra dimension"))
-        if self.dim < 1:
-            raise InvalidInput(f"algebra dimension must be >= 1, got {self.dim}")
+    __slots__ = ()
+
+    def _fill(self, *values):
+        """Set the fields, in the order of ``__slots__``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle build the record again from its fields, in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Algebra(_Record):
+    """Target algebra: all skew-Hermitian ('u') or traceless ones ('su').
+
+    Equal and hashable by value.
+    """
+
+    __slots__ = ("kind", "dim")
+
+    def __init__(self, kind: str, dim: int):
+        if kind not in ("u", "su"):
+            raise InvalidInput(f"algebra kind must be 'u' or 'su', got {kind!r}")
+        dim = _integer(dim, "algebra dimension")
+        if dim < 1:
+            raise InvalidInput(f"algebra dimension must be >= 1, got {dim}")
+        self._fill(kind, dim)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.dim) == (other.kind, other.dim)
+
+    def __hash__(self):
+        return hash((self.kind, self.dim))
 
     @property
     def target_dimension(self) -> int:
@@ -81,36 +127,39 @@ class Algebra:
         return d * d if self.kind == "u" else d * d - 1
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
-    matrix: np.ndarray
-    label: str = ""
+class Generator(_Record):
+    """A generator's matrix and its label; equal only to itself."""
+
+    __slots__ = ("matrix", "label")
+
+    def __init__(self, matrix: np.ndarray, label: str = ""):
+        self._fill(matrix, label)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorSet:
+class GeneratorSet(_Record):
     """Ordered generators plus the target algebra, validated once as it is built.
 
     This is the one gate a generator matrix passes.  Building a set (also by
-    :meth:`with_extra` or ``dataclasses.replace``) gives an empty label
-    ``g{j+1}``, as in documents, stores each matrix (nested lists or a real
-    array, say) as a complex array and runs :func:`validate_set`.  A matrix
-    numpy cannot read as complex (ragged rows, strings) raises
-    ValidationError naming the generator's index and label, as every
-    other per-generator error does.  ``general_index`` must be an integer.
-    Whether the designated drift is :func:`make_general_direction`'s is read
-    off its phases (:func:`is_constructed_direction`), not stored.
+    :meth:`with_extra`) gives an empty label ``g{j+1}``, as in documents,
+    stores each matrix (nested lists or a real array, say) as a complex
+    array and runs :func:`validate_set`.  A matrix numpy cannot read as
+    complex (ragged rows, strings) raises ValidationError naming the
+    generator's index and label, as every other per-generator error does.
+    ``general_index`` must be an integer.  Whether the designated drift is
+    :func:`make_general_direction`'s is read off its phases
+    (:func:`is_constructed_direction`), not stored.  A set is equal only to
+    itself.
     """
 
-    algebra: Algebra
-    generators: tuple[Generator, ...]
-    general_index: int = 0
+    __slots__ = ("algebra", "generators", "general_index")
 
-    def __post_init__(self):
+    def __init__(
+        self, algebra: Algebra, generators: tuple[Generator, ...], general_index: int = 0
+    ):
         # each matrix as the complex array validate_set checks; a labelled
         # generator with a complex128 array is kept as it is, not copied
         gens = []
-        for j, gen in enumerate(self.generators):
+        for j, gen in enumerate(generators):
             label = gen.label or f"g{j + 1}"
             try:
                 matrix = np.asarray(gen.matrix, dtype=complex)
@@ -122,8 +171,7 @@ class GeneratorSet:
             if matrix is not gen.matrix or not gen.label:
                 gen = Generator(matrix, label)
             gens.append(gen)
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "general_index", _integer(self.general_index, "general_index"))
+        self._fill(algebra, tuple(gens), _integer(general_index, "general_index"))
         validate_set(self)
 
     @property
@@ -135,7 +183,8 @@ class GeneratorSet:
         return self.generators[self.general_index]
 
     def with_extra(self, extra: list[Generator]) -> "GeneratorSet":
-        return replace(self, generators=self.generators + tuple(extra))
+        """This set with ``extra`` appended, built and validated again."""
+        return type(self)(self.algebra, self.generators + tuple(extra), self.general_index)
 
 
 def validate_tolerance(name: str, value, source: str = "argument"):
@@ -167,8 +216,7 @@ class IndependenceStatus(Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class SpectrumIndependenceVerdict:
+class SpectrumIndependenceVerdict(NamedTuple):
     """Outcome of the rational-independence scan of a diagonal spectrum.
 
     ``relation`` holds integer coefficients c with |c . (1, theta/2pi)| <=

@@ -1,10 +1,11 @@
-"""JSON document formats and text rendering for the command-line front end.
+"""JSON document formats for the command-line front end: input and verdicts.
 
 Input documents describe a generator set; complex entries are [re, im] pairs
 so no string parsing of "a+bi" is ever needed.  Basis indices are 1-based in
 every document (components, permutations, bridge endpoints) and 0-based in
-the library; this module is the only place that converts.  ``general_index``
-is a position in the generator list and stays 0-based, default 0.
+the library; this module and :mod:`uqc.output` are the only places that
+convert.  ``general_index`` is a position in the generator list and stays
+0-based, default 0.
 
 :func:`load_input_document` reads each generator's matrix straight from the
 bytes of the file into its complex ndarray, with no nested lists: a
@@ -17,18 +18,15 @@ does not take goes as a whole through ``json.loads`` and
 bit, and the same error messages.  :class:`GeneratorSet` then checks the
 set's invariants.
 
-A generator-set document (:func:`generator_set_to_document`) holds each
-matrix as its complex ndarray.  :func:`write_document` writes it in json's
-compact layout and renders each matrix straight from its values as rows of
-[re, im] pairs: byte for byte what ``json.dumps(separators=(",", ":"))``
-gives the same document with its arrays turned into lists.  The other
-documents (verdicts and reports) hold no matrix; :func:`dump_json` writes
-them in json's ``indent=2`` layout.
+A verdict document (:func:`verdict_to_document`) holds no matrix;
+:func:`dump_json` writes it in json's ``indent=2`` layout.  The writer of
+generator-set documents (``--out``), the other report documents and the
+``--text`` renderers live in :mod:`uqc.output`, which loads on the first
+use of one of their names here (:data:`_OUTPUT_NAMES`).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -44,7 +42,25 @@ from .generators import (
     GeneratorSet,
     validate_set,  # not called here; bench/tracing.py wraps this name
 )
-from .universality import UniversalityVerdict, extract_coupling_graph
+from .universality import UniversalityVerdict
+
+#: the names of :mod:`uqc.output` that resolve here on first use (PEP 562)
+_OUTPUT_NAMES = (
+    "write_document",
+    "generator_set_to_document",
+    "repair_plan_to_document",
+    "closure_report_to_document",
+    "render_graph_text",
+    "render_verdict_text",
+)
+
+
+def __getattr__(name):
+    if name in _OUTPUT_NAMES:
+        from . import output
+
+        return getattr(output, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require(cond: bool, message: str):
@@ -66,7 +82,10 @@ def _parse_entry(value, where: str) -> complex:
         z = complex(re, im)
     except OverflowError:
         raise InvalidInput(f"{where}: entry is outside the float64 range") from None
-    _require(cmath.isfinite(z), f"{where}: entries must be finite, got {value!r}")
+    _require(
+        math.isfinite(z.real) and math.isfinite(z.imag),
+        f"{where}: entries must be finite, got {value!r}",
+    )
     return z
 
 
@@ -432,26 +451,6 @@ def _numbers(tokens: list, as_int: bool) -> np.ndarray:
     return out
 
 
-def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = None) -> dict:
-    """The input-document form of ``gen_set``.
-
-    Each ``"matrix"`` is the generator's complex ndarray itself, not a list:
-    the document is meant for :func:`write_document`, which renders it as
-    rows of [re, im] pairs.
-    """
-    doc = {
-        "algebra": gen_set.algebra.kind,
-        "dimension": gen_set.algebra.dim,
-        "general_index": gen_set.general_index,
-        "generators": [
-            {"label": g.label, "matrix": g.matrix} for g in gen_set.generators
-        ],
-    }
-    if tolerances:
-        doc["tolerances"] = dict(tolerances)
-    return doc
-
-
 def _finite_or_none(x: float | None):
     if x is None or not math.isfinite(x):
         return None
@@ -494,220 +493,9 @@ def verdict_to_document(
     return doc
 
 
-def repair_plan_to_document(plan) -> dict:
-    return {
-        "bridges": [
-            {"a": a + 1, "b": b + 1, "style": style.value}
-            for a, b, style in plan.bridges
-        ],
-        "noop": len(plan.bridges) == 0,
-    }
-
-
-def closure_report_to_document(report, partition=None) -> dict:
-    doc = {
-        "dimension": report.dimension,
-        "target_dimension": report.target_dimension,
-        "rounds": report.rounds,
-        "residual_max": _finite_or_none(report.residual_max),
-    }
-    if partition is not None:
-        doc["closure_partition"] = [_one_based(c) for c in partition]
-    return doc
-
-
 def dump_json(doc: dict, out):
     """Write ``doc``, a document without matrices (a verdict or report), to
     the text handle ``out`` in json's ``indent=2`` layout."""
     json.dump(doc, out, indent=2, allow_nan=False)
 
 
-def write_document(doc: dict, path: str):
-    """Write the generator-set document ``doc`` to the file ``path`` in
-    json's compact layout, with a final newline.
-
-    ``doc`` is laid out as :func:`generator_set_to_document` makes it, each
-    ``doc["generators"][j]["matrix"]`` an ndarray.  The text is byte for
-    byte ``json.dumps(doc, separators=(",", ":"), allow_nan=False)`` of the
-    document with every matrix turned into rows of [re, im] pairs.  json
-    renders the rest of the document in one call, with ``null`` in place of
-    each matrix: a '"' inside a string is escaped, so with the keys
-    :func:`generator_set_to_document` writes, ``"matrix":null`` stands in
-    that text only where a matrix goes.  The matrices are rendered from
-    their values (:func:`_matrix_texts`) and streamed a block of rows at a
-    time.  Every value is checked before the file is opened, so a document
-    that json would refuse leaves the file as it was.
-    """
-    gens = doc["generators"]
-    rest = {**doc, "generators": [{**g, "matrix": None} for g in gens]}
-    pieces = json.dumps(rest, separators=(",", ":"), allow_nan=False).split('"matrix":null')
-    texts = _matrix_texts([g["matrix"] for g in gens])
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise InvalidInput(f"cannot write {path}: {exc}") from exc
-    with fh:
-        fh.write(pieces[0])
-        for text, after in zip(texts, pieces[1:]):
-            fh.write('"matrix":')
-            fh.writelines(text)
-            fh.write(after)
-        fh.write("\n")
-
-
-#: matrix entries rendered into one piece of text
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _matrix_texts(matrices: list) -> list:
-    """The compact JSON text of each 2-D array of ``matrices`` as rows of
-    [re, im] pairs of floats: for each, an iterator over pieces of whole
-    rows.
-
-    Every value is checked here, before any text is made: a NaN or an
-    infinity raises json's own ``ValueError`` for the first one in json's
-    order.  Only the nonzero float words are looked at, taken from each
-    matrix with one pass over its contiguous float view.  The distinct ones
-    among all the matrices, told apart by their bits so that -0.0 is not
-    0.0, are found by a sort and formatted once with ``float.__repr__``, as
-    json does; ``np.unique`` asked for the values alone would import
-    ``numpy.ma``, as numpy 2.4 does there.  A block of rows is
-    the text of as many all-zero rows, built once per shape, with the two
-    floats of each pair that is not (+0.0, +0.0) put in place of its zeros:
-    a row costs Python work per nonzero pair only, and copies of the zero
-    text between them.  The rows are rendered a block of about
-    :data:`_BLOCK_ENTRIES` entries at a time, so that a large matrix costs
-    no text of its size.
-    """
-    bits = [np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64) for M in matrices]
-    # the document's float words one after another: the nonzero ones, and
-    # where they stand
-    offsets = np.cumsum([0] + [b.size for b in bits])
-    nonzero = [np.flatnonzero(b != 0) for b in bits]  # faster than on the words
-    words = np.concatenate([np.zeros(0, np.uint64), *map(np.take, bits, nonzero)])
-    where = np.concatenate([np.zeros(0, np.intp), *map(np.add, nonzero, offsets.tolist())])
-    floats = words.view(np.float64)
-    finite = np.isfinite(floats)
-    if not finite.all():
-        json.dumps(floats[np.argmin(finite)].item(), allow_nan=False)
-    values = np.sort(np.append(words, np.uint64(0)))
-    values = values[np.append(True, values[1:] != values[:-1])]
-    reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
-    # the pairs with a nonzero word, and the index in ``values`` of their two
-    # words, one of which may be +0.0
-    pair = where >> 1
-    new = np.ones(len(pair), dtype=bool)
-    new[1:] = pair[1:] != pair[:-1]
-    pairs = pair[new]
-    codes = np.zeros((len(pairs), 2), dtype=np.uint64)
-    codes[np.cumsum(new) - 1, where & 1] = words
-    codes = np.searchsorted(values, codes)
-    # each pair's matrix, row and column, and its block of rows
-    shapes = [b.shape for b in bits]
-    n_cols = np.array([c // 2 for _, c in shapes])
-    steps = np.maximum(1, _BLOCK_ENTRIES // (2 * n_cols))
-    blocks = np.cumsum([0] + [-(-r // s) for (r, _), s in zip(shapes, steps.tolist())])
-    m = np.searchsorted(offsets, 2 * pairs, side="right") - 1
-    r, c = np.divmod(pairs - offsets[m] // 2, n_cols[m])
-    step = steps[m]
-    row = 10 * n_cols[m] + 2  # "[", n times "[0.0,0.0],", less a ",", "]", ","
-    # the two 0.0 of each nonzero pair's "[0.0,0.0]" in the block of zero
-    # rows are replaced; the zero text kept runs from the "]" of one such
-    # pair to the "[" of the next, both included
-    opens = (r % step) * row + c * 10 + 1
-    cuts = np.searchsorted(blocks[m] + r // step, np.arange(blocks[-1] + 1)).tolist()
-    kept_from = (opens + len("[0.0,0.0")).tolist()
-    kept_to = (opens + 1).tolist()
-    re_text, im_text = reprs[codes[:, 0]].tolist(), reprs[codes[:, 1]].tolist()
-    zeros = {}  # the text of a block of zero rows, by shape
-
-    def chunks(k: int):
-        n_rows, n_cols = shapes[k][0], shapes[k][1] // 2
-        step = int(steps[k])
-        if shapes[k] not in zeros:
-            zero_row = "[" + ",".join(["[0.0,0.0]"] * n_cols) + "]"
-            zeros[shapes[k]] = ",".join([zero_row] * min(step, n_rows))
-        text = zeros[shapes[k]]
-        row = 10 * n_cols + 2
-        yield "["
-        for b, lo in enumerate(range(0, n_rows, step), int(blocks[k])):
-            i, j = cuts[b], cuts[b + 1]
-            pieces = [","] * (4 * (j - i) + 1)  # kept, re, ",", im, kept, ...
-            pieces[0::4] = map(text.__getitem__, map(
-                slice, [0, *kept_from[i:j]], [*kept_to[i:j], min(step, n_rows - lo) * row - 1]))
-            pieces[1::4] = re_text[i:j]
-            pieces[3::4] = im_text[i:j]
-            yield ("," if lo else "") + "".join(pieces)
-        yield "]"
-
-    return [chunks(k) for k in range(len(bits))]
-
-
-# ---------------------------------------------------------------------------
-# text rendering
-
-_MAX_EDGE_LINES = 40
-
-
-def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
-    """The coupling graph's edges, each with the generators that carry it.
-
-    A generator carries an edge when the edge rule applied to it alone keeps
-    the edge; the designated drift carries none.  Carriers are listed in
-    generator order with max(|A_rl|, |A_lr|); edges past the first
-    ``_MAX_EDGE_LINES`` are only counted.
-    """
-    carriers = [
-        (gen, extract_coupling_graph(gen_set.dim, [gen.matrix], tau_edge).edges)
-        for j, gen in enumerate(gen_set.generators)
-        if j != gen_set.general_index
-    ]
-    edges = sorted(frozenset().union(*(own for _, own in carriers)))
-    lines = [f"coupling graph: {gen_set.dim} vertices, {len(edges)} edges"]
-    for r, l in edges[:_MAX_EDGE_LINES]:
-        sources = ", ".join(
-            f"{gen.label}(|{max(abs(gen.matrix[r, l]), abs(gen.matrix[l, r])):.3g}|)"
-            for gen, own in carriers
-            if (r, l) in own
-        )
-        lines.append(f"  {r + 1} -- {l + 1}   via {sources}")
-    if len(edges) > _MAX_EDGE_LINES:
-        lines.append(f"  ... ({len(edges) - _MAX_EDGE_LINES} more edges)")
-    return "\n".join(lines)
-
-
-def render_verdict_text(doc: dict, graph_text: str | None = None) -> str:
-    lines = [f"status: {doc['status']}"]
-    comps = " ".join("{" + ",".join(map(str, c)) + "}" for c in doc["components"])
-    lines.append(f"components: {comps}")
-    lines.append(f"block sizes: {', '.join(map(str, doc['block_sizes']))}")
-    lines.append(f"permutation: ({', '.join(map(str, doc['permutation']))})")
-    gd = doc["general_direction"]
-    extra = ""
-    if gd["relation"] is not None:
-        extra = f", relation {gd['relation']}"
-    if gd["residual"] is not None:
-        extra += f", residual {gd['residual']:.3g}"
-    lines.append(
-        f"general direction: {gd['status']} (coefficient bound {gd['search_bound']}{extra})"
-    )
-    if doc.get("degenerate_spectrum"):
-        lines.append("warning: designated spectrum is degenerate")
-    if doc["epsilon_max"] is not None:
-        lines.append(f"epsilon_max: {doc['epsilon_max']:.6g}")
-    if "oracle" in doc:
-        o = doc["oracle"]
-        lines.append(
-            f"oracle: closure dimension {o['dimension']} of {o['target_dimension']}, "
-            f"agrees: {str(o['agrees']).lower()}"
-        )
-    if "repair" in doc:
-        r = doc["repair"]
-        if r["noop"]:
-            lines.append("repair: already connected, no bridges added")
-        else:
-            bridge_list = ", ".join(f"({b['a']},{b['b']})" for b in r["bridges"])
-            lines.append(f"repair: added {len(r['bridges'])} bridge(s): {bridge_list}")
-    if graph_text:
-        lines.append(graph_text)
-    return "\n".join(lines)

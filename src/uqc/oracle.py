@@ -24,18 +24,15 @@ takes about 0.05 s, of u(20) about 0.3 s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NumericalFailure
 # validate_set is not called here; bench/tracing.py wraps the name in this module
-from .generators import GeneratorSet, validate_set, validate_tolerance
+from .generators import TAU_CLOSURE_RANK, GeneratorSet, _Record, validate_set, validate_tolerance
 from .universality import TAU_EDGE, connected_components, extract_coupling_graph
 
-#: relative acceptance threshold for rank-increasing commutators
-TAU_CLOSURE_RANK = 1e-10
 #: growth-phase acceptance floor: a direction accepted from a leftover of
 #: size L carries out-of-span roundoff of order eps/L, so chasing leftovers
 #: below ~sqrt(eps) during growth turns roundoff into runaway fake rank;
@@ -55,9 +52,8 @@ _BLOCK = 64
 CLOSURE_DIM_LIMIT = 20
 
 
-@dataclass(frozen=True, eq=False)
-class LieClosureReport:
-    """Orthonormal basis of the generated real Lie algebra.
+class LieClosureReport(_Record):
+    """Orthonormal basis of the generated real Lie algebra; equal only to itself.
 
     ``basis_matrices`` are the basis elements as d x d skew-Hermitian
     matrices, orthonormal in the Frobenius inner product; their
@@ -72,12 +68,18 @@ class LieClosureReport:
     under the bracket.
     """
 
-    dim: int
-    basis_matrices: tuple[np.ndarray, ...]
-    dimension: int
-    target_dimension: int
-    rounds: int
-    residual_max: float
+    __slots__ = ("dim", "basis_matrices", "dimension", "target_dimension", "rounds", "residual_max")
+
+    def __init__(
+        self,
+        dim: int,
+        basis_matrices: tuple[np.ndarray, ...],
+        dimension: int,
+        target_dimension: int,
+        rounds: int,
+        residual_max: float,
+    ):
+        self._fill(dim, basis_matrices, dimension, target_dimension, rounds, residual_max)
 
 
 def _over(A: np.ndarray, m: float) -> np.ndarray:

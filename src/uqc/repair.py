@@ -10,8 +10,8 @@ nearest-neighbor chain already couples every basis index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ CONSTRUCT_DIM_LIMIT = 1024
 SELECTION_RULES = ("smallest", "paper-example")
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(NamedTuple):
     """The bridges ``(a, b, style)`` in the order they were appended.
 
     The bridge generators are the last ``len(bridges)`` generators of

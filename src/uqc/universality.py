@@ -19,8 +19,8 @@ Repair and the closure oracle reuse them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ TAU_EDGE = 1e-12
 SPECTRUM_SCAN_LIMIT = 32
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
+class CouplingGraph(NamedTuple):
     """Undirected graph on 0-based basis indices: ``edges`` are (r, l) pairs, r < l."""
 
     dim: int
@@ -60,8 +59,7 @@ class VerdictStatus(Enum):
     CONDITIONALLY_UNIVERSAL = "conditionally_universal"
 
 
-@dataclass(frozen=True)
-class UniversalityVerdict:
+class UniversalityVerdict(NamedTuple):
     """Decision plus the block structure certifying it.
 
     ``components`` partition the 0-based indices (ordered by smallest

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import signal
+from pathlib import Path
 
 import numpy as np
 
+import uqc
 from uqc import (
     Algebra,
     Generator,
@@ -19,6 +22,12 @@ from uqc import (
 )
 from uqc.errors import InvalidInput, NumericalFailure
 from uqc.universality import TAU_EDGE, extract_coupling_graph
+
+
+def uqc_env() -> dict:
+    """The environment of a fresh interpreter that imports this uqc."""
+    paths = [str(Path(uqc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def three_level_set() -> GeneratorSet:

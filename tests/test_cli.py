@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 from argparse import Namespace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from uqc import (
     repair,
 )
 from uqc import io as uio
-from uqc.cli import _resolve_tolerances, main
+from uqc.cli import _resolve_tolerances, build_parser, main
 from uqc.errors import InvalidInput
 from uqc.repair import SELECTION_RULES
 
@@ -34,6 +33,7 @@ from conftest import (
     three_level_set,
     time_limit,
     two_qubit_set,
+    uqc_env,
 )
 
 
@@ -707,9 +707,35 @@ def test_version(capsys):
     assert "uqc" in capsys.readouterr().out
 
 
-def _uqc_env() -> dict:
-    paths = [str(Path(uqc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+def _exit_of(parse, argv, capsys):
+    """The exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    got = capsys.readouterr()
+    return exc.value.code, got.out, got.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in ("check", "repair", "construct", "epsilon", "oracle")),
+        [],
+        ["bogus"],
+        ["check"],
+        ["repair", "x", "--style", "bad", "--out", "y"],
+        ["check", "x", "extra"],
+        ["check", "x", "--version"],
+        ["--version", "check", "x"],
+    ],
+)
+def test_help_and_usage_are_those_of_the_whole_parser(capsys, monkeypatch, argv):
+    # main builds the subparser of the command it is given alone; what it
+    # writes for help and usage errors must be what the whole tree writes
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    want = _exit_of(build_parser().parse_args, argv, capsys)
+    assert _exit_of(main, argv, capsys) == want
+    assert want[0] in (0, 2) and (want[1] or want[2])
 
 
 def _matrix_case(mutate):
@@ -763,7 +789,7 @@ def test_malformed_matrix_exit2_located_without_traceback(tmp_path, case, locate
     path.write_text(_matrix_case(mutate)())
     result = subprocess.run(
         [sys.executable, "-m", "uqc", "check", str(path)],
-        env=_uqc_env(), capture_output=True, text=True, timeout=60,
+        env=uqc_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
@@ -774,7 +800,7 @@ def test_malformed_matrix_exit2_located_without_traceback(tmp_path, case, locate
 def test_closed_stdout_exits_without_traceback(u3_path, tmp_path):
     # every output is far smaller than stdout's buffer, so with buffered
     # stdout the write fails only when the buffer is flushed
-    env = _uqc_env()
+    env = uqc_env()
     env.pop("PYTHONUNBUFFERED", None)
     for argv in (
         ["check", u3_path],
@@ -832,7 +858,7 @@ def test_process_entry_writes_what_main_writes(capsys, monkeypatch, u3_path, tmp
     for argv in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "uqc", *argv],
-            env=_uqc_env(), capture_output=True, text=True, timeout=60,
+            env=uqc_env(), capture_output=True, text=True, timeout=60,
         )
         want = proc.returncode, proc.stdout, proc.stderr, written()
         try:
@@ -850,7 +876,7 @@ def test_importing_the_cli_leaves_mpmath_out(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, uqc.cli; print('mpmath' in sys.modules)"],
-        env=_uqc_env(), capture_output=True, text=True, timeout=60,
+        env=uqc_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
@@ -866,7 +892,7 @@ def test_importing_the_cli_leaves_mpmath_out(tmp_path):
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
-            env=_uqc_env(), capture_output=True, text=True, timeout=60,
+            env=uqc_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         *report, last = result.stdout.strip().splitlines()
@@ -879,32 +905,39 @@ def test_commands_import_numpy_but_neither_numpy_ma_nor_mpmath(tmp_path):
     # each command as `python -m uqc` runs it, in a fresh interpreter that
     # reports at exit which of the modules it imported: every command needs
     # numpy, --version included; none needs numpy.ma, which np.unique
-    # imports in numpy 2.4, nor mpmath
+    # imports in numpy 2.4, nor mpmath, nor dataclasses.  The closure oracle
+    # loads under check --oracle and oracle alone, the writer of --out and
+    # --text where one of them is written
     reducible, scanned = str(tmp_path / "u3.json"), str(tmp_path / "u6.json")
     uio.write_document(uio.generator_set_to_document(three_level_set()), reducible)
     uio.write_document(uio.generator_set_to_document(_scanned_pair(Algebra("u", 6))), scanned)
     out = str(tmp_path / "out.json")
+    modules = ("numpy", "numpy.ma", "mpmath", "dataclasses", "uqc.oracle", "uqc.output")
     script = (
         "import atexit, runpy, sys\n"
-        "modules = ('numpy', 'numpy.ma', 'mpmath')\n"
-        "atexit.register(lambda: print(*(m in sys.modules for m in modules), file=sys.stderr))\n"
+        f"modules = {modules!r}\n"
+        "atexit.register(lambda: print(*(m for m in modules if m in sys.modules), file=sys.stderr))\n"
         "runpy.run_module('uqc', run_name='__main__')\n"
     )
-    for argv in (
-        ["--version"],
-        ["check", reducible], ["check", scanned],
-        ["check", "--oracle", reducible], ["check", "--oracle", scanned],
-        ["epsilon", scanned], ["oracle", reducible],
-        ["repair", reducible, "--out", out], ["repair", reducible, "--style", "sym", "--out", out],
-        ["construct", "--dim", "64", "--out", out],
-        ["construct", "--dim", "7", "--algebra", "su", "--style", "sym", "--out", out],
+    oracle, output = "uqc.oracle", "uqc.output"
+    for argv, loaded in (
+        (["--version"], []),
+        (["check", reducible], []), (["check", scanned], []),
+        (["check", "--text", reducible], [output]),
+        (["check", "--oracle", reducible], [oracle]), (["check", "--oracle", scanned], [oracle]),
+        (["epsilon", scanned], []), (["epsilon", "--text", scanned], []),
+        (["oracle", reducible], [oracle, output]),
+        (["repair", reducible, "--out", out], [output]),
+        (["repair", reducible, "--style", "sym", "--out", out], [output]),
+        (["construct", "--dim", "64", "--out", out], [output]),
+        (["construct", "--dim", "7", "--algebra", "su", "--style", "sym", "--out", out], [output]),
     ):
         result = subprocess.run(
             [sys.executable, "-c", script, *argv],
-            env=_uqc_env(), capture_output=True, text=True, timeout=60,
+            env=uqc_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, (argv, result.stderr)
-        assert result.stderr.splitlines()[-1] == "True False False", (argv, result.stderr)
+        assert result.stderr.splitlines()[-1].split() == ["numpy", *loaded], (argv, result.stderr)
 
 
 def _reducible_sets():

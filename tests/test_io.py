@@ -16,6 +16,7 @@ from uqc import (
     repair,
 )
 from uqc import io as uio
+from uqc import output as uout
 from uqc.errors import InvalidInput
 
 from conftest import (
@@ -395,7 +396,8 @@ def test_dump_json_renders_arrays_like_json(seed, tmp_path, monkeypatch):
     # listified, with the rows of a matrix looked up in blocks of any size
     rng = np.random.default_rng([seed, 29])
     for d in (1, 2, 3, int(rng.integers(4, 25))):
-        monkeypatch.setattr(uio, "_BLOCK_ENTRIES", int(rng.choice([1, 2, 7, 64, 1 << 16])))
+        # the writer module's constant: io only hands write_document on
+        monkeypatch.setattr(uout, "_BLOCK_ENTRIES", int(rng.choice([1, 2, 7, 64, 1 << 16])))
         doc = {
             "dimension": d,
             "generators": [
