@@ -12,6 +12,17 @@ are resolved here alone: the library defaults, then the edge-threshold tier
 that the environment variable UQC_TOLERANCE_PROFILE (strict | default |
 loose) picks, then the input file's ``tolerances`` section, then the
 ``--tau-edge`` flag.
+
+A command is a function ``_cmd_<name>(args, gen_set, overrides, tols)`` of
+the parsed arguments, the set read from the input document (None for
+``construct``, which reads none), that document's ``tolerances`` section
+and the resolved tolerances.  It reads, writes and prints nothing: it
+returns its report document, a function of no arguments that makes the
+``--text`` form of the report, and the generator-set document for
+``--out`` (or None).  :func:`main` alone does the I/O, the same way for
+every command: it reads the input and resolves the tolerances, writes
+``--out``, then prints the report as JSON or text and flushes, and maps
+the exceptions to the exit codes above.
 """
 
 from __future__ import annotations
@@ -105,23 +116,7 @@ def _oracle_section(gen_set, verdict, tols):
     }
 
 
-def _print_json(doc: dict):
-    io.dump_json(doc, sys.stdout)
-    sys.stdout.write("\n")
-
-
-def _emit(args, doc: dict, text):
-    """Print ``text()`` under ``--text``, else ``doc`` as JSON; the text is
-    made only when it is printed."""
-    if args.text:
-        print(text())
-    else:
-        _print_json(doc)
-
-
-def _cmd_check(args) -> int:
-    gen_set, overrides = io.load_input_document(args.input)
-    tols = _resolve_tolerances(overrides, args)
+def _cmd_check(args, gen_set, overrides, tols):
     verdict = check_universality(
         gen_set,
         tau_edge=tols["tau_edge"],
@@ -134,23 +129,16 @@ def _cmd_check(args) -> int:
         eps = None
     oracle = _oracle_section(gen_set, verdict, tols) if args.oracle else None
     doc = io.verdict_to_document(verdict, epsilon_max=eps, oracle=oracle)
-    _emit(args, doc, lambda: io.render_verdict_text(
-        doc, io.render_graph_text(gen_set, tols["tau_edge"])))
-    return EXIT_OK
+    return doc, lambda: io.render_verdict_text(
+        doc, io.render_graph_text(gen_set, tols["tau_edge"])), None
 
 
-def _cmd_repair(args) -> int:
-    gen_set, overrides = io.load_input_document(args.input)
-    tols = _resolve_tolerances(overrides, args)
+def _cmd_repair(args, gen_set, overrides, tols):
     plan = repair(
         gen_set,
         style=BridgeStyle(args.style),
         tau_edge=tols["tau_edge"],
         selection=args.selection,
-    )
-    io.write_document(
-        io.generator_set_to_document(plan.resulting_set, overrides or None),
-        args.out,
     )
     verdict = check_universality(
         plan.resulting_set,
@@ -170,26 +158,24 @@ def _cmd_repair(args) -> int:
     doc = io.verdict_to_document(
         verdict, epsilon_max=eps, repair=io.repair_plan_to_document(plan)
     )
-    _emit(args, doc, lambda: io.render_verdict_text(doc))
-    return EXIT_OK
+    out = io.generator_set_to_document(plan.resulting_set, overrides or None)
+    return doc, lambda: io.render_verdict_text(doc), out
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args, gen_set, overrides, tols):
     if args.dim < 1:
         raise InvalidInput(f"--dim must be >= 1, got {args.dim}")
-    gen_set = minimal_pair(Algebra(kind=args.algebra, dim=args.dim), style=args.style)
-    io.write_document(io.generator_set_to_document(gen_set), args.out)
-    n = len(gen_set.generators)
+    pair = minimal_pair(Algebra(kind=args.algebra, dim=args.dim), style=args.style)
+    n = len(pair.generators)
     doc = {"out": args.out, "algebra": args.algebra, "dimension": args.dim, "generators": n}
-    _emit(args, doc, lambda: f"wrote {args.out}: {args.algebra}({args.dim}), {n} generator(s)")
-    return EXIT_OK
+    return (
+        doc,
+        lambda: f"wrote {args.out}: {args.algebra}({args.dim}), {n} generator(s)",
+        io.generator_set_to_document(pair),
+    )
 
 
-def _cmd_epsilon(args) -> int:
-    gen_set, overrides = io.load_input_document(args.input)
-    # no tolerance enters the bound; they are resolved all the same, so that
-    # a bad tolerances section or profile exits 2 here as in every command
-    _resolve_tolerances(overrides, args)
+def _cmd_epsilon(args, gen_set, overrides, tols):
     # one operator_norm per generator gives both its norm and its bound
     norms = [operator_norm(gen.matrix) for gen in gen_set.generators]
     eps = least_step_bound(norms)
@@ -204,65 +190,53 @@ def _cmd_epsilon(args) -> int:
         if math.isfinite(b):
             entry["distance_at_0.99"] = _DISTANCE_AT_099
         per_gen.append(entry)
-    lines = [f"epsilon_max (set): {eps:.6g}"]
-    for entry in per_gen:
-        if entry["operator_norm"] == 0.0:
-            lines.append(f"  {entry['label']}: zero generator, unconstrained")
-        elif entry["epsilon_max"] is None:
-            lines.append(f"  {entry['label']}: epsilon_max beyond float64, unconstrained")
-        else:
-            lines.append(
-                f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
-                f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
-            )
-    _emit(args, {"epsilon_max": eps, "generators": per_gen}, lambda: "\n".join(lines))
-    return EXIT_OK
+
+    def text():
+        lines = [f"epsilon_max (set): {eps:.6g}"]
+        for entry in per_gen:
+            if entry["operator_norm"] == 0.0:
+                lines.append(f"  {entry['label']}: zero generator, unconstrained")
+            elif entry["epsilon_max"] is None:
+                lines.append(f"  {entry['label']}: epsilon_max beyond float64, unconstrained")
+            else:
+                lines.append(
+                    f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
+                    f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
+                )
+        return "\n".join(lines)
+
+    return {"epsilon_max": eps, "generators": per_gen}, text, None
 
 
-def _cmd_oracle(args) -> int:
-    gen_set, overrides = io.load_input_document(args.input)
-    tols = _resolve_tolerances(overrides, args)
+def _cmd_oracle(args, gen_set, overrides, tols):
     report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
     partition = closure_block_partition(report, tau_edge=tols["tau_edge"])
     doc = io.closure_report_to_document(report, partition)
-    if args.text:
+
+    def text():
         comps = " ".join(
             "{" + ",".join(map(str, c)) + "}" for c in doc["closure_partition"]
         )
-        print(
+        return (
             f"closure dimension: {doc['dimension']} of {doc['target_dimension']}\n"
             f"rounds: {doc['rounds']}\n"
             f"closure residual: {doc['residual_max']:.3g}\n"
             f"closure partition: {comps}"
         )
-    else:
-        _print_json(doc)
-    return EXIT_OK
+
+    return doc, text, None
 
 
 _STYLES = [style.value for style in BridgeStyle]
 
 
-def _add_format_flags(p: argparse.ArgumentParser):
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument(
-        "--json", dest="text", action="store_false", help="JSON output (default)"
-    )
-    fmt.add_argument("--text", dest="text", action="store_true", help="plain-text output")
-    p.set_defaults(text=False)
-
-
-def _add_check(sub):
-    p = sub.add_parser("check", help="universality verdict for an input document")
+def _check_arguments(p: argparse.ArgumentParser):
     p.add_argument("input", help="path to a generator-set JSON document")
     p.add_argument("--oracle", action="store_true", help="also run the Lie-closure oracle")
     p.add_argument("--tau-edge", type=float, default=None, help="edge-detection threshold")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_check)
 
 
-def _add_repair(sub):
-    p = sub.add_parser("repair", help="bridge disconnected components, write the new set")
+def _repair_arguments(p: argparse.ArgumentParser):
     p.add_argument("input")
     p.add_argument("--style", choices=_STYLES, default="antisym")
     p.add_argument(
@@ -277,43 +251,34 @@ def _add_repair(sub):
     )
     p.add_argument("--out", required=True, help="path for the repaired document")
     p.add_argument("--tau-edge", type=float, default=None)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_repair)
 
 
-def _add_construct(sub):
-    p = sub.add_parser("construct", help="write a minimal two-generator universal set")
+def _construct_arguments(p: argparse.ArgumentParser):
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--algebra", choices=["u", "su"], default="u")
     p.add_argument("--style", choices=_STYLES, default="antisym")
     p.add_argument("--out", required=True)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_construct)
 
 
-def _add_epsilon(sub):
-    p = sub.add_parser("epsilon", help="small-step bound per generator")
+def _epsilon_arguments(p: argparse.ArgumentParser):
     p.add_argument("input")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_epsilon)
 
 
-def _add_oracle(sub):
-    p = sub.add_parser("oracle", help="Lie-closure report only")
+def _oracle_arguments(p: argparse.ArgumentParser):
     p.add_argument("input")
     p.add_argument("--tau-edge", type=float, default=None)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_oracle)
 
 
-#: each subcommand and the function that adds its parser, in the order of
-#: the help text
+#: each subcommand, in the order of the help text: its help, the function
+#: that adds its own arguments, and the function that runs it
 _COMMANDS = {
-    "check": _add_check,
-    "repair": _add_repair,
-    "construct": _add_construct,
-    "epsilon": _add_epsilon,
-    "oracle": _add_oracle,
+    "check": ("universality verdict for an input document", _check_arguments, _cmd_check),
+    "repair": (
+        "bridge disconnected components, write the new set", _repair_arguments, _cmd_repair),
+    "construct": (
+        "write a minimal two-generator universal set", _construct_arguments, _cmd_construct),
+    "epsilon": ("small-step bound per generator", _epsilon_arguments, _cmd_epsilon),
+    "oracle": ("Lie-closure report only", _oracle_arguments, _cmd_oracle),
 }
 
 
@@ -340,9 +305,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # replace "command" in the error for a missing one
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in _COMMANDS.items():
+    for name, (summary, add_arguments, run) in _COMMANDS.items():
         if command in (None, name):
-            add(sub)
+            p = sub.add_parser(name, help=summary)
+            add_arguments(p)
+            fmt = p.add_mutually_exclusive_group()
+            fmt.add_argument(
+                "--json", dest="text", action="store_false", help="JSON output (default)"
+            )
+            fmt.add_argument("--text", dest="text", action="store_true", help="plain-text output")
+            p.set_defaults(text=False, func=run)
     return parser
 
 
@@ -351,11 +323,20 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        code = args.func(args)
+        gen_set, overrides = io.load_input_document(args.input) if "input" in args else (None, {})
+        tols = _resolve_tolerances(overrides, args)
+        doc, text, out = args.func(args, gen_set, overrides, tols)
+        if out is not None:
+            io.write_document(out, args.out)
+        if args.text:
+            print(text())
+        else:
+            io.dump_json(doc, sys.stdout)
+            sys.stdout.write("\n")
         # a short output sits in the buffer until here; flushed at
         # interpreter exit instead, a closed pipe would escape the handler
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

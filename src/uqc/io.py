@@ -13,9 +13,10 @@ vectorised pass checks the "[],"-skeleton, an exact ``[0.0,0.0]`` pair
 costs one word compare, the number tokens of the other pairs are checked
 and each distinct token is converted once.  json parses only the rest of the
 document, in which each matrix is that ndarray.  A document that reader
-does not take goes as a whole through ``json.loads`` and
-:func:`parse_input_document`; either way gives the same matrices, bit for
-bit, and the same error messages.  :class:`GeneratorSet` then checks the
+does not take (every document the benchmark makes is taken) goes as a
+whole through ``json.loads`` and :func:`parse_input_document`, which reads
+each matrix one entry at a time; either way gives the same matrices, bit
+for bit, and the same error messages.  :class:`GeneratorSet` then checks the
 set's invariants.
 
 A verdict document (:func:`verdict_to_document`) holds no matrix;
@@ -31,7 +32,6 @@ import json
 import math
 import os
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -89,8 +89,16 @@ def _parse_entry(value, where: str) -> complex:
     return z
 
 
-def _walk_matrix(rows, d: int, where: str) -> np.ndarray:
-    """Entry-by-entry parse that names the first malformed row or entry."""
+def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
+    """A d x d complex matrix from ``rows`` of [re, im] pairs.
+
+    A matrix the text reader of :func:`load_input_document` has already
+    read comes as its ndarray (json never yields one) and is returned as
+    it is.  Rows from json are parsed one entry at a time, and the first
+    malformed row or entry is named by its row and column.
+    """
+    if isinstance(rows, np.ndarray):
+        return rows
     _require(isinstance(rows, list), f"{where}: matrix must be a list of rows")
     _require(
         len(rows) == d, f"{where}: expected {d} rows, got {len(rows)}"
@@ -105,41 +113,6 @@ def _walk_matrix(rows, d: int, where: str) -> np.ndarray:
         for k, value in enumerate(row):
             M[i, k] = _parse_entry(value, f"{where} row {i + 1} column {k + 1}")
     return M
-
-
-def _parse_matrix(rows, d: int, where: str) -> np.ndarray:
-    """A d x d complex matrix from ``rows`` of [re, im] pairs.
-
-    A matrix the text reader of :func:`load_input_document` has already
-    read comes as its ndarray (json never yields one) and is returned as
-    it is.  Rows from json are converted by one ``np.array`` call into a
-    (d, d, 2) real array, which is then viewed as complex without a copy.
-    Anything else (wrong shape, strings, bools, integers beyond float64) goes to
-    :func:`_walk_matrix`, which applies the same checks one entry at a
-    time and names the first failing row and column.  ``np.array`` reads a
-    bool among numbers as a number, so the types of the entries are looked
-    at too.
-    """
-    if isinstance(rows, np.ndarray):
-        return rows
-    pairs = None
-    if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
-        try:
-            pairs = np.array(rows)
-        except (ValueError, TypeError):  # ragged or over-nested
-            pass
-    if (
-        pairs is None
-        or pairs.shape != (d, d, 2)
-        or pairs.dtype.kind not in "iuf"
-        or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))
-    ):
-        return _walk_matrix(rows, d, where)
-    finite = np.isfinite(pairs)
-    if not finite.all():
-        i, k, _ = np.argwhere(~finite)[0]
-        _parse_entry(rows[i][k], f"{where} row {i + 1} column {k + 1}")
-    return pairs.astype(np.float64, copy=False).view(np.complex128).reshape(d, d)
 
 
 def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:

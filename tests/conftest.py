@@ -152,9 +152,9 @@ def invariant_subspaces_reference(gen_set: GeneratorSet) -> list[tuple[int, ...]
 def parse_matrix_reference(rows, d: int, where: str) -> np.ndarray:
     """Entry-by-entry parse of a ``matrix`` field, one ``complex()`` a time.
 
-    Test-only reference for the vectorised ``uqc.io._parse_matrix``: for
-    well-formed finite input both return the same matrix, and for malformed
-    input both raise InvalidInput with the same message.
+    Test-only reference for ``uqc.io._parse_matrix``, written apart from
+    it: for well-formed finite input both return the same matrix, and for
+    malformed input both raise InvalidInput with the same message.
     """
 
     def require(cond, message):

@@ -40,7 +40,10 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
+
+from uqc.cli import main as uqc_main
 
 CORPUS = Path(__file__).resolve().parent
 DOCUMENTS = CORPUS / "documents"
@@ -123,15 +126,13 @@ def command_of(argv: list) -> str:
 
 def run(argv: list, env) -> dict:
     """The record of one case, run in the current directory."""
-    from uqc.cli import main
-
     saved = os.environ.pop(PROFILE, None)
     if env is not None:
         os.environ[PROFILE] = env
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            code = uqc_main(argv)
     finally:
         os.environ.pop(PROFILE, None)
         if saved is not None:
@@ -166,8 +167,6 @@ def written(docs: dict, where: Path):
 
 
 def main() -> int:
-    import tempfile
-
     EXPECTED.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for group in GROUPS:

@@ -649,6 +649,20 @@ def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path, monkey
     assert err.startswith("error: unknown tolerance profile 'bogus'")
 
 
+@pytest.mark.parametrize("command", ["repair", "construct"])
+def test_a_bad_profile_exits2_before_anything_is_written(capsys, u3_path, tmp_path, monkeypatch, command):
+    # construct reads no document and uses no tolerance, yet a bad profile
+    # stops it as it stops every command, before any set is written
+    out_path = tmp_path / "out.json"
+    argv = ["construct", "--dim", "3"] if command == "construct" else [command, u3_path]
+    argv += ["--out", str(out_path)]
+    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "bogus")
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown tolerance profile 'bogus'")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "repair", "oracle"])
 @pytest.mark.parametrize("value", ["-1", "0", "2", "nan", "inf"])
 def test_bad_tau_edge_flag_exit2(capsys, u3_path, tmp_path, command, value):
