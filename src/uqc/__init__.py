@@ -17,15 +17,7 @@ after it, as below, makes ``uqc.repair`` the function for good.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DesignatedNotDiagonal,
-    InvalidInput,
-    NotSkewHermitian,
-    NotTraceless,
-    NumericalFailure,
-    UqcError,
-    ValidationError,
-)
+from .errors import InvalidInput, NumericalFailure, UqcError, ValidationError
 from .generators import (
     Algebra,
     Generator,
@@ -67,9 +59,6 @@ __all__ = [
     "InvalidInput",
     "NumericalFailure",
     "ValidationError",
-    "NotSkewHermitian",
-    "NotTraceless",
-    "DesignatedNotDiagonal",
     # linalg
     "commutator",
     "operator_norm",

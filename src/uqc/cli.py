@@ -13,16 +13,17 @@ that the environment variable UQC_TOLERANCE_PROFILE (strict | default |
 loose) picks, then the input file's ``tolerances`` section, then the
 ``--tau-edge`` flag.
 
-A command is a function ``_cmd_<name>(args, gen_set, overrides, tols)`` of
-the parsed arguments, the set read from the input document (None for
-``construct``, which reads none), that document's ``tolerances`` section
-and the resolved tolerances.  It reads, writes and prints nothing: it
-returns its report document, a function of no arguments that makes the
-``--text`` form of the report, and the generator-set document for
-``--out`` (or None).  :func:`main` alone does the I/O, the same way for
-every command: it reads the input and resolves the tolerances, writes
-``--out``, then prints the report as JSON or text and flushes, and maps
-the exceptions to the exit codes above.
+A command is a function ``_cmd_<name>(args, gen_set, tols)`` of the
+parsed arguments, the set read from the input document (None for
+``construct``, which reads none) and the resolved tolerances.  It reads,
+writes and prints nothing, and raises only for a real error: it returns
+its report document, a function of no arguments that makes the ``--text``
+form of the report, and the generator-set document for ``--out`` (or
+None).  :func:`main` alone does the I/O, the same way for every command:
+it reads the input and resolves the tolerances, writes ``--out`` (with the
+input's ``tolerances`` section, if it has one, as its last key), then
+prints the report as JSON or text and flushes, and maps the exceptions to
+the exit codes above.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ _TOLERANCE_DEFAULTS = {
     "relation_bound": RELATION_BOUND,
 }
 #: UQC_TOLERANCE_PROFILE values and the edge threshold each selects
-_PROFILE_TAU_EDGE = {"strict": 1e-13, "default": 1e-12, "loose": 1e-9}
+_PROFILE_TAU_EDGE = {"strict": 1e-13, "default": TAU_EDGE, "loose": 1e-9}
 
 
 def _resolve_tolerances(overrides: dict, args) -> dict:
@@ -103,9 +104,24 @@ def closure_block_partition(report, tau_edge):
     return closure_block_partition(report, tau_edge=tau_edge)
 
 
-def _oracle_section(gen_set, verdict, tols):
+def _closure(gen_set, tols):
+    """The closure report of ``gen_set`` and the partition it induces."""
     report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
-    partition = closure_block_partition(report, tau_edge=tols["tau_edge"])
+    return report, closure_block_partition(report, tau_edge=tols["tau_edge"])
+
+
+def _verdict(gen_set, tols):
+    """:func:`check_universality` of ``gen_set`` at the run's tolerances."""
+    return check_universality(
+        gen_set,
+        tau_edge=tols["tau_edge"],
+        relation_bound=tols["relation_bound"],
+        tau_rel=tols["tau_rel"],
+    )
+
+
+def _oracle_section(gen_set, verdict, tols):
+    report, partition = _closure(gen_set, tols)
     agrees = partition == verdict.components
     if verdict.status is VerdictStatus.UNIVERSAL:
         agrees = agrees and report.dimension == report.target_dimension
@@ -116,53 +132,37 @@ def _oracle_section(gen_set, verdict, tols):
     }
 
 
-def _cmd_check(args, gen_set, overrides, tols):
-    verdict = check_universality(
-        gen_set,
-        tau_edge=tols["tau_edge"],
-        relation_bound=tols["relation_bound"],
-        tau_rel=tols["tau_rel"],
-    )
-    try:
-        eps = epsilon_bound(gen_set)
-    except InvalidInput:
-        eps = None
+def _cmd_check(args, gen_set, tols):
+    verdict = _verdict(gen_set, tols)
+    eps = epsilon_bound(gen_set)
     oracle = _oracle_section(gen_set, verdict, tols) if args.oracle else None
     doc = io.verdict_to_document(verdict, epsilon_max=eps, oracle=oracle)
     return doc, lambda: io.render_verdict_text(
         doc, io.render_graph_text(gen_set, tols["tau_edge"])), None
 
 
-def _cmd_repair(args, gen_set, overrides, tols):
+def _cmd_repair(args, gen_set, tols):
     plan = repair(
         gen_set,
         style=BridgeStyle(args.style),
         tau_edge=tols["tau_edge"],
         selection=args.selection,
     )
-    verdict = check_universality(
-        plan.resulting_set,
-        tau_edge=tols["tau_edge"],
-        relation_bound=tols["relation_bound"],
-        tau_rel=tols["tau_rel"],
-    )
+    verdict = _verdict(plan.resulting_set, tols)
     # epsilon_bound(plan.resulting_set) without an SVD per bridge: every
     # bridge has operator norm exactly 1, so its bound is pi/2; a set whose
-    # generators are all zero has no bound, null as in check
-    try:
-        eps = epsilon_bound(gen_set)
-    except InvalidInput:
-        eps = math.inf
+    # generators are all zero has bound +inf, null as in check
+    eps = epsilon_bound(gen_set)
     if plan.bridges:
         eps = min(eps, math.pi / 2)
     doc = io.verdict_to_document(
         verdict, epsilon_max=eps, repair=io.repair_plan_to_document(plan)
     )
-    out = io.generator_set_to_document(plan.resulting_set, overrides or None)
+    out = io.generator_set_to_document(plan.resulting_set)
     return doc, lambda: io.render_verdict_text(doc), out
 
 
-def _cmd_construct(args, gen_set, overrides, tols):
+def _cmd_construct(args, gen_set, tols):
     if args.dim < 1:
         raise InvalidInput(f"--dim must be >= 1, got {args.dim}")
     pair = minimal_pair(Algebra(kind=args.algebra, dim=args.dim), style=args.style)
@@ -175,10 +175,15 @@ def _cmd_construct(args, gen_set, overrides, tols):
     )
 
 
-def _cmd_epsilon(args, gen_set, overrides, tols):
+def _cmd_epsilon(args, gen_set, tols):
     # one operator_norm per generator gives both its norm and its bound
     norms = [operator_norm(gen.matrix) for gen in gen_set.generators]
     eps = least_step_bound(norms)
+    if math.isinf(eps):
+        why = "every generator is zero"
+        if any(norms):
+            why = "every nonzero generator has a bound beyond float64"
+        raise InvalidInput(f"epsilon bound undefined: {why}")
     per_gen = []
     for gen, nrm in zip(gen_set.generators, norms):
         b = step_bound(nrm)
@@ -208,10 +213,8 @@ def _cmd_epsilon(args, gen_set, overrides, tols):
     return {"epsilon_max": eps, "generators": per_gen}, text, None
 
 
-def _cmd_oracle(args, gen_set, overrides, tols):
-    report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
-    partition = closure_block_partition(report, tau_edge=tols["tau_edge"])
-    doc = io.closure_report_to_document(report, partition)
+def _cmd_oracle(args, gen_set, tols):
+    doc = io.closure_report_to_document(*_closure(gen_set, tols))
 
     def text():
         comps = " ".join(
@@ -325,8 +328,10 @@ def main(argv=None) -> int:
     try:
         gen_set, overrides = io.load_input_document(args.input) if "input" in args else (None, {})
         tols = _resolve_tolerances(overrides, args)
-        doc, text, out = args.func(args, gen_set, overrides, tols)
+        doc, text, out = args.func(args, gen_set, tols)
         if out is not None:
+            if overrides:
+                out["tolerances"] = overrides
             io.write_document(out, args.out)
         if args.text:
             print(text())

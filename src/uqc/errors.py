@@ -23,15 +23,3 @@ class ValidationError(InvalidInput):
     def __init__(self, message, generator_index=None):
         super().__init__(message)
         self.generator_index = generator_index
-
-
-class NotSkewHermitian(ValidationError):
-    pass
-
-
-class NotTraceless(ValidationError):
-    pass
-
-
-class DesignatedNotDiagonal(ValidationError):
-    pass

@@ -24,13 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DesignatedNotDiagonal,
-    InvalidInput,
-    NotSkewHermitian,
-    NotTraceless,
-    ValidationError,
-)
+from .errors import InvalidInput, ValidationError
 
 #: relative tolerance for |trace| in su mode; a trace within d subnormal
 #: ulps (d * 2**-1074) also passes, since each entry of a matrix scaled into
@@ -247,14 +241,11 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
     """Check every generator-set invariant, returning the set unchanged.
 
     Every :class:`GeneratorSet` runs this when built; call it again only to
-    check a set whose arrays were changed in place.  Raises (always naming
-    the offending generator's index and label):
-
-    - ValidationError     if a matrix is not d x d or has a NaN or inf entry,
-    - NotSkewHermitian    if some |A + A†| exceeds TAU_SYM * max|A|,
-    - NotTraceless        in su mode, if some matrix has |trace| too large,
-    - DesignatedNotDiagonal  if the designated generator has off-diagonal
-      support.
+    check a set whose arrays were changed in place.  Raises ValidationError,
+    whose message and ``generator_index`` name the offending generator, if
+    a matrix is not d x d or has a NaN or inf entry, if some |A + A†|
+    exceeds TAU_SYM * max|A|, in su mode if some matrix has |trace| too
+    large, or if the designated generator has off-diagonal support.
 
     A degenerate designated spectrum is accepted: the criterion's hypothesis
     then fails, which :func:`uqc.check_universality` reports in its verdict.
@@ -283,14 +274,14 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
                 f"generator {j} ({gen.label}) has non-finite entries", generator_index=j
             )
         if not linalg.is_skew_hermitian(A, scales[j]):
-            raise NotSkewHermitian(
+            raise ValidationError(
                 f"generator {j} ({gen.label}) is not skew-Hermitian",
                 generator_index=j,
             )
         if raw.algebra.kind == "su" and abs(np.trace(A)) > d * max(
             TAU_TRACE * scales[j], math.ulp(0.0)
         ):
-            raise NotTraceless(
+            raise ValidationError(
                 f"generator {j} ({gen.label}) has nonzero trace in su mode",
                 generator_index=j,
             )
@@ -299,7 +290,7 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
     # its matrix; their magnitudes are taken only if one of them is nonzero
     off = raw.designated.matrix.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
     if off.any() and linalg.max_abs(off) > TAU_DIAG * scales[raw.general_index]:
-        raise DesignatedNotDiagonal(
+        raise ValidationError(
             f"designated generator {raw.general_index} is not diagonal",
             generator_index=raw.general_index,
         )
@@ -494,16 +485,16 @@ def _constructed_phases(algebra: Algebra) -> np.ndarray:
     return np.concatenate([head, [-head.sum()]])
 
 
-def make_general_direction(algebra: Algebra, label: str = "drift") -> Generator:
+def make_general_direction(algebra: Algebra) -> Generator:
     """Construct a diagonal generator with a provably independent spectrum.
 
     u(d): i*diag(sqrt(p_1), ..., sqrt(p_d)) over the first d primes; square
     roots of distinct primes are linearly independent over Q together with 1
     (Besicovitch, J. London Math. Soc. 15, 1940).
     su(d): same for the first d-1 primes, last phase set to minus their sum
-    so the matrix is traceless.
+    so the matrix is traceless.  Its label is ``drift``.
     """
-    return Generator(matrix=np.diag(1j * _constructed_phases(algebra)), label=label)
+    return Generator(matrix=np.diag(1j * _constructed_phases(algebra)), label="drift")
 
 
 def is_constructed_direction(theta, algebra: Algebra) -> bool:
@@ -530,19 +521,9 @@ def step_bound(norm: float) -> float:
 
 
 def least_step_bound(norms: list[float]) -> float:
-    """The least finite :func:`step_bound` over the operator norms ``norms``.
-
-    InvalidInput if none is finite: every generator is zero, or every
-    nonzero one has a bound beyond float64.
-    """
-    finite = [b for b in map(step_bound, norms) if math.isfinite(b)]
-    if finite:
-        return min(finite)
-    if any(norms):
-        raise InvalidInput(
-            "epsilon bound undefined: every nonzero generator has a bound beyond float64"
-        )
-    raise InvalidInput("epsilon bound undefined: every generator is zero")
+    """The least :func:`step_bound` over the operator norms ``norms``: +inf
+    when every generator is zero or has a bound beyond float64."""
+    return min(map(step_bound, norms), default=math.inf)
 
 
 def epsilon_bound(gen_set: GeneratorSet) -> float:
@@ -551,6 +532,7 @@ def epsilon_bound(gen_set: GeneratorSet) -> float:
     For a skew-Hermitian X with eigenphases lambda_k, the operator-norm
     distance ||exp(eps X) - I|| equals 2*max_k|sin(eps*lambda_k/2)|, which
     stays strictly below sqrt(2) for 0 < eps < pi/(2*||X||) and reaches it
-    exactly at the bound.  Zero generators impose no constraint.
+    exactly at the bound.  Zero generators impose no constraint, so the
+    bound of a set of zero generators is +inf.
     """
     return least_step_bound([linalg.operator_norm(gen.matrix) for gen in gen_set.generators])

@@ -22,8 +22,10 @@ set's invariants.
 A verdict document (:func:`verdict_to_document`) holds no matrix;
 :func:`dump_json` writes it in json's ``indent=2`` layout.  The writer of
 generator-set documents (``--out``), the other report documents and the
-``--text`` renderers live in :mod:`uqc.output`, which loads on the first
-use of one of their names here (:data:`_OUTPUT_NAMES`).
+``--text`` renderers of verdicts and coupling graphs live in
+:mod:`uqc.output`, which loads on the first use of one of their names here
+(:data:`_OUTPUT_NAMES`); the ``--text`` forms of the ``epsilon``,
+``oracle`` and ``construct`` reports are made in :mod:`uqc.cli`.
 """
 
 from __future__ import annotations

@@ -36,11 +36,9 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def is_skew_hermitian(A: np.ndarray, scale: float | None = None) -> bool:
+def is_skew_hermitian(A: np.ndarray, scale: float) -> bool:
     """``A + A†`` within ``TAU_SYM`` of the largest entry of ``A``, at any
-    scale; ``scale`` is that entry's magnitude, ``max_abs(A)``, if known."""
-    if scale is None:
-        scale = max_abs(A)
+    scale; ``scale`` is that entry's magnitude, ``max_abs(A)``."""
     return max_abs(A + A.conj().T) <= TAU_SYM * scale
 
 
@@ -92,15 +90,13 @@ def operator_norm(A: np.ndarray) -> float:
     its norm is the largest over those blocks.  A block of one index is
     |A_ii|, so a diagonal matrix, such as a drift, takes no SVD; the blocks
     of each size larger than one take one stacked SVD.  A connected ``A``
-    is one dense SVD; otherwise the result may differ from that one in the
-    last few ulps.
+    is one block, whose SVD is that of ``A``; otherwise the result may
+    differ from one dense SVD in the last few ulps.
     """
     d = len(A)
     r, l = np.divmod(np.flatnonzero(A != 0), d)
     off = r != l
     comps = components(d, zip(r[off].tolist(), l[off].tolist()))
-    if len(comps) == 1 and d > 1:
-        return float(np.linalg.norm(A, 2))
     by_size: dict[int, list[list[int]]] = {}
     for comp in comps:
         by_size.setdefault(len(comp), []).append(comp)

@@ -26,14 +26,14 @@ from .io import _finite_or_none, _one_based
 from .universality import extract_coupling_graph
 
 
-def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = None) -> dict:
+def generator_set_to_document(gen_set: GeneratorSet) -> dict:
     """The input-document form of ``gen_set``.
 
     Each ``"matrix"`` is the generator's complex ndarray itself, not a list:
     the document is meant for :func:`write_document`, which renders it as
     rows of [re, im] pairs.
     """
-    doc = {
+    return {
         "algebra": gen_set.algebra.kind,
         "dimension": gen_set.algebra.dim,
         "general_index": gen_set.general_index,
@@ -41,9 +41,6 @@ def generator_set_to_document(gen_set: GeneratorSet, tolerances: dict | None = N
             {"label": g.label, "matrix": g.matrix} for g in gen_set.generators
         ],
     }
-    if tolerances:
-        doc["tolerances"] = dict(tolerances)
-    return doc
 
 
 def repair_plan_to_document(plan) -> dict:
@@ -56,16 +53,14 @@ def repair_plan_to_document(plan) -> dict:
     }
 
 
-def closure_report_to_document(report, partition=None) -> dict:
-    doc = {
+def closure_report_to_document(report, partition) -> dict:
+    return {
         "dimension": report.dimension,
         "target_dimension": report.target_dimension,
         "rounds": report.rounds,
         "residual_max": _finite_or_none(report.residual_max),
+        "closure_partition": [_one_based(c) for c in partition],
     }
-    if partition is not None:
-        doc["closure_partition"] = [_one_based(c) for c in partition]
-    return doc
 
 
 def write_document(doc: dict, path: str):
@@ -78,11 +73,12 @@ def write_document(doc: dict, path: str):
     document with every matrix turned into rows of [re, im] pairs.  json
     renders the rest of the document in one call, with ``null`` in place of
     each matrix: a '"' inside a string is escaped, so with the keys
-    :func:`generator_set_to_document` writes, ``"matrix":null`` stands in
-    that text only where a matrix goes.  The matrices are rendered from
-    their values (:func:`_matrix_texts`) and streamed a block of rows at a
-    time.  Every value is checked before the file is opened, so a document
-    that json would refuse leaves the file as it was.
+    :func:`generator_set_to_document` writes and those of a ``tolerances``
+    section, ``"matrix":null`` stands in that text only where a matrix
+    goes.  The matrices are rendered from their values
+    (:func:`_matrix_texts`) and streamed a block of rows at a time.  Every
+    value is checked before the file is opened, so a document that json
+    would refuse leaves the file as it was.
     """
     gens = doc["generators"]
     rest = {**doc, "generators": [{**g, "matrix": None} for g in gens]}

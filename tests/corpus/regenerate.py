@@ -11,7 +11,8 @@ The cases, by group (one file under ``expected/`` each):
   document of that benchmark workload, rebuilt by
   ``bench/workloads.make_doc``, through ``check``, ``check --text``,
   ``epsilon`` and ``epsilon --text``; the ``oracle`` documents also through
-  ``check --oracle``, ``oracle`` and ``oracle --text``, the ``repair``
+  ``check --oracle`` and ``oracle``, each with and without ``--text``, the
+  ``repair``
   documents through ``repair --out`` in both styles and both selections,
   with and without ``--text``.  The sha256 of each document is kept too,
   so that a change in the document generator is reported as such;
@@ -84,7 +85,9 @@ def cases(group: str, names) -> list:
     ``env`` the value of UQC_TOLERANCE_PROFILE or None for unset."""
     reads = [["check"], ["check", "--text"], ["epsilon"], ["epsilon", "--text"]]
     if group in ("oracle", "odd"):
-        reads += [["check", "--oracle"], ["oracle"], ["oracle", "--text"]]
+        reads += [
+            ["check", "--oracle"], ["check", "--oracle", "--text"], ["oracle"], ["oracle", "--text"]
+        ]
     if group in ("repair", "odd"):
         reads += [
             ["repair", "--style", style, "--selection", selection, "--out", OUT, *fmt]

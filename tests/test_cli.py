@@ -120,6 +120,17 @@ def test_numerical_failure_exit3(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+def test_uncertified_closure_exit3(capsys, u3_path, monkeypatch):
+    # with no certification cycle allowed, the closure cannot certify itself
+    from uqc import oracle
+
+    monkeypatch.setattr(oracle, "_MAX_CERTIFY_CYCLES", 0)
+    for argv in (["oracle", u3_path], ["check", u3_path, "--oracle"]):
+        assert _run(capsys, argv) == (3, "", (
+            "numerical failure: closure certification did not stabilize; "
+            "rank decisions are ambiguous at this tau_rank\n"))
+
+
 def test_oracle_beyond_the_closure_limit_exit2(capsys, tmp_path):
     from uqc.oracle import CLOSURE_DIM_LIMIT
 
@@ -531,7 +542,10 @@ def _weak_coupling_path(tmp_path, tolerances=None) -> str:
     A[1, 2], A[2, 1] = 1e-10, -1e-10
     s = GeneratorSet(Algebra("u", 3), (drift, Generator(A, "x")))
     path = tmp_path / "weak.json"
-    uio.write_document(uio.generator_set_to_document(s, tolerances), str(path))
+    doc = uio.generator_set_to_document(s)
+    if tolerances:
+        doc["tolerances"] = tolerances
+    uio.write_document(doc, str(path))
     return str(path)
 
 
@@ -1086,7 +1100,7 @@ def test_a_hermitian_coupling_is_refused_at_every_scale(capsys, tmp_path, scale)
     drift = uqc.make_general_direction(algebra).matrix
     hermitian = np.zeros((3, 3), dtype=complex)
     hermitian[[0, 1, 1, 2], [1, 0, 2, 1]] = scale
-    with pytest.raises(uqc.NotSkewHermitian) as err:
+    with pytest.raises(uqc.ValidationError, match=r"^generator 1 \(coupling\) is not skew-Hermitian$") as err:
         GeneratorSet(algebra, (Generator(drift, "drift"), Generator(hermitian, "coupling")))
     assert err.value.generator_index == 1
     path = _write_raw(tmp_path / "herm.json", [("drift", drift), ("coupling", hermitian)])

@@ -311,13 +311,13 @@ def _diagonal_only() -> GeneratorSet:
 def _generator_set_documents():
     rng = np.random.default_rng(5)
     yield uio.generator_set_to_document(three_level_set())
-    yield uio.generator_set_to_document(two_qubit_set(full=True), {"tau_edge": 1e-10})
+    yield {**uio.generator_set_to_document(two_qubit_set(full=True)), "tolerances": {"tau_edge": 1e-10}}
     for d, m, kind in ((2, 2, "u"), (5, 3, "su"), (9, 4, "u")):
         yield uio.generator_set_to_document(random_instance(rng, d, m, kind))
     for gen_set in (three_level_set(), _diagonal_only()):
         for style in BridgeStyle:
             yield uio.generator_set_to_document(repair(gen_set, style=style).resulting_set)
-    odd = uio.generator_set_to_document(three_level_set(), {"relation_bound": 10**400})
+    odd = {**uio.generator_set_to_document(three_level_set()), "tolerances": {"relation_bound": 10**400}}
     for g, kind, label in zip(odd["generators"], ("extreme", "mixed"), _ODD_LABELS):
         g["matrix"] = np.array(_random_rows(rng, 3, kind), dtype=float).view(complex)[..., 0]
         g["label"] = label
@@ -482,7 +482,10 @@ def test_written_documents_read_back_bit_for_bit(tmp_path, monkeypatch):
     tolerances = {"tau_edge": 1e-10, "relation_bound": 10**400}
     path = str(tmp_path / "set.json")
     for n, gen_set in enumerate(_round_trip_sets()):
-        uio.write_document(uio.generator_set_to_document(gen_set, tolerances if n % 2 else None), path)
+        doc = uio.generator_set_to_document(gen_set)
+        if n % 2:
+            doc["tolerances"] = tolerances
+        uio.write_document(doc, path)
         got, got_tolerances = uio.load_input_document(path)
         assert got_tolerances == (tolerances if n % 2 else {})
         assert got.algebra == gen_set.algebra
@@ -742,7 +745,7 @@ def test_plain_documents_take_the_text_reader(tmp_path, monkeypatch):
     sets = [three_level_set(), two_qubit_set(full=True), random_instance(rng, 40, 3, "u"),
             random_instance(rng, 9, 2, "su"), minimal_pair(Algebra("u", 64))]
     for k, gen_set in enumerate(sets):
-        doc = uio.generator_set_to_document(gen_set, {"tau_edge": 1e-10})
+        doc = {**uio.generator_set_to_document(gen_set), "tolerances": {"tau_edge": 1e-10}}
         written = tmp_path / f"written{k}.json"
         uio.write_document(doc, str(written))
         compact = tmp_path / f"compact{k}.json"

@@ -25,7 +25,7 @@ from uqc import (
     repair,
 )
 from uqc import io as uio
-from uqc.errors import NotSkewHermitian, ValidationError
+from uqc.errors import ValidationError
 
 from conftest import three_level_set, uqc_env
 
@@ -123,7 +123,7 @@ def test_with_extra_validates_again():
     s = three_level_set()
     A = np.zeros((3, 3), dtype=complex)
     A[1, 2] = A[2, 1] = 1.0  # Hermitian, not skew-Hermitian
-    with pytest.raises(NotSkewHermitian, match=r"generator 2 \(g3\)"):
+    with pytest.raises(ValidationError, match=r"^generator 2 \(g3\) is not skew-Hermitian$"):
         s.with_extra([Generator(A)])
     with pytest.raises(ValidationError, match="shape"):
         s.with_extra([Generator(np.zeros((2, 2)))])

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ def test_minimal_pair_dimension_limit():
 def test_minimal_pair_zero_coefficient_rejected():
     with pytest.raises(InvalidInput):
         minimal_pair(Algebra("u", 4), coefficients=[1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "coefficients", [[1.0, 2.0], [1.0, 2.0, 3.0, 5.0], [[1.0, 2.0, 3.0]]], ids=["2", "4", "1x3"])
+def test_minimal_pair_wants_one_coefficient_per_link(coefficients):
+    got = re.escape(str(np.shape(coefficients)))
+    with pytest.raises(InvalidInput, match=f"^expected 3 chain coefficients, got {got}$"):
+        minimal_pair(Algebra("u", 4), coefficients=coefficients)
+
+
+def test_minimal_pair_d1_admits_no_coefficients():
+    with pytest.raises(InvalidInput, match="^d = 1 admits no chain coefficients$"):
+        minimal_pair(Algebra("u", 1), coefficients=[1.0])
+    assert len(minimal_pair(Algebra("u", 1), coefficients=[]).generators) == 1
 
 
 def test_minimal_pair_is_path_graph():

@@ -14,7 +14,7 @@ from uqc import (
     minimal_pair,
     phases_of,
 )
-from uqc.errors import InvalidInput, NotSkewHermitian
+from uqc.errors import InvalidInput, ValidationError
 from uqc.generators import is_constructed_direction
 
 from conftest import random_instance, reachable_from, three_level_set, two_qubit_set
@@ -154,7 +154,7 @@ def test_degenerate_spectrum_is_conditional_not_fatal():
 def test_structural_validation_errors_propagate():
     # the set refuses itself as it is built, before any check can run
     bad = Generator(np.array([[0, 1], [1, 0]], dtype=complex))
-    with pytest.raises(NotSkewHermitian):
+    with pytest.raises(ValidationError, match=r"^generator 1 \(g2\) is not skew-Hermitian$"):
         check_universality(GeneratorSet(Algebra("u", 2), (Generator(np.diag([1j, 2j])), bad)))
 
 
