@@ -8,15 +8,16 @@ convert.  ``general_index`` is a position in the generator list and stays
 0-based, default 0.
 
 :func:`load_input_document` reads each generator's matrix straight from the
-bytes of the file into its complex ndarray, with no nested lists: a
-vectorised pass checks the "[],"-skeleton, an exact ``[0.0,0.0]`` pair
-costs one word compare, the number tokens of the other pairs are checked
-and each distinct token is converted once.  json parses only the rest of the
-document, in which each matrix is that ndarray.  A document that reader
-does not take (every document the benchmark makes is taken) goes as a
-whole through ``json.loads`` and :func:`parse_input_document`, which reads
-each matrix one entry at a time; either way gives the same matrices, bit
-for bit, and the same error messages.  :class:`GeneratorSet` then checks the
+bytes of the file into its complex ndarray, with no nested lists of the
+whole matrix: a vectorised pass checks the "[],"-skeleton, an exact
+``[0.0,0.0]`` pair costs one word compare, and the other pairs, as written,
+are read by ``json.loads`` a bounded group at a time, so that json's grammar
+decides every number.  json parses the rest of the document apart, and
+each matrix of it is then that ndarray.  A document that reader does not
+take (every document the benchmark makes is taken) goes as a whole
+through ``json.loads`` and :func:`parse_input_document`, which reads each
+matrix one entry at a time; either way gives the same matrices, bit for
+bit, and the same error messages.  :class:`GeneratorSet` then checks the
 set's invariants.
 
 A verdict document (:func:`verdict_to_document`) holds no matrix;
@@ -211,17 +212,12 @@ _MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 _WHITESPACE = b" \t\n\r"
 #: the bytes of JSON numbers; every other byte of a matrix is whitespace or one of "[],"
 _NUMBER_BYTES = b"0123456789+-.eE"
-#: the longest number token read here; a float's repr has at most 24 bytes
-_TOKEN_MAX = 32
-#: NULs after the text, so that a window of _TOKEN_MAX bytes fits at every token
-_PAD = bytes(_TOKEN_MAX)
-_ZERO_KEY = int.from_bytes(b"0.0", "little")
+#: NULs after the text, so that a word of 8 bytes fits after every '['
+_PAD = bytes(8)
 #: the 8 bytes after the '[' of an exact zero pair
 _ZERO_PAIR = int.from_bytes(b"0.0,0.0]", "little")
-#: the low n bytes of a uint64, for n = 0..8
-_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-#: the bytes of pairs lexed at a time; their int64 offsets take 8 times that
-_CHUNK = 1 << 17
+#: the pairs handed to ``json.loads`` at a time, which bounds its lists
+_PAIRS = 1 << 14
 
 
 def _read_matrix_text(data: bytes) -> dict:
@@ -297,133 +293,46 @@ def _lex_matrix(text: bytes, d: int) -> np.ndarray:
     holds number bytes, whitespace and one ',' from its '[' up to the first
     ']' after it.  A pair whose 8 bytes after its '[' are ``0.0,0.0]``
     reads as +0.0 at the cost of that one word compare, which is most pairs
-    of a sparse matrix.  The other pairs are put one after another, in
-    pieces of about :data:`_CHUNK` bytes.  Whitespace between the bytes
-    of one number would join them into one token once removed, so the runs
-    of number bytes in a piece as written must number two per pair; then
-    its whitespace goes and :func:`_lex_pairs` reads it.  The text is
-    refused unless the number bytes inside the pairs are all it holds, so
-    that no number stands outside a pair.  Anything else raises
-    :class:`_NotPlain`.
+    of a sparse matrix.  The other pairs, as written, are joined into JSON
+    arrays of up to :data:`_PAIRS` pairs that ``json.loads`` reads, so that
+    json's own grammar decides every number.  The text is refused unless
+    the number bytes inside the pairs are all it holds, so that no number
+    stands outside a pair.  Anything else, or a value that is not a finite
+    float64, raises :class:`_NotPlain`.
     """
     n = d * d
-    size = len(text) - len(_PAD)
-    if size < 6 * n + 2 * d + 1:
+    if len(text) - len(_PAD) < 6 * n + 2 * d + 1:
         raise _NotPlain
-    skeleton = _pairs_skeleton(d)
-    if text.translate(None, _NUMBER_BYTES + _WHITESPACE) != skeleton + _PAD:
+    structure = text.translate(None, _NUMBER_BYTES)
+    if structure.translate(None, _WHITESPACE) != _pairs_skeleton(d) + _PAD:
         raise _NotPlain
     u = np.frombuffer(text, dtype=np.uint8)
     # the '['s are the matrix's, then each row's followed by its d pairs';
     # the ']'s each row's d pairs' followed by the row's, then the matrix's
     opens = np.flatnonzero(u == 91)[1:].reshape(d, d + 1)[:, 1:].ravel()
     closes = np.flatnonzero(u == 93)[:-1].reshape(d, d + 1)[:, :-1].ravel()
-    # the number bytes of the text (by the skeleton, its other bytes are
-    # "[]," and whitespace, the bytes up to b" "), and the number bytes and
-    # whitespace inside the pairs
-    numbers = size - len(skeleton) - int(np.count_nonzero(u[:size] <= 32))
-    inside = int((closes - opens).sum()) - 2 * n
     live = np.flatnonzero(_words(text)[opens + 1] != _ZERO_PAIR)
-    opens, lengths = opens[live], closes[live] - opens[live] + 1
-    # the pairs put one after another: pair k is bytes ends[k] - lengths[k]
-    # up to ends[k], and byte b of it is byte b + shift[k] of the text
-    ends = np.cumsum(lengths)
-    shift = opens - (ends - lengths)
+    # the number bytes not yet found inside a pair: all of them, less the 6
+    # of each zero pair; each group takes away its own
+    outside = len(text) - len(structure) - 6 * (n - len(live))
     values = np.zeros((n, 2))
-    i = 0
-    while i < len(live):
-        a = ends[i] - lengths[i]
-        j = max(i + 1, int(np.searchsorted(ends, a + _CHUNK, side="right")))
-        piece = u[np.arange(a, ends[j - 1]) + np.repeat(shift[i:j], lengths[i:j])]
-        # number bytes, told apart from whitespace and "[],"
-        number = (piece >= 43) & (piece != 44) & (piece != 91) & (piece != 93)
-        if np.count_nonzero(number[1:] > number[:-1]) != 2 * (j - i):
-            raise _NotPlain
-        piece = piece.tobytes().translate(None, _WHITESPACE)
-        inside -= ends[j - 1] - a - len(piece)
-        values[live[i:j]] = _lex_pairs(piece + _PAD, 2 * (j - i)).reshape(-1, 2)
-        i = j
-    if inside != numbers:
+    for g in range(0, len(live), _PAIRS):
+        group = live[g : g + _PAIRS]
+        pairs = b",".join([text[a:b] for a, b in zip(opens[group].tolist(), (closes[group] + 1).tolist())])
+        outside -= len(pairs) - len(pairs.translate(None, _NUMBER_BYTES))
+        try:
+            values[group] = json.loads(b"[%b]" % pairs)
+        except (ValueError, OverflowError):  # not JSON, or past the digit limit or float64
+            raise _NotPlain from None
+    if outside or not np.isfinite(values).all():
         raise _NotPlain
     return values.view(np.complex128).reshape(d, d)
 
 
-def _lex_pairs(text: bytes, n: int) -> np.ndarray:
-    """The ``n`` numbers of ``text``: whole [re, im] pairs of number bytes,
-    one after another, followed by :data:`_PAD`.
-
-    Every pair slot must hold one token.  Tokens are checked for what
-    ``float`` accepts and JSON does not (a leading '+', a leading zero, a
-    '.' without a digit on each side); ``float`` rejects the rest.
-
-    Tokens of up to 8 bytes are told apart by their bytes packed into a
-    uint64, and each distinct one is converted once; ``0.0``, the usual
-    zero, takes no conversion at all.  Integers among them go through
-    ``int``, as in json, so that ``-0`` reads as +0.0.  Longer tokens (the
-    17-digit reprs of nonzero floats) seldom repeat: they are gathered as
-    fixed-width strings and each is read by ``float``; none of them is an
-    integer zero, so ``float`` reads them as json does.  Anything else, or
-    a value that is not finite, raises :class:`_NotPlain`.
-    """
-    u, words = np.frombuffer(text, dtype=np.uint8), _words(text)
-    v = u[: len(text) - len(_PAD)]
-    # the text starts with a '[' and ends with a ']', so its edges
-    # alternate between the start and the end of a token
-    struct = (v == 44) | (v == 91) | (v == 93)
-    edges = np.flatnonzero(struct[:-1] != struct[1:]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    if len(starts) != n:
-        raise _NotPlain
-    signed = u[starts] == 45
-    lead = u[starts + signed]  # the first digit of the integer part
-    after = u[starts + signed + 1]
-    digit = (v - 48) < 10
-    if (
-        ((lead == 48) & ((after - 48) < 10)).any()
-        or ((v[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
-        or (b"+" in text and ((v[1:] == 43) & ((v[:-1] | 32) != 101)).any())
-    ):
-        raise _NotPlain
-    values = np.zeros(n)
-    lengths = ends - starts
-    short = np.flatnonzero(lengths <= 8)
-    keys = words[starts[short]] & _KEY_MASKS[lengths[short]]
-    live = keys != _ZERO_KEY
-    if live.any():
-        distinct, inverse = np.unique(keys[live], return_inverse=True)
-        tokens = [k.to_bytes(8, "little").rstrip(b"\0") for k in distinct.tolist()]
-        values[short[live]] = _numbers(tokens, as_int=True)[inverse]
-    far = np.flatnonzero(lengths > 8)
-    if len(far):
-        if lengths[far].max() > _TOKEN_MAX:
-            raise _NotPlain
-        tokens = _words(text, _TOKEN_MAX)[starts[far]]
-        tokens.view(np.uint8).reshape(-1, _TOKEN_MAX)[np.arange(_TOKEN_MAX) >= lengths[far, None]] = 0
-        values[far] = _numbers(tokens.tolist(), as_int=False)
-    return values
-
-
-def _words(text: bytes, width: int = 8) -> np.ndarray:
-    """The ``width`` bytes at every offset of ``text``: little-endian
-    uint64 words for 8, byte strings otherwise; views, not copies."""
-    dtype = np.dtype("<u8") if width == 8 else np.dtype(f"S{width}")
-    return np.ndarray((len(text) - width + 1,), dtype=dtype, buffer=text, strides=(1,))
-
-
-def _numbers(tokens: list, as_int: bool) -> np.ndarray:
-    """Each number token as a float; integer tokens through ``int`` if
-    ``as_int``, as json reads them."""
-    try:
-        if as_int:
-            floats = [float(int(t)) if t.lstrip(b"-").isdigit() else float(t) for t in tokens]
-        else:
-            floats = map(float, tokens)
-        out = np.fromiter(floats, dtype=np.float64, count=len(tokens))
-    except (ValueError, OverflowError):  # not a number, or past the digit limit or float64
-        raise _NotPlain from None
-    if not np.isfinite(out).all():
-        raise _NotPlain
-    return out
+def _words(text: bytes) -> np.ndarray:
+    """The little-endian uint64 word at every offset of ``text``; a view,
+    not a copy."""
+    return np.ndarray((len(text) - 7,), dtype=np.dtype("<u8"), buffer=text, strides=(1,))
 
 
 def _finite_or_none(x: float | None):

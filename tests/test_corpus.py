@@ -1,25 +1,11 @@
-"""Every output of the committed corpus, byte for byte (see tests/corpus/regenerate.py).
-
-Each case's exit code, stderr and ``--out`` sha256 must equal the recorded
-ones exactly, and so must its stdout, with two exceptions on a line of its
-own in a JSON report:
-
-- ``epsilon_max``, ``operator_norm`` and the general direction's
-  ``residual`` may move by up to :data:`ULPS` units in the last place: a
-  LAPACK SVD moves by as much when the BLAS thread count changes (17 ulps
-  were seen on one ``check_large`` generator);
-- the closure oracle's ``residual_max``, also the ``closure residual`` line
-  of ``oracle --text``, is roundoff: it must only stay at or below
-  ``tau_rank``, as the recorded value does.
+"""Every output of the committed corpus, byte for byte but for the
+differences that :func:`mismatch` allows (see tests/corpus/regenerate.py).
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import math
-import re
-import struct
 from pathlib import Path
 
 import pytest
@@ -32,11 +18,8 @@ _spec = importlib.util.spec_from_file_location(
 corpus = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(corpus)
 
-#: how far, in units in the last place, a LAPACK-derived float may move
-ULPS = 64
-
-_ULP_LINE = re.compile(r'^(\s*"(?:epsilon_max|operator_norm|residual)": )(\S+?)(,?)$')
-_ROUNDOFF_LINE = re.compile(r'^(\s*"residual_max": |closure residual: )(\S+?)(,?)$')
+ULPS = corpus.ULPS
+mismatch = corpus.mismatch
 
 
 def _expected(group: str) -> dict:
@@ -44,39 +27,6 @@ def _expected(group: str) -> dict:
 
 
 _EXPECTED = {group: _expected(group) for group in corpus.GROUPS}
-
-
-def _ordered(x: float) -> int:
-    """``x``'s place among the float64 values, in units in the last place."""
-    (bits,) = struct.unpack("<q", struct.pack("<d", x))
-    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
-
-
-def _line_differs(want: str, got: str) -> bool:
-    for pattern in (_ULP_LINE, _ROUNDOFF_LINE):
-        w, g = pattern.match(want), pattern.match(got)
-        if not (w and g and (w[1], w[3]) == (g[1], g[3])):
-            continue
-        if w[2] == "null" or g[2] == "null":
-            return True
-        a, b = float(w[2]), float(g[2])
-        if pattern is _ULP_LINE:
-            return not (math.isfinite(b) and abs(_ordered(a) - _ordered(b)) <= ULPS)
-        return not (a <= TAU_CLOSURE_RANK and b <= TAU_CLOSURE_RANK)
-    return True
-
-
-def mismatch(want: dict, got: dict) -> str | None:
-    """How ``got`` differs from the record ``want``, or None."""
-    for field in ("exit", "stderr", "out_sha256"):
-        if got[field] != want[field]:
-            return f"{field}: {got[field]!r}, recorded {want[field]!r}"
-    if len(got["stdout"]) != len(want["stdout"]):
-        return f"stdout has {len(got['stdout'])} lines, recorded {len(want['stdout'])}"
-    for n, (w, g) in enumerate(zip(want["stdout"], got["stdout"]), 1):
-        if w != g and _line_differs(w, g):
-            return f"stdout line {n}: {g!r}, recorded {w!r}"
-    return None
 
 
 _written = {}
@@ -106,6 +56,13 @@ def test_corpus_documents_are_the_recorded_ones(workdir, group):
     # a change in bench/workloads.make_doc, or in a committed document,
     # shows here rather than as changed outputs
     assert workdir(group) == _EXPECTED[group]["documents"]
+
+
+@pytest.mark.parametrize("group", corpus.GROUPS)
+def test_corpus_records_every_case_in_order(group):
+    # a case added to cases() but never recorded would go untested
+    recorded = [(case["argv"], case["env"]) for case in _EXPECTED[group]["cases"]]
+    assert recorded == corpus.cases(group, _EXPECTED[group]["documents"])
 
 
 def _commands():

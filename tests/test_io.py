@@ -17,6 +17,7 @@ from uqc import (
 )
 from uqc import io as uio
 from uqc import output as uout
+from uqc.cli import main
 from uqc.errors import InvalidInput
 
 from conftest import (
@@ -717,12 +718,13 @@ def test_text_reader_matches_the_json_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(uio, "_read_matrix_text", text_reader)
     outcomes = {"ok": 0, "error": 0}
+    groups = [1, 2, 16, uio._PAIRS]
     for n, text in enumerate(texts):
         path = tmp_path / f"doc{n}.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         path = str(path)
-        # small chunks cut the lexed pairs into many pieces; at 1 B each pair is one
-        monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([1, 16, 64, 1 << 20])))
+        # small groups cut the pairs json reads into many arrays; at 1 each pair is one
+        monkeypatch.setattr(uio, "_PAIRS", int(rng.choice(groups)))
         want = _outcome(_json_path, path)
         with time_limit(10):
             assert _outcome(uio.load_input_document, path) == want, text[:300]
@@ -762,6 +764,56 @@ def test_plain_documents_take_the_text_reader(tmp_path, monkeypatch):
                 assert _bits(g_out.matrix).tobytes() == _bits(g_in.matrix.astype(complex)).tobytes()
 
 
+#: number tokens longer than 32 bytes, and integers of 2^63 and above
+_LONG_TOKENS = [
+    "0.1234567890123456789012345678901",  # 33 bytes
+    "-3.141592653589793238462643383279502884197169399375105820974",  # 60 bytes
+    "2.71828182845904523536028747135266249775724709369995e-7",
+    "9223372036854775808",  # 2^63
+    "-18446744073709551617",  # -(2^64 + 1)
+    "123456789012345678901234567890123456789012345678901",
+    str(2**1023),
+]
+
+
+def test_long_number_tokens_take_the_text_reader(tmp_path, monkeypatch, capsys):
+    # json's grammar reads every token of the text reader, whatever its
+    # length: the matrices are json's to the last bit, and an integer past
+    # float64 is an error located as json's route locates it
+    rng = np.random.default_rng(63)
+    doc = json_document(uio.generator_set_to_document(random_instance(rng, 8, 2, "u")))
+    matrix = doc["generators"][1]["matrix"]
+    for k, token in enumerate(_LONG_TOKENS):
+        # re(M[i, l]) = -re(M[l, i]) keeps the matrix skew-Hermitian
+        matrix[0][k + 1][0] = _placeholder(2 * k)
+        matrix[k + 1][0][0] = _placeholder(2 * k + 1)
+    tokens = [t for token in _LONG_TOKENS for t in (token, token[1:] if token[0] == "-" else "-" + token)]
+    path = str(tmp_path / "long.json")
+    parse_matrix = uio._parse_matrix
+
+    def read_from_text(rows, d, where):
+        assert isinstance(rows, np.ndarray), f"{where} took the list path"
+        return parse_matrix(rows, d, where)
+
+    for text in _layouts(doc, tokens, rng):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        want = _outcome(_json_path, path)
+        assert want[0] == "ok"
+        with monkeypatch.context() as m:
+            m.setattr(uio, "_parse_matrix", read_from_text)
+            assert _outcome(uio.load_input_document, path) == want
+    tokens[-2:] = ["1" + "0" * 400, "-1" + "0" * 400]
+    for text in _layouts(doc, tokens, rng):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        want = _outcome(_json_path, path)
+        assert want == ("error", "generators[1] (rand1) matrix row 1 column 8: entry is outside the float64 range")
+        assert _outcome(uio.load_input_document, path) == want
+        assert main(["check", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {want[1]}\n")
+
+
 def test_text_reader_leaves_a_document_holding_its_slot_to_json(tmp_path, monkeypatch):
     # a document that spells out the slot, nonce and all, of a matrix it
     # replaces by a duplicate key: json keeps the string, and so must the reader
@@ -799,6 +851,7 @@ def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path, monkeypatch
     M = uio.load_input_document(path)[0].generators[0].matrix
     assert np.signbit(M[0, 0].real) and np.signbit(M[0, 2].imag)
     assert np.count_nonzero(np.signbit(M.view(np.float64))) == 2
+    groups = [1, 16, uio._PAIRS]
     alphabet = [*"0123456789-+.eE[],  \n\t\r\"}{:aNI", "0.0", "-0", "1e5", "[0.0,0.0]", "],[", '"matrix":',
                 "0.0,0.0]", "[0.0,0.0]3", "3[0.0,0.0]", "[-0.0,0.0]", "[0.0,0.00]", "[0.0 ,0.0]"]
     for _ in range(2000):
@@ -809,18 +862,18 @@ def test_text_reader_matches_the_json_path_on_mutated_text(tmp_path, monkeypatch
             text = text[:i] + (token if cut != 1 else "") + text[i + cut:]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        monkeypatch.setattr(uio, "_CHUNK", int(rng.choice([1, 16, 1 << 20])))
+        monkeypatch.setattr(uio, "_PAIRS", int(rng.choice(groups)))
         with time_limit(10):
             assert _outcome(uio.load_input_document, path) == _outcome(_json_path, path), text
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 20])
-def test_text_reader_refuses_a_number_moved_next_to_a_chunk_edge(tmp_path, monkeypatch, chunk):
+@pytest.mark.parametrize("pairs", [1, 2, 3, 7, 16, 1 << 20])
+def test_text_reader_refuses_a_number_moved_next_to_a_chunk_edge(tmp_path, monkeypatch, pairs):
     # a number just after a ']' or just before a '[' keeps the skeleton
-    # whole but stands outside the pair slots, and at every chunk size the
+    # whole but stands outside the pair slots, and at every group size the
     # document must fail as json fails it
-    monkeypatch.setattr(uio, "_CHUNK", chunk)
-    rng = np.random.default_rng(chunk)
+    monkeypatch.setattr(uio, "_PAIRS", pairs)
+    rng = np.random.default_rng(pairs)
     doc = json_document(uio.generator_set_to_document(random_instance(rng, 6, 2, "u", p=0.5)))
     compact = json.dumps(doc, separators=(",", ":"))
     for count in (1, 2, 9):
