@@ -5,13 +5,15 @@
 writes neither, ``check`` without ``--text`` above all, does not build it.
 
 A generator-set document (:func:`generator_set_to_document`) holds each
-matrix as its complex ndarray.  :func:`write_document` writes it in json's
-compact layout and renders each matrix straight from its values as rows of
-[re, im] pairs: byte for byte what ``json.dumps(separators=(",", ":"))``
-gives the same document with its arrays turned into lists.  The reports
-of a repair and of the closure oracle (:func:`repair_plan_to_document`,
-:func:`closure_report_to_document`) number basis indices from 1, as
-:mod:`uqc.io` does.
+matrix as its complex ndarray, all of them d x d with the set's one d.
+:func:`write_document` writes it in json's compact layout, each matrix as
+rows of [re, im] pairs: byte for byte what
+``json.dumps(separators=(",", ":"))`` gives the same document with its
+arrays turned into lists.  One ``json.dumps`` formats the floats of every
+pair that is not (+0.0, +0.0); the rest of each row is the text of a zero
+row, built once per document.  The reports of a repair and of the closure
+oracle (:func:`repair_plan_to_document`, :func:`closure_report_to_document`)
+number basis indices from 1, as :mod:`uqc.io` does.
 """
 
 from __future__ import annotations
@@ -68,17 +70,19 @@ def write_document(doc: dict, path: str):
     json's compact layout, with a final newline.
 
     ``doc`` is laid out as :func:`generator_set_to_document` makes it, each
-    ``doc["generators"][j]["matrix"]`` an ndarray.  The text is byte for
-    byte ``json.dumps(doc, separators=(",", ":"), allow_nan=False)`` of the
-    document with every matrix turned into rows of [re, im] pairs.  json
-    renders the rest of the document in one call, with ``null`` in place of
-    each matrix: a '"' inside a string is escaped, so with the keys
-    :func:`generator_set_to_document` writes and those of a ``tolerances``
-    section, ``"matrix":null`` stands in that text only where a matrix
-    goes.  The matrices are rendered from their values
-    (:func:`_matrix_texts`) and streamed a block of rows at a time.  Every
-    value is checked before the file is opened, so a document that json
-    would refuse leaves the file as it was.
+    ``doc["generators"][j]["matrix"]`` a d x d array with one d for the
+    whole document; matrices of other shapes raise ``ValueError``.  The
+    text is byte for byte ``json.dumps(doc, separators=(",", ":"),
+    allow_nan=False)`` of the document with every matrix turned into rows
+    of [re, im] pairs.  json renders the rest of the document in one call,
+    with ``null`` in place of each matrix: a '"' inside a string is
+    escaped, so with the keys :func:`generator_set_to_document` writes and
+    those of a ``tolerances`` section, ``"matrix":null`` stands in that
+    text only where a matrix goes.  The matrices are rendered from their
+    values (:func:`_matrix_texts`) and streamed a block of rows at a time.
+    Their shapes are checked and their floats formatted before the file is
+    opened, so a document that json or the shape check refuses leaves the
+    file as it was.
     """
     gens = doc["generators"]
     rest = {**doc, "generators": [{**g, "matrix": None} for g in gens]}
@@ -102,87 +106,71 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _matrix_texts(matrices: list) -> list:
-    """The compact JSON text of each 2-D array of ``matrices`` as rows of
-    [re, im] pairs of floats: for each, an iterator over pieces of whole
-    rows.
+    """The compact JSON text of each d x d array of ``matrices``, all of one
+    d, as rows of [re, im] pairs of floats: for each, an iterator over
+    pieces of whole rows.
 
-    Every value is checked here, before any text is made: a NaN or an
-    infinity raises json's own ``ValueError`` for the first one in json's
-    order.  Only the nonzero float words are looked at, taken from each
-    matrix with one pass over its contiguous float view.  The distinct ones
-    among all the matrices, told apart by their bits so that -0.0 is not
-    0.0, are found by a sort and formatted once with ``float.__repr__``, as
-    json does; ``np.unique`` asked for the values alone would import
-    ``numpy.ma``, as numpy 2.4 does there.  A block of rows is
-    the text of as many all-zero rows, built once per shape, with the two
-    floats of each pair that is not (+0.0, +0.0) put in place of its zeros:
-    a row costs Python work per nonzero pair only, and copies of the zero
-    text between them.  The rows are rendered a block of about
-    :data:`_BLOCK_ENTRIES` entries at a time, so that a large matrix costs
-    no text of its size.
+    The text is made before any of it is written.  The pairs that are not
+    (+0.0, +0.0) are gathered from all the matrices at once, and one
+    ``json.dumps`` formats their floats in document order: json raises its
+    own ``ValueError`` for the first NaN or infinity.  A block of rows is
+    the text of as many all-zero rows, built once per document, with the
+    two floats of each such pair put in place of its zeros: a row costs
+    Python work per nonzero pair only, and copies of the zero text between
+    them.  The rows are rendered a block of about :data:`_BLOCK_ENTRIES`
+    entries at a time, so that a large matrix costs no text of its size.
     """
-    bits = [np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64) for M in matrices]
+    if not matrices:
+        return []
+    shape, *others = {np.shape(M) for M in matrices}
+    if others or len(shape) != 2 or not shape[0] == shape[1] >= 1:
+        raise ValueError(f"matrices of shapes {[np.shape(M) for M in matrices]} "
+                         "are not all d x d with one d")
+    d = shape[0]
     # the document's float words one after another: the nonzero ones, and
     # where they stand
-    offsets = np.cumsum([0] + [b.size for b in bits])
+    bits = [np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64) for M in matrices]
     nonzero = [np.flatnonzero(b != 0) for b in bits]  # faster than on the words
-    words = np.concatenate([np.zeros(0, np.uint64), *map(np.take, bits, nonzero)])
-    where = np.concatenate([np.zeros(0, np.intp), *map(np.add, nonzero, offsets.tolist())])
-    floats = words.view(np.float64)
-    finite = np.isfinite(floats)
-    if not finite.all():
-        json.dumps(floats[np.argmin(finite)].item(), allow_nan=False)
-    values = np.sort(np.append(words, np.uint64(0)))
-    values = values[np.append(True, values[1:] != values[:-1])]
-    reprs = np.array([repr(x) for x in values.view(np.float64).tolist()], dtype=object)
-    # the pairs with a nonzero word, and the index in ``values`` of their two
-    # words, one of which may be +0.0
+    words = np.concatenate(list(map(np.take, bits, nonzero)))
+    where = np.concatenate([n + k * 2 * d * d for k, n in enumerate(nonzero)])
+    # the live pairs, and their two words, one of which may be +0.0
     pair = where >> 1
-    new = np.ones(len(pair), dtype=bool)
-    new[1:] = pair[1:] != pair[:-1]
-    pairs = pair[new]
-    codes = np.zeros((len(pairs), 2), dtype=np.uint64)
-    codes[np.cumsum(new) - 1, where & 1] = words
-    codes = np.searchsorted(values, codes)
-    # each pair's matrix, row and column, and its block of rows
-    shapes = [b.shape for b in bits]
-    n_cols = np.array([c // 2 for _, c in shapes])
-    steps = np.maximum(1, _BLOCK_ENTRIES // (2 * n_cols))
-    blocks = np.cumsum([0] + [-(-r // s) for (r, _), s in zip(shapes, steps.tolist())])
-    m = np.searchsorted(offsets, 2 * pairs, side="right") - 1
-    r, c = np.divmod(pairs - offsets[m] // 2, n_cols[m])
-    step = steps[m]
-    row = 10 * n_cols[m] + 2  # "[", n times "[0.0,0.0],", less a ",", "]", ","
-    # the two 0.0 of each nonzero pair's "[0.0,0.0]" in the block of zero
-    # rows are replaced; the zero text kept runs from the "]" of one such
-    # pair to the "[" of the next, both included
+    new = np.diff(pair, prepend=-1) != 0
+    live = pair[new]
+    floats = np.zeros((len(live), 2), dtype=np.uint64)
+    floats[np.cumsum(new) - 1, where & 1] = words
+    texts = json.dumps(floats.view(np.float64).ravel().tolist(), separators=(",", ":"), allow_nan=False)
+    texts = texts[1:-1].split(",")  # [""] when no pair is live
+    re_text, im_text = texts[0::2], texts[1::2]
+    # each live pair's matrix, row and column, and its block of rows
+    step = max(1, _BLOCK_ENTRIES // (2 * d))
+    n_blocks = -(-d // step)
+    m, rc = np.divmod(live, d * d)
+    r, c = np.divmod(rc, d)
+    row = 10 * d + 2  # "[", d times "[0.0,0.0],", less a ",", "]", ","
+    # the two 0.0 of each live pair's "[0.0,0.0]" in the block of zero rows
+    # are replaced; the zero text kept runs from the "]" of one such pair to
+    # the "[" of the next, both included
     opens = (r % step) * row + c * 10 + 1
-    cuts = np.searchsorted(blocks[m] + r // step, np.arange(blocks[-1] + 1)).tolist()
+    cuts = np.searchsorted(m * n_blocks + r // step, np.arange(len(matrices) * n_blocks + 1)).tolist()
     kept_from = (opens + len("[0.0,0.0")).tolist()
     kept_to = (opens + 1).tolist()
-    re_text, im_text = reprs[codes[:, 0]].tolist(), reprs[codes[:, 1]].tolist()
-    zeros = {}  # the text of a block of zero rows, by shape
+    zero_row = "[" + ",".join(["[0.0,0.0]"] * d) + "]"
+    text = ",".join([zero_row] * min(step, d))
 
     def chunks(k: int):
-        n_rows, n_cols = shapes[k][0], shapes[k][1] // 2
-        step = int(steps[k])
-        if shapes[k] not in zeros:
-            zero_row = "[" + ",".join(["[0.0,0.0]"] * n_cols) + "]"
-            zeros[shapes[k]] = ",".join([zero_row] * min(step, n_rows))
-        text = zeros[shapes[k]]
-        row = 10 * n_cols + 2
         yield "["
-        for b, lo in enumerate(range(0, n_rows, step), int(blocks[k])):
+        for b, lo in enumerate(range(0, d, step), k * n_blocks):
             i, j = cuts[b], cuts[b + 1]
             pieces = [","] * (4 * (j - i) + 1)  # kept, re, ",", im, kept, ...
             pieces[0::4] = map(text.__getitem__, map(
-                slice, [0, *kept_from[i:j]], [*kept_to[i:j], min(step, n_rows - lo) * row - 1]))
+                slice, [0, *kept_from[i:j]], [*kept_to[i:j], min(step, d - lo) * row - 1]))
             pieces[1::4] = re_text[i:j]
             pieces[3::4] = im_text[i:j]
             yield ("," if lo else "") + "".join(pieces)
         yield "]"
 
-    return [chunks(k) for k in range(len(bits))]
+    return [chunks(k) for k in range(len(matrices))]
 
 
 _MAX_EDGE_LINES = 40

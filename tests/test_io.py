@@ -323,6 +323,16 @@ def _generator_set_documents():
         g["matrix"] = np.array(_random_rows(rng, 3, kind), dtype=float).view(complex)[..., 0]
         g["label"] = label
     yield odd
+    # no live pair anywhere: json formats no float, and every block is zero text
+    yield uio.generator_set_to_document(
+        GeneratorSet(Algebra("u", 2), (Generator(np.zeros((2, 2)), "drift"),)))
+    # the only nonzero words are -0.0, in either half of a pair or in both
+    signed = uio.generator_set_to_document(three_level_set())
+    for g in signed["generators"]:
+        g["matrix"] = np.zeros((3, 3), dtype=complex)
+    signed["generators"][0]["matrix"][0, 1] = complex(-0.0, 0.0)
+    signed["generators"][1]["matrix"][[0, 2], [2, 1]] = [complex(0.0, -0.0), complex(-0.0, -0.0)]
+    yield signed
 
 
 def _verdict_documents():
@@ -440,6 +450,12 @@ def test_a_refused_document_leaves_the_file_as_it_was(j, tmp_path):
     with pytest.raises(ValueError) as got:
         uio.write_document(doc, str(path))
     assert str(got.value) == str(want.value)
+    assert path.read_bytes() == before
+    # matrices of two shapes, which json would write: every matrix of a
+    # document is d x d with one d
+    doc["generators"][j]["matrix"] = np.eye(5, dtype=complex)
+    with pytest.raises(ValueError, match="not all d x d with one d"):
+        uio.write_document(doc, str(path))
     assert path.read_bytes() == before
 
 
