@@ -17,7 +17,7 @@ after it, as below, makes ``uqc.repair`` the function for good.
 
 __version__ = "0.1.0"
 
-from .errors import InvalidInput, NumericalFailure, UqcError, ValidationError
+from .errors import InvalidInput, UqcError, ValidationError
 from .generators import (
     Algebra,
     Generator,
@@ -30,12 +30,7 @@ from .generators import (
     phases_of,
     validate_set,
 )
-from .linalg import (
-    commutator,
-    from_skew_coords,
-    operator_norm,
-    skew_coords,
-)
+from .linalg import commutator, operator_norm
 from .universality import (
     CouplingGraph,
     UniversalityVerdict,
@@ -57,13 +52,10 @@ __all__ = [
     # errors
     "UqcError",
     "InvalidInput",
-    "NumericalFailure",
     "ValidationError",
     # linalg
     "commutator",
     "operator_norm",
-    "skew_coords",
-    "from_skew_coords",
     # generators
     "Algebra",
     "Generator",

@@ -2,11 +2,11 @@
 
 Subcommands: check | repair | construct | epsilon | oracle.  Documents are
 JSON (see :mod:`uqc.io`); exit code 0 means the analysis ran (whatever the
-verdict), 2 flags a parse/validation problem, 3 a numerical failure, and 141
-(128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe)
-means stdout was a pipe whose reader had gone before the output was
-written, as in ``uqc check set.json | true`` when ``true`` exits first; no
-traceback is printed then.  Stdout carries the verdict or report; the sets
+verdict), 2 flags a parse/validation problem, and 141 (128 + SIGPIPE, what
+a shell reports for a writer killed by a closed pipe) means stdout was a
+pipe whose reader had gone before the output was written, as in ``uqc
+check set.json | true`` when ``true`` exits first; no traceback is printed
+then.  Stdout carries the verdict or report; the sets
 that ``repair`` and ``construct`` build go to ``--out`` alone.  Tolerances
 are resolved here alone: the library defaults, then the edge-threshold tier
 that the environment variable UQC_TOLERANCE_PROFILE (strict | default |
@@ -34,7 +34,7 @@ import os
 import sys
 
 from . import __version__, io
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .generators import RELATION_BOUND, TAU_CLOSURE_RANK, TAU_RELATION, Algebra
 from .generators import epsilon_bound, least_step_bound, step_bound, validate_tolerance
 from .linalg import operator_norm
@@ -43,7 +43,6 @@ from .universality import TAU_EDGE, check_universality, VerdictStatus
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
 EXIT_BROKEN_PIPE = 141
 
 # ||exp(t X) - I|| = 2 max_k |sin(t lambda_k / 2)| over the eigenphases
@@ -55,7 +54,9 @@ _DISTANCE_AT_099 = 2.0 * math.sin(0.99 * math.pi / 4)
 
 
 #: the tolerances a run resolves, at their library defaults; the keys are
-#: the names a document's ``tolerances`` section may hold
+#: the names a document's ``tolerances`` section may hold.  ``tau_rank``,
+#: the rank cutoff of an earlier float closure, is validated and used by
+#: nothing: the closure is exact, and documents that carry it still read
 _TOLERANCE_DEFAULTS = {
     "tau_edge": TAU_EDGE,
     "tau_rank": TAU_CLOSURE_RANK,
@@ -89,25 +90,25 @@ def _resolve_tolerances(overrides: dict, args) -> dict:
 
 # the commands call the oracle through these two names of this module,
 # which bench/tracing.py wraps
-def lie_closure(gen_set, tau_rank):
+def lie_closure(gen_set, tau_edge):
     """:func:`uqc.oracle.lie_closure`; the oracle module loads on the first
     call, so that only ``check --oracle`` and ``oracle`` build it."""
     from .oracle import lie_closure
 
-    return lie_closure(gen_set, tau_rank=tau_rank)
+    return lie_closure(gen_set, tau_edge=tau_edge)
 
 
-def closure_block_partition(report, tau_edge):
+def closure_block_partition(report):
     """:func:`uqc.oracle.closure_block_partition`, loaded as :func:`lie_closure` is."""
     from .oracle import closure_block_partition
 
-    return closure_block_partition(report, tau_edge=tau_edge)
+    return closure_block_partition(report)
 
 
 def _closure(gen_set, tols):
     """The closure report of ``gen_set`` and the partition it induces."""
-    report = lie_closure(gen_set, tau_rank=tols["tau_rank"])
-    return report, closure_block_partition(report, tau_edge=tols["tau_edge"])
+    report = lie_closure(gen_set, tau_edge=tols["tau_edge"])
+    return report, closure_block_partition(report)
 
 
 def _verdict(gen_set, tols):
@@ -345,9 +346,6 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull so that
         # the flush at interpreter exit does not fail a second time

@@ -9,10 +9,6 @@ class InvalidInput(UqcError):
     """Malformed or out-of-contract input (bad shapes, zero coefficients, ...)."""
 
 
-class NumericalFailure(UqcError):
-    """A numerical routine failed or produced an impossible result."""
-
-
 class ValidationError(InvalidInput):
     """A generator-set invariant is violated.
 

@@ -1,9 +1,7 @@
 """Dense complex linear algebra for skew-Hermitian operators.
 
 Everything here works on plain ``numpy`` arrays of shape (d, d) with complex
-dtype; ``commutator``, ``skew_coords`` and ``from_skew_coords`` also take
-stacks of them.  ``skew_coords`` maps u(d) isometrically onto R^(d*d), the
-coordinates the closure oracle computes in.  ``is_skew_hermitian`` holds
+dtype; ``commutator`` also takes stacks of them.  ``is_skew_hermitian`` holds
 when ``A + A.conj().T`` vanishes up to ``TAU_SYM`` relative to the largest
 entry; all predicates and thresholds below are relative so the routines are
 scale-invariant.
@@ -11,24 +9,12 @@ scale-invariant.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import InvalidInput
 
 #: relative tolerance for the skew-Hermitian symmetry defect
 TAU_SYM = 1e-12
-
-_SQRT2 = np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle, r < l, row-major."""
-    r, l = np.triu_indices(d, 1)
-    r.flags.writeable = l.flags.writeable = False
-    return r, l
 
 
 def max_abs(A: np.ndarray) -> float:
@@ -109,41 +95,3 @@ def operator_norm(A: np.ndarray) -> float:
             block_norms = np.linalg.norm(A[idx[:, :, None], idx[:, None, :]], 2, axis=(1, 2))
         norm = max(norm, float(block_norms.max()))
     return norm
-
-
-def skew_coords(A: np.ndarray) -> np.ndarray:
-    """Coordinates of the skew-Hermitian part of A in an orthonormal basis of u(d).
-
-    The basis is the generalised Gell-Mann one, times i: ``i E_rr`` for the
-    diagonal, ``(E_rl - E_lr)/sqrt2`` and ``i (E_rl + E_lr)/sqrt2`` for
-    r < l.  The d*d real coordinates are laid out as ``Im M_rr`` (r = 0..d-1),
-    then ``sqrt2 Re M_rl`` and ``sqrt2 Im M_rl`` over r < l in row-major
-    order, where M = (A - A†)/2.  The map is the orthogonal projection onto
-    u(d) followed by an isometry, so Frobenius norms and inner products of
-    skew-Hermitian matrices are kept.  Takes a stack (..., d, d) and returns
-    (..., d*d).
-    """
-    A = np.asarray(A)
-    r, l = _upper(A.shape[-1])
-    upper = (A[..., r, l] - A[..., l, r].conj()) / _SQRT2
-    diag = np.diagonal(A, axis1=-2, axis2=-1).imag
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
-def from_skew_coords(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`skew_coords`: the skew-Hermitian matrix of ``v``.
-
-    Takes a stack (..., d*d) and returns (..., d, d); the result is exactly
-    skew-Hermitian.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (d * d,):
-        raise InvalidInput(f"expected coordinates of length {d * d}, got {v.shape}")
-    r, l = _upper(d)
-    k = len(r)
-    upper = (v[..., d : d + k] + 1j * v[..., d + k :]) / _SQRT2
-    M = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
-    M[..., range(d), range(d)] = 1j * v[..., :d]
-    M[..., r, l] = upper
-    M[..., l, r] = -upper.conj()
-    return M

@@ -9,9 +9,9 @@ its edge set and nothing more; which generator carries an edge is worked out
 only where ``uqc check --text`` prints it (``io.render_graph_text``), by the
 same rule applied to one generator at a time.
 
-This module holds the package's single edge rule,
-:func:`extract_coupling_graph` (an off-diagonal entry is an edge when
-``|A_rl| > tau_edge * max|A|``), and its components routine,
+This module holds the package's single edge rule, :func:`kept_entries`
+(an off-diagonal entry is an edge when ``|A_rl| > tau_edge * max|A|``),
+which :func:`extract_coupling_graph` applies, and its components routine,
 :func:`connected_components`, the union-find of ``linalg.components``,
 which ``linalg.operator_norm`` also runs on a matrix's own support.
 Repair and the closure oracle reuse them.
@@ -81,18 +81,24 @@ class UniversalityVerdict(NamedTuple):
     degenerate_spectrum: bool = False
 
 
+def kept_entries(A: np.ndarray, tau_edge: float) -> np.ndarray:
+    """The edge rule on one matrix: where ``|A_rl| > tau_edge * max|A|``."""
+    mags = np.abs(A)
+    return mags > tau_edge * mags.max(initial=0.0)
+
+
 def extract_coupling_graph(dim: int, matrices, tau_edge: float) -> CouplingGraph:
     """The edge rule, applied to d x d matrices.
 
     An off-diagonal entry of a matrix A is kept when ``|A_rl| > tau_edge *
-    max|A|``; the kept entries of all the matrices, symmetrised, are the
-    undirected edges (r < l).  Diagonal matrices contribute nothing.
+    max|A|`` (:func:`kept_entries`); the kept entries of all the matrices,
+    symmetrised, are the undirected edges (r < l).  Diagonal matrices
+    contribute nothing.
     """
     validate_tolerance("tau_edge", tau_edge)
     kept = np.zeros((dim, dim), dtype=bool)
     for A in matrices:
-        mags = np.abs(A)
-        kept |= mags > tau_edge * mags.max(initial=0.0)
+        kept |= kept_entries(A, tau_edge)
     rr, ll = np.nonzero(np.triu(kept | kept.T, 1))
     return CouplingGraph(dim=dim, edges=frozenset(zip(rr.tolist(), ll.tolist())))
 

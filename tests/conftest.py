@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import signal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,10 @@ from uqc import (
     Generator,
     GeneratorSet,
     LieClosureReport,
-    commutator,
     make_general_direction,
-    validate_set,
 )
-from uqc.errors import InvalidInput, NumericalFailure
-from uqc.universality import TAU_EDGE, extract_coupling_graph
+from uqc.errors import InvalidInput
+from uqc.universality import TAU_EDGE, extract_coupling_graph, kept_entries
 
 
 def uqc_env() -> dict:
@@ -69,6 +69,31 @@ def two_qubit_set(full: bool = False) -> GeneratorSet:
             Generator(-1j * np.kron(np.eye(2), _PAULI_X).astype(complex), "drive2")
         )
     return GeneratorSet(Algebra("su", 4), tuple(gens))
+
+
+def ladder_set(kind: str, d: int) -> GeneratorSet:
+    """The equally spaced ladder: drift i*diag(0, 1, ..., d-1), made
+    traceless in su mode, and the uniform real chain sum_r E_r,r+1 - E_r+1,r.
+
+    Both preserve the antidiagonal form Omega_r,d-1-r = (-1)^r, which is
+    antisymmetric for even d and symmetric for odd d, so the closure is
+    sp(d/2) or so(d), plus the identity direction in u mode: see
+    :func:`ladder_dimension`.
+    """
+    theta = np.arange(d, dtype=float)
+    if kind == "su":
+        theta -= theta.mean()
+    chain = np.zeros((d, d))
+    r = np.arange(d - 1)
+    chain[r, r + 1], chain[r + 1, r] = 1.0, -1.0
+    gens = (Generator(np.diag(1j * theta), "drift"), Generator(chain, "chain"))
+    return GeneratorSet(Algebra(kind, d), gens)
+
+
+def ladder_dimension(kind: str, d: int) -> int:
+    """The closure dimension of :func:`ladder_set`: d(d+1)/2 for even d and
+    d(d-1)/2 for odd d, plus 1 in u mode."""
+    return (d * (d + 1) // 2 if d % 2 == 0 else d * (d - 1) // 2) + (kind == "u")
 
 
 def random_skew(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -222,101 +247,91 @@ def pslq_reference(x: np.ndarray, bound: int, tau_rel: float):
     return coeffs, abs(float(np.dot(coeffs, x)))
 
 
-def embed_real(A: np.ndarray) -> np.ndarray:
-    """Real parts row-major, then imaginary parts: an isometry C^(dxd) -> R^(2d^2)."""
-    return np.concatenate([A.real.ravel(), A.imag.ravel()])
+def lie_closure_exact(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieClosureReport:
+    """The closure over Q, in exact rational arithmetic, one vector a time.
 
-
-def lie_closure_reference(gen_set: GeneratorSet, tau_rank: float = 1e-10) -> LieClosureReport:
-    """Per-pair Lie closure in the raw 2d^2 real embedding, one vector a time.
-
-    Test-only reference for the blocked ``uqc.lie_closure``: the same
-    growth, acceptance and certification rules (``TAU_GROWTH_FLOOR`` 1e-6,
-    eight certification cycles), one commutator and one two-pass
-    projection per pair.  Its ``basis`` rows live in the embedding of
-    :func:`embed_real`.
+    Test-only reference for ``uqc.lie_closure``, written apart from it.  It
+    reads the set as the graph does: the designated generator by its
+    diagonal, every other one without its entries at or below ``tau_edge *
+    max|A|``.  Each float64 entry is the ``Fraction`` it equals; of each
+    matrix it takes the skew-Hermitian part, and in su mode subtracts
+    tr/d, exactly.  Every element is then a vector of the real and then
+    imaginary parts of its entries, scaled to integers (the span does not
+    see the scale), and the closure is grown by bracketing each new element
+    with every generator and reducing the bracket, fraction-free, against
+    an echelon basis in insertion order.  ``support`` is where some element
+    is nonzero; ``rounds`` counts the generations.
     """
-    gen_set = validate_set(gen_set)
     d = gen_set.dim
-    tau_growth = max(tau_rank, 1e-6)
     traceless = gen_set.algebra.kind == "su"
 
-    def unembed(v):
-        return v[: d * d].reshape(d, d) + 1j * v[d * d :].reshape(d, d)
+    def read(j, A):
+        if j == gen_set.general_index:
+            return np.diag(np.diagonal(A))
+        return np.where(kept_entries(A, tau_edge), A, 0)
 
-    def structure_project(M):
-        M = (M - M.conj().T) / 2.0
+    def exact(A):
+        re = [[Fraction(float(z.real)) for z in row] for row in A]
+        im = [[Fraction(float(z.imag)) for z in row] for row in A]
+        # the skew-Hermitian part: (re - re^T) / 2 + i (im + im^T) / 2
+        M_re = [[(re[r][c] - re[c][r]) / 2 for c in range(d)] for r in range(d)]
+        M_im = [[(im[r][c] + im[c][r]) / 2 for c in range(d)] for r in range(d)]
         if traceless:
-            M = M - (np.trace(M) / d) * np.eye(d)
-        return M
+            shift = sum(M_im[r][r] for r in range(d)) / d
+            for r in range(d):
+                M_im[r][r] -= shift
+        return integral(np.array([x for row in M_re + M_im for x in row], dtype=object))
 
-    def orthogonalize(v, basis):
-        for _ in range(2):
-            v = v - basis.T @ (basis @ v)
-        return v
+    def integral(v):
+        scale = math.lcm(*(Fraction(x).denominator for x in v))
+        v = np.array([int(Fraction(x) * scale) for x in v], dtype=object)
+        g = math.gcd(*v.tolist())
+        return v // g if g else v
 
-    basis = np.zeros((0, 2 * d * d))
-    mats: list[np.ndarray] = []
+    def matrices(v):
+        return v[: d * d].reshape(d, d), v[d * d :].reshape(d, d)
 
-    def try_add(M, tau, scale=None):
-        nonlocal basis
-        v = embed_real(structure_project(M))
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
+    def bracket(u, w):
+        (a, b), (c, e) = matrices(u), matrices(w)
+        re = a.dot(c) - b.dot(e) - c.dot(a) + e.dot(b)
+        im = a.dot(e) + b.dot(c) - c.dot(b) - e.dot(a)
+        return np.concatenate([re.ravel(), im.ravel()])
+
+    basis = []  # (pivot, primitive integer vector), zero at earlier pivots
+
+    def add(v):
+        for c, b in basis:
+            if v[c]:
+                v = v * b[c] - b * v[c]
+        nonzero = np.flatnonzero(v != 0)
+        if not nonzero.size:
             return False
-        w = orthogonalize(v, basis)
-        left = float(np.linalg.norm(w))
-        if left <= tau * (nrm if scale is None else max(nrm, scale)):
-            return False
-        if len(mats) == d * d:
-            raise NumericalFailure("closure dimension exceeded the guard")
-        u = w / left
-        u = embed_real(structure_project(unembed(u)))
-        u = orthogonalize(u, basis)
-        u /= np.linalg.norm(u)
-        basis = np.vstack([basis, u])
-        mats.append(unembed(u))
+        basis.append((int(nonzero[0]), v // math.gcd(*v.tolist())))
         return True
 
-    def sweep(frontier):
-        count = 0
-        while frontier:
-            count += 1
-            new_frontier = []
-            for i in frontier:
-                for j in range(len(mats)):
-                    if i != j and try_add(commutator(mats[i], mats[j]), tau_growth, 1.0):
-                        new_frontier.append(len(mats) - 1)
-            frontier = new_frontier
-        return count
-
-    seeds = [len(mats) - 1 for g in gen_set.generators if try_add(g.matrix, tau_rank)]
-    rounds = sweep(seeds)
-    for _ in range(8):
-        residual_max = 0.0
-        offenders = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                C = commutator(mats[i], mats[j])
-                v = embed_real(C)
-                nrm = float(np.linalg.norm(v))
-                left = float(np.linalg.norm(orthogonalize(v, basis)))
-                residual_max = max(residual_max, left / max(1.0, nrm))
-                if left > tau_rank * max(1.0, nrm):
-                    offenders.append(C)
-        if not offenders:
-            break
-        frontier = [len(mats) - 1 for C in offenders if try_add(C, tau_rank, 1.0)]
-        rounds += sweep(frontier)
-    else:
-        raise NumericalFailure("closure certification did not stabilize")
+    gens = [exact(read(j, g.matrix)) for j, g in enumerate(gen_set.generators)]
+    frontier = [v for v in gens if add(v)]
+    rounds = 0
+    while frontier:
+        rounds += 1
+        new = []
+        for u in frontier:
+            for g in gens:
+                C = bracket(u, g)
+                if add(C):
+                    new.append(C)
+        frontier = new
+    support = np.zeros((d, d), dtype=bool)
+    for _, b in basis:
+        re, im = matrices(b != 0)
+        support |= re | im
     return LieClosureReport(
         dim=d,
-        basis_matrices=tuple(mats),
-        dimension=len(mats),
+        support=support,
+        dimension=len(basis),
         target_dimension=gen_set.algebra.target_dimension,
         rounds=rounds,
-        residual_max=residual_max,
+        residual_max=0.0,
     )
 
 

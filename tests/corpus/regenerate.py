@@ -20,7 +20,8 @@ The cases, by group (one file under ``expected/`` each):
   without ``--text``, and dimensions that must exit 2;
 - ``odd``: the small documents of ``documents/`` (the ends of float64,
   subnormal couplings, a document only json reads, malformed input that
-  must exit 2 with a located message) through every command, and the
+  must exit 2 with a located message, the equally spaced ladders of u(12)
+  and su(11), whose closures are 79 and 55) through every command, and the
   tolerance profile, the ``--tau-edge`` flag and unreadable or unwritable
   paths.
 
@@ -36,8 +37,9 @@ line of its own in a JSON report (:func:`mismatch`):
   LAPACK SVD moves by as much when the BLAS thread count changes (17 ulps
   were seen on one ``check_large`` generator);
 - the closure oracle's ``residual_max``, also the ``closure residual`` line
-  of ``oracle --text``, is roundoff: it must only stay at or below
-  ``tau_rank``, as the recorded value does.
+  of ``oracle --text``: an earlier float closure recorded its roundoff
+  there, and the exact closure prints 0, so the recorded and the printed
+  value need only both be at most ``TAU_CLOSURE_RANK``.
 
 Regenerate every expected file (a change that alters an expected output
 lists each changed case, with the reason, in CHANGES.md)::

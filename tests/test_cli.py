@@ -28,6 +28,8 @@ from uqc.repair import SELECTION_RULES
 
 from conftest import (
     json_document,
+    ladder_dimension,
+    ladder_set,
     random_instance,
     random_sparse_offdiag,
     three_level_set,
@@ -108,27 +110,6 @@ def test_check_not_json_exit2(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = _run(capsys, ["check", str(path)])
     assert code == 2
-
-
-def test_numerical_failure_exit3(capsys, tmp_path):
-    doc = json_document(uio.generator_set_to_document(three_level_set()))
-    doc["tolerances"] = {"tau_rank": 1e-300}
-    path = tmp_path / "absurd.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = _run(capsys, ["check", str(path), "--oracle"])
-    assert code == 3
-    assert "numerical failure" in err
-
-
-def test_uncertified_closure_exit3(capsys, u3_path, monkeypatch):
-    # with no certification cycle allowed, the closure cannot certify itself
-    from uqc import oracle
-
-    monkeypatch.setattr(oracle, "_MAX_CERTIFY_CYCLES", 0)
-    for argv in (["oracle", u3_path], ["check", u3_path, "--oracle"]):
-        assert _run(capsys, argv) == (3, "", (
-            "numerical failure: closure certification did not stabilize; "
-            "rank decisions are ambiguous at this tau_rank\n"))
 
 
 def test_oracle_beyond_the_closure_limit_exit2(capsys, tmp_path):
@@ -471,7 +452,36 @@ def test_oracle_subcommand(capsys, u3_path):
     assert doc["dimension"] == 4
     assert doc["target_dimension"] == 9
     assert doc["closure_partition"] == [[1, 2], [3]]
-    assert doc["residual_max"] <= 1e-9
+    assert doc["residual_max"] == 0.0
+
+
+def test_oracle_commands_give_the_ladder_its_true_dimension(capsys, tmp_path):
+    # the equally spaced ladder has a closure short of full; both commands
+    # print its exact dimension, and check --oracle agrees with the graph
+    # (one component, a conditional status whose drift has equal gaps)
+    path = str(tmp_path / "ladder.json")
+    for kind in ("u", "su"):
+        for d in range(3, 21):
+            uio.write_document(uio.generator_set_to_document(ladder_set(kind, d)), path)
+            want = ladder_dimension(kind, d)
+            code, out, _ = _run(capsys, ["oracle", path])
+            assert code == 0 and json.loads(out)["dimension"] == want, (kind, d)
+            code, out, _ = _run(capsys, ["check", "--oracle", path])
+            doc = json.loads(out)
+            assert code == 0 and doc["status"] == "conditionally_universal"
+            assert doc["oracle"] == {
+                "dimension": want, "target_dimension": d * d - (kind == "su"), "agrees": True
+            }, (kind, d)
+
+
+def test_tau_rank_is_accepted_and_changes_nothing(capsys, u3_path, tmp_path):
+    # the closure is exact; a document that carries tau_rank still reads
+    doc = json_document(uio.generator_set_to_document(three_level_set()))
+    doc["tolerances"] = {"tau_rank": 1e-300}
+    path = tmp_path / "absurd.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["oracle"], ["check", "--oracle"]):
+        assert _run(capsys, [*argv, str(path)]) == _run(capsys, [*argv, u3_path])
 
 
 @pytest.fixture()

@@ -8,8 +8,6 @@ from uqc.errors import InvalidInput
 
 from conftest import random_skew
 
-SQRT2 = np.sqrt(2.0)
-
 
 def test_commutator_with_itself_vanishes():
     A = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -124,42 +122,6 @@ def test_operator_norm_unitary_invariance():
         assert linalg.operator_norm(Q @ A @ Q.conj().T) == pytest.approx(
             linalg.operator_norm(A), rel=1e-10, abs=1e-10
         )
-
-
-def test_skew_coords_roundtrip():
-    rng = np.random.default_rng(23)
-    A = random_skew(rng, 4)
-    assert np.allclose(linalg.from_skew_coords(linalg.skew_coords(A), 4), A)
-    stack = np.array([random_skew(rng, 3) for _ in range(5)])
-    assert np.allclose(linalg.from_skew_coords(linalg.skew_coords(stack), 3), stack)
-
-
-def test_skew_coords_layout():
-    # fixed layout: Im of the diagonal, then sqrt2 Re and sqrt2 Im of the
-    # upper triangle row by row
-    A = np.zeros((3, 3), dtype=complex)
-    A[0, 0], A[1, 1], A[2, 2] = 1j, 2j, 3j
-    A[0, 1], A[0, 2], A[1, 2] = 4 + 7j, 5 + 8j, 6 + 9j
-    A = A - np.triu(A, 1).conj().T
-    expected = np.concatenate([[1.0, 2.0, 3.0], SQRT2 * np.arange(4.0, 10.0)])
-    assert np.allclose(linalg.skew_coords(A), expected, rtol=1e-15, atol=0)
-    with pytest.raises(InvalidInput):
-        linalg.from_skew_coords(np.zeros(8), 3)
-
-
-def test_skew_coords_is_the_projection_onto_u_d_and_an_isometry():
-    rng = np.random.default_rng(29)
-    for d in (1, 2, 5, 8):
-        A, B = random_skew(rng, d), random_skew(rng, d)
-        a, b = linalg.skew_coords(A), linalg.skew_coords(B)
-        assert a.shape == (d * d,)
-        # the Frobenius inner product Re tr(A^dagger B) is kept
-        assert np.isclose(a @ b, np.vdot(A, B).real, rtol=1e-12, atol=1e-12)
-        # a Hermitian part is dropped: coordinates of A + H are those of A
-        H = 1j * random_skew(rng, d)
-        assert np.allclose(linalg.skew_coords(A + H), a, rtol=0, atol=1e-12)
-        M = linalg.from_skew_coords(a, d)
-        assert np.array_equal(M, -M.conj().T)
 
 
 def test_commutator_against_a_stack_matches_one_at_a_time():

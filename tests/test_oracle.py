@@ -18,21 +18,20 @@ from uqc import (
     make_general_direction,
     minimal_pair,
 )
-from uqc.errors import InvalidInput, NumericalFailure
-from uqc.linalg import commutator, skew_coords
+from uqc import oracle
+from uqc.errors import InvalidInput
+from uqc.linalg import commutator
 from uqc.oracle import CLOSURE_DIM_LIMIT
 
 from conftest import (
-    embed_real,
     invariant_subspaces_reference,
-    lie_closure_reference,
+    ladder_dimension,
+    ladder_set,
+    lie_closure_exact,
     random_instance,
     three_level_set,
     two_qubit_set,
 )
-
-#: relative closure defect a certified report must stay within
-TAU_CLOSE = 1e-9
 
 
 def _repaired_three_level():
@@ -64,86 +63,170 @@ def test_two_qubit_closure_full_control():
     assert report.target_dimension == 15
 
 
-def test_closure_basis_orthonormal():
-    report = lie_closure(_repaired_three_level())
-    B = skew_coords(np.array(report.basis_matrices))
-    G = B @ B.T
-    assert np.allclose(G, np.eye(report.dimension), atol=1e-12)
+def test_closure_basis_is_in_reduced_row_echelon_form():
+    # each basis row is 1 at its own pivot column and every other row is 0
+    # there, with residues in about (-p/2, p/2]
+    s = _repaired_three_level()
+    p = oracle._PRIMES[0]
+    closure = oracle._Closure(np.array([g.matrix for g in s.generators]), p, False)
+    closure.grow()
+    n = closure.n
+    assert n == lie_closure(s).dimension == 9
+    assert np.array_equal(closure.rows[:n, closure.pivots[:n]], np.eye(n))
+    assert len(set(closure.pivots[:n].tolist())) == n
+    assert np.array_equal(closure.rows[:n], np.rint(closure.rows[:n]))
+    assert np.max(np.abs(closure.rows[:n])) <= (p + 1) / 2 + 2
 
 
 def test_closure_certificate_small():
+    # the closure is exact: no bracket of it reaches outside it
     for s in (three_level_set(), _repaired_three_level(), two_qubit_set(True)):
         report = lie_closure(s)
-        assert report.residual_max <= 1e-9
+        assert report.residual_max == 0.0
 
 
 def test_closure_noise_inflation_is_bounded():
-    # an acceptance threshold below machine noise lets the trace direction
-    # (pure roundoff: commutators are traceless only in exact arithmetic)
-    # into an su-mode basis, but never anything beyond the d^2 cap, because
-    # floating-point commutators of skew-Hermitian matrices are exactly
-    # skew-Hermitian; the inflation shows up as dimension != target
-    report = lie_closure(two_qubit_set(full=True), tau_rank=1e-17)
-    assert report.dimension == 16
-    assert report.dimension != report.target_dimension
-    # a u-mode full closure spans every skew-Hermitian direction, so there
-    # is nothing left for noise to claim
-    report = lie_closure(_repaired_three_level(), tau_rank=1e-17)
-    assert report.dimension == 9
+    # coupling noise above the edge rule is data to the exact closure: it
+    # connects index 3 of the reducible u(3) set and fills u(3), but an
+    # admissible trace in su mode never brings the identity direction in,
+    # so the closure never passes its target
+    rng = np.random.default_rng(11)
+    for s, before in ((three_level_set(), 4), (two_qubit_set(), 7)):
+        d = s.dim
+        assert lie_closure(s).dimension == before
+        gens = [s.generators[0]]
+        for g in s.generators[1:]:
+            N = 1e-9 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            np.fill_diagonal(N, 0)
+            noise = N - N.conj().T + 1e-13j * np.eye(d)
+            gens.append(Generator(g.matrix + noise, g.label))
+        noisy = GeneratorSet(s.algebra, tuple(gens))
+        report = lie_closure(noisy)
+        assert report.dimension == report.target_dimension, s.algebra
+        assert report.dimension == lie_closure_exact(noisy).dimension
 
 
-def test_closure_guard_raises_when_exceeded():
-    # below the double-projection noise floor (~1e-32 relative) every
-    # roundoff direction counts as new rank and the d^2 cap must fire
-    with pytest.raises(NumericalFailure, match="d\\^2 = 9"):
-        lie_closure(_repaired_three_level(), tau_rank=1e-300)
-
-
-def _span_projector(report):
-    """Orthogonal projector onto the closure, in the 2d^2 real embedding."""
-    B = np.array([embed_real(M) for M in report.basis_matrices])
-    return B.T @ B
-
-
-def _pair_defect(report):
-    """Largest leftover off the closure of [b_i, b_j] over every basis pair.
-
-    Each leftover is relative to max(1, |[b_i, b_j]|).  ``lie_closure``
-    certifies only the brackets of the basis with its seeds; this measures
-    closure under the bracket directly.
-    """
-    M = np.array(report.basis_matrices)
-    B = skew_coords(M)
-    worst = 0.0
-    for i in range(1, report.dimension):
-        C = skew_coords(commutator(M[i], M[:i]))
-        left = C
-        for _ in range(2):
-            left = left - (left @ B.T) @ B
-        ratio = np.linalg.norm(left, axis=1) / np.maximum(1.0, np.linalg.norm(C, axis=1))
-        worst = max(worst, float(ratio.max()))
-    return worst
-
-
-def test_closure_matches_the_per_pair_reference():
-    # seeded sets for d = 2..8 in u and su: sparse couplings (mostly
-    # reducible), denser ones (mostly connected), and the minimal pair
+def test_closure_matches_the_exact_reference():
+    # seeded sets in u and su: sparse couplings (mostly reducible) and
+    # denser ones (mostly connected) for d = 2..5, where the rational
+    # arithmetic of the reference stays quick on full float64 mantissas,
+    # and the minimal pair for d = 2..8
     rng = np.random.default_rng(73)
     connected = set()
     for d in range(2, 9):
         for kind in ("u", "su"):
-            sets = [random_instance(rng, d, 2, kind, p) for p in (0.15, 0.5)]
-            sets.append(minimal_pair(Algebra(kind, d)))
+            sets = [minimal_pair(Algebra(kind, d))]
+            if d <= 5:
+                sets += [random_instance(rng, d, 2, kind, p) for p in (0.15, 0.5)]
             for s in sets:
                 connected.add(len(check_universality(s).components) == 1)
-                report, ref = lie_closure(s), lie_closure_reference(s)
+                report, ref = lie_closure(s), lie_closure_exact(s)
                 assert report.dimension == ref.dimension, (kind, d)
                 assert closure_block_partition(report) == closure_block_partition(ref)
-                diff = _span_projector(report) - _span_projector(ref)
-                assert np.max(np.abs(diff)) <= 1e-8, (kind, d)
-                assert report.residual_max <= TAU_CLOSE
-                assert _pair_defect(report) <= TAU_CLOSE, (kind, d)
     assert connected == {True, False}
+
+
+def _integer_set(rng, kind, d, bits):
+    """Drift i*diag of integers in -3..3 (less their mean in su mode) and
+    one coupling of Gaussian entries rounded to multiples of 2**-bits,
+    each pair coupled with probability 1/2."""
+    theta = rng.integers(-3, 4, d).astype(float)
+    if kind == "su":
+        theta -= theta.mean()
+    C = np.zeros((d, d), dtype=complex)
+    for r in range(d):
+        for l in range(r + 1, d):
+            if rng.random() < 0.5:
+                z = complex(*np.round(rng.standard_normal(2) * 2.0**bits) / 2.0**bits)
+                C[r, l], C[l, r] = z, -z.conjugate()
+    gens = (Generator(np.diag(1j * theta), "drift"), Generator(C, "c1"))
+    return GeneratorSet(Algebra(kind, d), gens)
+
+
+def test_closure_equals_the_exact_closure_on_small_sets():
+    # u and su, d = 2..5: float couplings of full mantissas beside the
+    # constructed drift (two or three generators, denser up to d = 4, where
+    # the reference stays quick on them), integer couplings and couplings
+    # of 8 fractional bits beside an integer drift, which has equal gaps
+    # and so often a closure short of full; and the ladders
+    rng = np.random.default_rng(97)
+    sets = [ladder_set(kind, d) for kind in ("u", "su") for d in range(3, 6)]
+    for _ in range(9):
+        for d in range(2, 6):
+            for kind in ("u", "su"):
+                dense = d <= 4
+                m = int(rng.integers(2, 4)) if dense else 2
+                sets.append(random_instance(rng, d, m, kind, 0.4 if dense else 0.15))
+                sets.append(_integer_set(rng, kind, d, 0))
+                sets.append(_integer_set(rng, kind, d, 8))
+    assert len(sets) >= 200
+    full = set()
+    for s in sets:
+        report, ref = lie_closure(s), lie_closure_exact(s)
+        assert report.dimension == ref.dimension, (s.algebra, [g.matrix for g in s.generators])
+        assert closure_block_partition(report) == closure_block_partition(ref)
+        full.add(report.dimension == report.target_dimension)
+    assert full == {True, False}
+
+
+def test_ladder_closure_has_the_true_dimension():
+    # the ladder keeps an antidiagonal form, so its closure is short of
+    # full; roundoff that leaves the form once reaches all of u(d)
+    for kind in ("u", "su"):
+        for d in range(3, CLOSURE_DIM_LIMIT + 1):
+            report = lie_closure(ladder_set(kind, d))
+            assert report.dimension == ladder_dimension(kind, d), (kind, d)
+    assert [lie_closure(ladder_set("u", d)).dimension for d in (10, 12, 20)] == [56, 79, 211]
+    assert [lie_closure(ladder_set("su", d)).dimension for d in (11, 20)] == [55, 210]
+
+
+def test_a_coupling_divisible_by_the_first_prime_keeps_the_full_closure(monkeypatch):
+    # the bridge is 0 mod the first prime, so that prime sees the
+    # unrepaired set; the second sees all of u(3)
+    s = _repaired_three_level()
+    bridge = s.generators[2].matrix * oracle._PRIMES[0]
+    s = GeneratorSet(s.algebra, (*s.generators[:2], Generator(bridge, "bridge")))
+    assert bridge[1, 2] == 2097143.0
+    assert lie_closure(s).dimension == 9
+    monkeypatch.setattr(oracle, "_PRIMES", oracle._PRIMES[:1])
+    assert lie_closure(s).dimension == 4
+
+
+def test_an_entry_below_the_edge_rule_stays_out_of_the_closure():
+    # the graph drops the 1e-14 entry as roundoff, and so does the closure;
+    # read as it stands, the entry connects index 3 and gives all of u(3)
+    s = three_level_set()
+    rot = s.generators[1].matrix.copy()
+    rot[1, 2], rot[2, 1] = 1e-14, -1e-14
+    s = GeneratorSet(s.algebra, (s.generators[0], Generator(rot, "rot12")))
+    report = lie_closure(s)
+    assert report.dimension == 4
+    assert closure_block_partition(report) == check_universality(s).components == ((0, 1), (2,))
+    assert lie_closure_exact(s).dimension == 4
+    assert lie_closure(s, tau_edge=1e-15).dimension == lie_closure_exact(s, 1e-15).dimension == 9
+
+
+def test_closure_reads_the_noise_validation_lets_pass_as_the_graph_does():
+    # validation lets pass a drift off-diagonal within TAU_DIAG, which read
+    # as it stands would couple index 3, and a Hermitian part within
+    # TAU_SYM, which the skew-Hermitian part drops
+    s = three_level_set()
+    drift, rot = s.generators[0].matrix.copy(), s.generators[1].matrix.copy()
+    drift[0, 2], drift[2, 0] = 2.0**-44, -(2.0**-44)
+    rot[1, 0] += 2.0**-44
+    for gens in ((drift, rot), (s.generators[0].matrix, rot), (drift, s.generators[1].matrix)):
+        noisy = GeneratorSet(s.algebra, tuple(Generator(A, "") for A in gens))
+        report = lie_closure(noisy)
+        assert report.dimension == lie_closure_exact(noisy).dimension == 4
+        assert closure_block_partition(report) == ((0, 1), (2,))
+    # around a cycle no diagonal similarity makes the noisy coupling skew:
+    # read as it stands, its closure leaves u(3)
+    cycle = np.zeros((3, 3))
+    cycle[0, 1] = cycle[1, 2] = cycle[0, 2] = 1.0
+    cycle -= cycle.T
+    cycle[1, 0] += 2.0**-44
+    noisy = GeneratorSet(s.algebra, (s.generators[0], Generator(cycle, "cycle")))
+    assert lie_closure(noisy).dimension == lie_closure_exact(noisy).dimension == 9
 
 
 def _block_diagonal_set(rng, kind, sizes):
@@ -168,21 +251,14 @@ def _block_diagonal_set(rng, kind, sizes):
 
 
 def test_closure_of_block_diagonal_sets_has_the_known_dimension():
-    # blocks of 3 and 4 leave directions that are found only from leftovers
-    # near the growth floor; normalizing such a leftover carries roundoff
-    # that certification can adopt as one fake direction (33 for 32, 47 for
-    # 46).  The per-pair reference closure does so on ten of these 400
-    # sets; bracketing with the seeds alone, largest leftovers first, does
-    # not, and keeps every pair of the basis closed to about 2e-12
+    # a float closure took one fake direction on ten of these 400 sets
+    # (33 for 32, 47 for 46)
     for seed in range(100):
         rng = np.random.default_rng(seed)
         for kind in ("su", "u"):
             for sizes in ((4, 3, 3), (4, 4, 4)):
                 s, expected = _block_diagonal_set(rng, kind, sizes)
-                report = lie_closure(s)
-                assert report.dimension == expected, (seed, kind, sizes)
-                assert report.residual_max <= TAU_CLOSE
-                assert _pair_defect(report) <= TAU_CLOSE, (seed, kind, sizes)
+                assert lie_closure(s).dimension == expected, (seed, kind, sizes)
 
 
 def test_closure_of_large_block_diagonal_sets_has_the_known_dimension():
@@ -190,16 +266,30 @@ def test_closure_of_large_block_diagonal_sets_has_the_known_dimension():
     for kind in ("su", "u"):
         for sizes in ((8, 6, 6), (10, 10), (7, 7, 6)):
             s, expected = _block_diagonal_set(rng, kind, sizes)
-            report = lie_closure(s)
-            assert report.dimension == expected, (kind, sizes)
-            assert report.residual_max <= TAU_CLOSE
+            assert lie_closure(s).dimension == expected, (kind, sizes)
 
 
 def test_closure_of_minimal_pairs_is_closed_under_every_pair():
+    # the closure brackets each element with the seeds alone (Jacobi
+    # identity); every pair of the basis it grows must bracket back into
+    # it, checked on the full minimal pairs and on the ladders, whose
+    # closures are short of full
     for kind in ("u", "su"):
         report = lie_closure(minimal_pair(Algebra(kind, 12)))
         assert report.dimension == report.target_dimension
-        assert _pair_defect(report) <= TAU_CLOSE, kind
+    for s in (ladder_set("u", 12), ladder_set("su", 11)):
+        p = oracle._PRIMES[0]
+        G = np.array([g.matrix for g in s.generators])
+        closure = oracle._Closure(G, p, s.algebra.kind == "su")
+        closure.grow()
+        n = closure.n
+        assert n == ladder_dimension(s.algebra.kind, s.dim)
+        M = closure.matrices(np.arange(n))
+        I, J = np.triu_indices(n, 1)
+        for b in range(0, len(I), 256):
+            C = commutator(M[I[b : b + 256]], M[J[b : b + 256]])
+            closure.admit(oracle._mod(C.reshape(len(C), -1).view(float), p))
+            assert closure.n == n, s.algebra
 
 
 def test_closure_of_large_minimal_pairs_is_fast():
@@ -209,7 +299,6 @@ def test_closure_of_large_minimal_pairs_is_fast():
     for algebra in (Algebra("u", 16), Algebra("su", CLOSURE_DIM_LIMIT)):
         report = lie_closure(minimal_pair(algebra))
         assert report.dimension == report.target_dimension, algebra
-        assert report.residual_max <= TAU_CLOSE
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -231,21 +320,19 @@ def test_closure_does_not_depend_on_the_scale_of_the_generators():
                 warnings.simplefilter("error")
                 report = lie_closure(scaled)
             assert report.dimension == expected, (s.algebra, scale)
-            assert report.residual_max <= TAU_CLOSE
 
 
 def test_su_closure_ignores_an_admissible_trace():
     # a drift trace within the validation tolerance must not bring the
-    # identity direction in, even at a rank cutoff below that trace
+    # identity direction in: su mode takes the traceless part exactly
     full = two_qubit_set(full=True)
     drift = Generator(full.generators[0].matrix + 1e-12j * np.eye(4), "drift")
     s = GeneratorSet(full.algebra, (drift, *full.generators[1:]))
-    assert lie_closure(s, tau_rank=1e-13).dimension == 15
+    assert lie_closure(s).dimension == 15
 
 
 def test_closure_memory_is_bounded_by_the_block_size():
-    # the per-pair closure peaks at about 1 MB here; commuting whole
-    # frontier generations at once would take tens of MB
+    # commuting whole frontier generations at once would take tens of MB
     s = minimal_pair(Algebra("u", 12))
     tracemalloc.start()
     try:
@@ -400,10 +487,6 @@ def test_graph_oracle_agreement_at_d_7_to_10():
 
 def test_oracles_reject_bad_tolerances():
     s = three_level_set()
-    for tau_rank in (0.0, -1e-10, 1.0, 2.0, float("nan"), True):
-        with pytest.raises(InvalidInput, match="tau_rank"):
-            lie_closure(s, tau_rank=tau_rank)
-    report = lie_closure(s)
-    for tau_edge in (0.0, 1.0, float("nan")):
+    for tau_edge in (0.0, -1e-10, 1.0, 2.0, float("nan"), True):
         with pytest.raises(InvalidInput, match="tau_edge"):
-            closure_block_partition(report, tau_edge=tau_edge)
+            lie_closure(s, tau_edge=tau_edge)
