@@ -224,7 +224,6 @@ def _cmd_oracle(args, gen_set, tols):
         return (
             f"closure dimension: {doc['dimension']} of {doc['target_dimension']}\n"
             f"rounds: {doc['rounds']}\n"
-            f"closure residual: {doc['residual_max']:.3g}\n"
             f"closure partition: {comps}"
         )
 

@@ -307,7 +307,7 @@ def spectrum_is_degenerate(theta: np.ndarray) -> bool:
     # is larger than any threshold: the answer stands without the warning
     with np.errstate(over="ignore"):
         sep = np.min(np.diff(np.sort(theta)))
-    return sep <= TAU_SPECTRUM * max(1e-300, float(np.max(np.abs(theta))))
+    return sep <= TAU_SPECTRUM * np.max(np.abs(theta))
 
 
 def _relation_vector(theta: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -373,8 +373,11 @@ def _pslq_relation(x: np.ndarray, bound: int, tau_rel: float):
     if n < 2 or not np.all(x) or np.min(np.abs(x)) < tau_rel / 100:
         return None
     with np.errstate(all="ignore"):
-        # suffix norms s_k = |(x_k, ..., x_n)|; y and s are scaled by |x|
-        s = np.sqrt(np.cumsum((x * x)[::-1])[::-1])
+        # suffix norms s_k = |(x_k, ..., x_n)|, summed on x over a power of
+        # two that brings max|x| below 2**500, so that no square overflows;
+        # below that the power is 1.  y and s are scaled by |x|
+        scale = 2.0 ** max(0, np.frexp(np.max(np.abs(x)))[1] - 500)
+        s = np.sqrt(np.cumsum(((x / scale) ** 2)[::-1])[::-1]) * scale
         y = x / s[0]
         s = s / s[0]
         # H (n x n-1): s_k+1/s_k on the diagonal, -y_i y_j/(s_j s_j+1) below,

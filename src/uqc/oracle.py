@@ -56,22 +56,13 @@ class LieClosureReport(_Record):
     ``support`` is the d x d boolean array of the entries where some element
     of the closure is nonzero.  ``rounds`` counts frontier generations: the
     elements added in one generation are bracketed with the seeds in the
-    next.  ``residual_max``, the part of a bracket of the closure with a
-    seed outside it, is 0.0: the closure is exact.
+    next.
     """
 
-    __slots__ = ("dim", "support", "dimension", "target_dimension", "rounds", "residual_max")
+    __slots__ = ("support", "dimension", "target_dimension", "rounds")
 
-    def __init__(
-        self,
-        dim: int,
-        support: np.ndarray,
-        dimension: int,
-        target_dimension: int,
-        rounds: int,
-        residual_max: float,
-    ):
-        self._fill(dim, support, dimension, target_dimension, rounds, residual_max)
+    def __init__(self, support: np.ndarray, dimension: int, target_dimension: int, rounds: int):
+        self._fill(support, dimension, target_dimension, rounds)
 
 
 def _mod(X: np.ndarray, p: int) -> np.ndarray:
@@ -229,14 +220,7 @@ def lie_closure(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieClosure
     closure, rounds = best
     n = closure.n
     support = closure.rows[:n].any(axis=0).reshape(d, d, 2).any(axis=2)
-    return LieClosureReport(
-        dim=d,
-        support=support,
-        dimension=n,
-        target_dimension=target,
-        rounds=rounds,
-        residual_max=0.0,
-    )
+    return LieClosureReport(support, n, target, rounds)
 
 
 def closure_block_partition(report: LieClosureReport) -> tuple[tuple[int, ...], ...]:
@@ -247,5 +231,5 @@ def closure_block_partition(report: LieClosureReport) -> tuple[tuple[int, ...], 
     comparison.
     """
     r, l = np.nonzero(np.triu(report.support, 1))
-    graph = CouplingGraph(report.dim, frozenset(zip(r.tolist(), l.tolist())))
+    graph = CouplingGraph(len(report.support), frozenset(zip(r.tolist(), l.tolist())))
     return tuple(tuple(c) for c in connected_components(graph))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .generators import GeneratorSet
-from .io import _finite_or_none, _one_based
+from .io import _one_based
 from .universality import extract_coupling_graph
 
 
@@ -60,7 +60,6 @@ def closure_report_to_document(report, partition) -> dict:
         "dimension": report.dimension,
         "target_dimension": report.target_dimension,
         "rounds": report.rounds,
-        "residual_max": _finite_or_none(report.residual_max),
         "closure_partition": [_one_based(c) for c in partition],
     }
 

@@ -326,12 +326,10 @@ def lie_closure_exact(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieC
         re, im = matrices(b != 0)
         support |= re | im
     return LieClosureReport(
-        dim=d,
         support=support,
         dimension=len(basis),
         target_dimension=gen_set.algebra.target_dimension,
         rounds=rounds,
-        residual_max=0.0,
     )
 
 

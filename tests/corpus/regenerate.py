@@ -29,17 +29,12 @@ Help and argparse usage errors are left out: their wording changes between
 Python versions.
 
 A case's output matches its record when the exit code, stderr and
-``--out`` sha256 are equal and so is its stdout, with two exceptions on a
-line of its own in a JSON report (:func:`mismatch`):
-
-- ``epsilon_max``, ``operator_norm`` and the general direction's
-  ``residual`` may move by up to :data:`ULPS` units in the last place: a
-  LAPACK SVD moves by as much when the BLAS thread count changes (17 ulps
-  were seen on one ``check_large`` generator);
-- the closure oracle's ``residual_max``, also the ``closure residual`` line
-  of ``oracle --text``: an earlier float closure recorded its roundoff
-  there, and the exact closure prints 0, so the recorded and the printed
-  value need only both be at most ``TAU_CLOSURE_RANK``.
+``--out`` sha256 are equal and so is its stdout, byte for byte, with one
+exception on a line of its own in a JSON report (:func:`mismatch`):
+``epsilon_max``, ``operator_norm`` and the general direction's
+``residual`` may move by up to :data:`ULPS` units in the last place: a
+LAPACK SVD moves by as much when the BLAS thread count changes (17 ulps
+were seen on one ``check_large`` generator).
 
 Regenerate every expected file (a change that alters an expected output
 lists each changed case, with the reason, in CHANGES.md)::
@@ -66,7 +61,6 @@ import tempfile
 from pathlib import Path
 
 from uqc.cli import main as uqc_main
-from uqc.generators import TAU_CLOSURE_RANK
 
 CORPUS = Path(__file__).resolve().parent
 DOCUMENTS = CORPUS / "documents"
@@ -84,7 +78,6 @@ GROUPS = (*WORKLOADS, "construct", "odd")
 ULPS = 64
 
 _ULP_LINE = re.compile(r'^(\s*"(?:epsilon_max|operator_norm|residual)": )(\S+?)(,?)$')
-_ROUNDOFF_LINE = re.compile(r'^(\s*"residual_max": |closure residual: )(\S+?)(,?)$')
 
 _STYLES = ("antisym", "sym")
 _SELECTIONS = ("smallest", "paper-example")
@@ -190,17 +183,11 @@ def _ordered(x: float) -> int:
 
 
 def _line_differs(want: str, got: str) -> bool:
-    for pattern in (_ULP_LINE, _ROUNDOFF_LINE):
-        w, g = pattern.match(want), pattern.match(got)
-        if not (w and g and (w[1], w[3]) == (g[1], g[3])):
-            continue
-        if w[2] == "null" or g[2] == "null":
-            return True
-        a, b = float(w[2]), float(g[2])
-        if pattern is _ULP_LINE:
-            return not (math.isfinite(b) and abs(_ordered(a) - _ordered(b)) <= ULPS)
-        return not (a <= TAU_CLOSURE_RANK and b <= TAU_CLOSURE_RANK)
-    return True
+    w, g = _ULP_LINE.match(want), _ULP_LINE.match(got)
+    if not (w and g and (w[1], w[3]) == (g[1], g[3])) or "null" in (w[2], g[2]):
+        return True
+    b = float(g[2])
+    return not (math.isfinite(b) and abs(_ordered(float(w[2])) - _ordered(b)) <= ULPS)
 
 
 def mismatch(want: dict, got: dict) -> str | None:

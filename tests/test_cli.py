@@ -405,10 +405,15 @@ def test_epsilon_of_a_generator_at_the_top_of_float64(capsys, tmp_path):
 
 def test_check_keeps_its_stderr_clean_at_the_ends_of_float64(capsys, tmp_path):
     # phases near -1e308 and 1e308 overflowed the spectrum's gap with a
-    # warning; a subnormal coupling overflowed the oracle's reciprocal and
-    # the closure lost it
-    code, _, err = _run(capsys, ["check", _u2_path(tmp_path, [1e308, -1e308], 1.0)])
+    # warning, and the scan's norms, which missed theta_1 + theta_2 = 0; a
+    # subnormal coupling overflowed the oracle's reciprocal and the closure
+    # lost it
+    code, out, err = _run(capsys, ["check", "--oracle", _u2_path(tmp_path, [1e308, -1e308], 1.0)])
     assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "conditionally_universal"
+    assert doc["general_direction"]["relation"] == [0, 1, 1]
+    assert doc["oracle"] == {"dimension": 3, "target_dimension": 4, "agrees": True}
     code, out, err = _run(capsys, ["check", "--oracle", _u2_path(tmp_path, [1.0, 2.0], 1e-320)])
     assert (code, err) == (0, "")
     assert json.loads(out)["oracle"] == {"dimension": 4, "target_dimension": 4, "agrees": True}
@@ -449,10 +454,10 @@ def test_epsilon_takes_one_norm_per_generator(capsys, u3_path, tmp_path, monkeyp
 def test_oracle_subcommand(capsys, u3_path):
     code, out, _ = _run(capsys, ["oracle", u3_path])
     doc = json.loads(out)
+    assert list(doc) == ["dimension", "target_dimension", "rounds", "closure_partition"]
     assert doc["dimension"] == 4
     assert doc["target_dimension"] == 9
     assert doc["closure_partition"] == [[1, 2], [3]]
-    assert doc["residual_max"] == 0.0
 
 
 def test_oracle_commands_give_the_ladder_its_true_dimension(capsys, tmp_path):

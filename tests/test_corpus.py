@@ -10,8 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from uqc.generators import TAU_CLOSURE_RANK
-
 _spec = importlib.util.spec_from_file_location(
     "corpus_regenerate", Path(__file__).parent / "corpus" / "regenerate.py"
 )
@@ -101,9 +99,11 @@ def test_the_comparison_allows_only_the_named_differences():
     assert compare(f'  "epsilon_max": {x},', '  "epsilon_max": null,')
     assert compare(f'  "epsilon_max": {x},', f'  "epsilon_max": {x}')
     assert compare(f'  "search_bound": {x},', f'  "search_bound": {near},')
-    assert compare('  "residual_max": 2e-16,', '  "residual_max": 3e-17,') is None
-    assert compare('closure residual: 2e-16', 'closure residual: 0') is None
-    assert compare('  "residual_max": 2e-16,', f'  "residual_max": {2 * TAU_CLOSURE_RANK},')
+    # a line outside the ulp rule, an old closure residual among them, is
+    # compared byte for byte
+    assert compare(f'  "residual_max": {x},', f'  "residual_max": {near},')
+    assert compare('  "residual_max": 2e-16,', '  "residual_max": 3e-17,')
+    assert compare('closure residual: 2e-16', 'closure residual: 0')
     assert compare("epsilon_max: 0.785398", "epsilon_max: 0.785399")
     assert mismatch({**base, "stdout": ["", ""]}, {**base, "stdout": [""]})
     assert mismatch({**base, "stdout": [""]}, {**base, "exit": 2, "stdout": [""]})

@@ -265,6 +265,23 @@ def test_spectrum_gaps_that_overflow_are_not_degenerate():
     assert spectrum_is_degenerate(np.array([1e308, 1e308, -1e308]))
 
 
+def test_spectrum_degeneracy_does_not_see_the_scale():
+    # the rule is relative to max|theta| at every magnitude: a power of two
+    # changes no flag, from subnormal phases up
+    for theta, degenerate in (
+        ([1.0, 2.0], False),
+        ([1.0, 1.0 + 1e-12, 3.0], True),
+        ([-1.0, 0.5, 3.0, 2.75], False),
+        ([4.0, 4.0, 4.0], True),
+        ([0.0, 0.0], True),
+    ):
+        for k in range(-1070, 998, 7):
+            scaled = np.ldexp(theta, k)
+            if np.array_equal(np.ldexp(scaled, -k), theta):  # not rounded
+                assert spectrum_is_degenerate(scaled) == degenerate, (theta, k)
+    assert not spectrum_is_degenerate(np.array([1e-310, 2e-310]))
+
+
 def test_zero_phase_gives_unit_relation():
     verdict = check_general_direction(np.array([np.sqrt(2.0), 0.0]), Algebra("u", 2))
     assert verdict.status is IndependenceStatus.DEPENDENT
@@ -471,6 +488,16 @@ def test_pslq_zero_rotation_norm_ends_the_search():
     got, stopped = _runs_line(_pslq_relation, "if t0 == 0.0", x, 2, 1e-9)
     assert stopped
     assert got is None is pslq_reference(x, 2, 1e-9)
+
+
+def test_pslq_finds_exact_relations_at_every_magnitude():
+    # the suffix norms squared x and overflowed from |theta| near 5e154 on,
+    # so theta_1 + theta_2 = 0 went unseen there
+    for t in (1.0, 1e100, 5e154, 8e154, 1e200, 1e300, 1e308):
+        x = _relation_vector(np.array([t, -t]), Algebra("u", 2))
+        assert _pslq_relation(x, 10, 1e-9) == ((0, 1, 1), 0.0) == pslq_reference(x, 10, 1e-9), t
+        verdict = check_general_direction(np.array([t, -t]), Algebra("u", 2))
+        assert verdict.status is IndependenceStatus.DEPENDENT, t
 
 
 def test_pslq_refuses_zero_and_tiny_entries():

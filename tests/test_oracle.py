@@ -78,13 +78,6 @@ def test_closure_basis_is_in_reduced_row_echelon_form():
     assert np.max(np.abs(closure.rows[:n])) <= (p + 1) / 2 + 2
 
 
-def test_closure_certificate_small():
-    # the closure is exact: no bracket of it reaches outside it
-    for s in (three_level_set(), _repaired_three_level(), two_qubit_set(True)):
-        report = lie_closure(s)
-        assert report.residual_max == 0.0
-
-
 def test_closure_noise_inflation_is_bounded():
     # coupling noise above the edge rule is data to the exact closure: it
     # connects index 3 of the reducible u(3) set and fills u(3), but an
