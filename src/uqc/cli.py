@@ -17,13 +17,13 @@ A command is a function ``_cmd_<name>(args, gen_set, tols)`` of the
 parsed arguments, the set read from the input document (None for
 ``construct``, which reads none) and the resolved tolerances.  It reads,
 writes and prints nothing, and raises only for a real error: it returns
-its report document, a function of no arguments that makes the ``--text``
-form of the report, and the generator-set document for ``--out`` (or
-None).  :func:`main` alone does the I/O, the same way for every command:
-it reads the input and resolves the tolerances, writes ``--out`` (with the
-input's ``tolerances`` section, if it has one, as its last key), then
-prints the report as JSON or text and flushes, and maps the exceptions to
-the exit codes above.
+its report document, a function of :mod:`uqc.output` that makes the
+``--text`` form of the report there, and the generator-set document for
+``--out`` (or None).  :func:`main` alone does the I/O, the same way for
+every command: it reads the input and resolves the tolerances, writes
+``--out`` (with the input's ``tolerances`` section, if it has one, as its
+last key), then prints the report as JSON or, loading :mod:`uqc.output`,
+as text and flushes, and maps the exceptions to the exit codes above.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def _cmd_check(args, gen_set, tols):
     eps = epsilon_bound(gen_set)
     oracle = _oracle_section(gen_set, verdict, tols) if args.oracle else None
     doc = io.verdict_to_document(verdict, epsilon_max=eps, oracle=oracle)
-    return doc, lambda: io.render_verdict_text(
-        doc, io.render_graph_text(gen_set, tols["tau_edge"])), None
+    return doc, lambda output: output.render_verdict_text(
+        doc, output.render_graph_text(gen_set, tols["tau_edge"])), None
 
 
 def _cmd_repair(args, gen_set, tols):
@@ -160,20 +160,16 @@ def _cmd_repair(args, gen_set, tols):
         verdict, epsilon_max=eps, repair=io.repair_plan_to_document(plan)
     )
     out = io.generator_set_to_document(plan.resulting_set)
-    return doc, lambda: io.render_verdict_text(doc), out
+    return doc, lambda output: output.render_verdict_text(doc), out
 
 
 def _cmd_construct(args, gen_set, tols):
     if args.dim < 1:
         raise InvalidInput(f"--dim must be >= 1, got {args.dim}")
     pair = minimal_pair(Algebra(kind=args.algebra, dim=args.dim), style=args.style)
-    n = len(pair.generators)
-    doc = {"out": args.out, "algebra": args.algebra, "dimension": args.dim, "generators": n}
-    return (
-        doc,
-        lambda: f"wrote {args.out}: {args.algebra}({args.dim}), {n} generator(s)",
-        io.generator_set_to_document(pair),
-    )
+    doc = {"out": args.out, "algebra": args.algebra, "dimension": args.dim,
+           "generators": len(pair.generators)}
+    return doc, lambda output: output.render_construct_text(doc), io.generator_set_to_document(pair)
 
 
 def _cmd_epsilon(args, gen_set, tols):
@@ -196,38 +192,15 @@ def _cmd_epsilon(args, gen_set, tols):
         if math.isfinite(b):
             entry["distance_at_0.99"] = _DISTANCE_AT_099
         per_gen.append(entry)
-
-    def text():
-        lines = [f"epsilon_max (set): {eps:.6g}"]
-        for entry in per_gen:
-            if entry["operator_norm"] == 0.0:
-                lines.append(f"  {entry['label']}: zero generator, unconstrained")
-            elif entry["epsilon_max"] is None:
-                lines.append(f"  {entry['label']}: epsilon_max beyond float64, unconstrained")
-            else:
-                lines.append(
-                    f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
-                    f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
-                )
-        return "\n".join(lines)
-
-    return {"epsilon_max": eps, "generators": per_gen}, text, None
+    doc = {"epsilon_max": eps, "generators": per_gen}
+    return doc, lambda output: output.render_epsilon_text(doc), None
 
 
 def _cmd_oracle(args, gen_set, tols):
-    doc = io.closure_report_to_document(*_closure(gen_set, tols))
+    from .output import closure_report_to_document
 
-    def text():
-        comps = " ".join(
-            "{" + ",".join(map(str, c)) + "}" for c in doc["closure_partition"]
-        )
-        return (
-            f"closure dimension: {doc['dimension']} of {doc['target_dimension']}\n"
-            f"rounds: {doc['rounds']}\n"
-            f"closure partition: {comps}"
-        )
-
-    return doc, text, None
+    doc = closure_report_to_document(*_closure(gen_set, tols))
+    return doc, lambda output: output.render_closure_text(doc), None
 
 
 _STYLES = [style.value for style in BridgeStyle]
@@ -334,7 +307,9 @@ def main(argv=None) -> int:
                 out["tolerances"] = overrides
             io.write_document(out, args.out)
         if args.text:
-            print(text())
+            from . import output
+
+            print(text(output))
         else:
             io.dump_json(doc, sys.stdout)
             sys.stdout.write("\n")

@@ -307,7 +307,7 @@ def spectrum_is_degenerate(theta: np.ndarray) -> bool:
     # is larger than any threshold: the answer stands without the warning
     with np.errstate(over="ignore"):
         sep = np.min(np.diff(np.sort(theta)))
-    return sep <= TAU_SPECTRUM * np.max(np.abs(theta))
+    return bool(sep <= TAU_SPECTRUM * np.max(np.abs(theta)))
 
 
 def _relation_vector(theta: np.ndarray, algebra: Algebra) -> np.ndarray:

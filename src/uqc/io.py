@@ -22,11 +22,10 @@ set's invariants.
 
 A verdict document (:func:`verdict_to_document`) holds no matrix;
 :func:`dump_json` writes it in json's ``indent=2`` layout.  The writer of
-generator-set documents (``--out``), the other report documents and the
-``--text`` renderers of verdicts and coupling graphs live in
-:mod:`uqc.output`, which loads on the first use of one of their names here
-(:data:`_OUTPUT_NAMES`); the ``--text`` forms of the ``epsilon``,
-``oracle`` and ``construct`` reports are made in :mod:`uqc.cli`.
+generator-set documents (``--out``), the other report documents and every
+``--text`` renderer live in :mod:`uqc.output`.  Three of its names,
+:data:`_OUTPUT_NAMES`, resolve here too and load it on first use: the
+benchmark's tracer wraps them on this module.
 """
 
 from __future__ import annotations
@@ -47,15 +46,9 @@ from .generators import (
 )
 from .universality import UniversalityVerdict
 
-#: the names of :mod:`uqc.output` that resolve here on first use (PEP 562)
-_OUTPUT_NAMES = (
-    "write_document",
-    "generator_set_to_document",
-    "repair_plan_to_document",
-    "closure_report_to_document",
-    "render_graph_text",
-    "render_verdict_text",
-)
+#: the names of :mod:`uqc.output` that resolve here on first use (PEP 562),
+#: those that bench/tracing.py wraps on this module
+_OUTPUT_NAMES = ("write_document", "generator_set_to_document", "repair_plan_to_document")
 
 
 def __getattr__(name):

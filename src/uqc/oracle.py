@@ -10,19 +10,21 @@ closure mod p) and equals it for all but finitely many p; the larger of two
 primes' dimensions is reported, the second prime tried only when the first
 falls short of the target.
 
-The set is read as the graph reads it (:mod:`uqc.universality`): the
-designated generator by its diagonal, every other one without its entries
-at or below ``tau_edge * max|A|``, the one edge rule.  Of each matrix the
-closure takes the skew-Hermitian part, and in su mode the traceless part,
-both exactly.  The algebra generated by S is spanned by S and the
-right-nested brackets [s1, [s2, [..., sm]]] of its elements (Jacobi
-identity), so each element is bracketed only with the seeds, a basis of
-span S, through ``linalg.commutator`` and a block of at most ``_BLOCK``
-brackets at a time.  The basis is kept in reduced row-echelon form over
-GF(p), each element as the 2 d^2 real and imaginary parts of its matrix.
+The set is read as the graph reads it, through the masks of
+:func:`uqc.universality.coupling_masks`: the designated generator by its
+diagonal, every other one without its entries at or below ``tau_edge *
+max|A|``, the one edge rule.  Of each matrix the closure takes the
+skew-Hermitian part, and in su mode the traceless part, both exactly.  The
+algebra generated by S is spanned by S and the right-nested brackets
+[s1, [s2, [..., sm]]] of its elements (Jacobi identity), so each element
+is bracketed only with the seeds, a basis of span S, through
+``linalg.commutator`` and a block of at most ``_BLOCK`` brackets at a
+time.  The basis is kept in reduced row-echelon form over GF(p), each
+element as the 2 d^2 real and imaginary parts of its matrix.
 ``closure_block_partition`` reads the block structure of the closure off
-the entries where some element of it is nonzero.  The closure is a
-desk-scale tool with a hard cap at d = CLOSURE_DIM_LIMIT.
+the entries where some element of it is nonzero, through the graph's
+:func:`~uqc.universality.graph_of`.  The closure is a desk-scale tool
+with a hard cap at d = CLOSURE_DIM_LIMIT.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput
 # validate_set is not called here; bench/tracing.py wraps the name in this module
-from .generators import GeneratorSet, _Record, validate_set, validate_tolerance
-from .universality import TAU_EDGE, CouplingGraph, connected_components, kept_entries
+from .generators import GeneratorSet, _Record, validate_set
+from .universality import TAU_EDGE, connected_components, coupling_masks, graph_of
 
 #: the primes of the closure, below 2**21: a product of two residues is
 #: below 2**42, so a sum of up to 2**10 such products is an exact float64
@@ -183,8 +185,8 @@ class _Closure:
 def lie_closure(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieClosureReport:
     """Lie_R<generators> of a validated set, exactly, by iterated commutators.
 
-    Seeds the basis with the generators as the graph reads them at
-    ``tau_edge`` (see the module docstring), then grows it a frontier
+    Seeds the basis with the entries of each generator that its mask at
+    ``tau_edge`` keeps, as the graph reads them, then grows it a frontier
     generation at a time: the elements added in one generation are
     bracketed with the k seeds (k <= the number of generators), a block of
     commutators at a time, and those outside the span join the basis; n
@@ -194,24 +196,18 @@ def lie_closure(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieClosure
 
     Raises InvalidInput for d > CLOSURE_DIM_LIMIT.
     """
-    validate_tolerance("tau_edge", tau_edge)
+    masks = coupling_masks(gen_set, tau_edge)
     d = gen_set.dim
     if d > CLOSURE_DIM_LIMIT:
         raise InvalidInput(
             f"the Lie-closure oracle is capped at d = {CLOSURE_DIM_LIMIT} "
             f"(got d = {d}); use the coupling-graph check instead"
         )
-    G = []
-    for j, gen in enumerate(gen_set.generators):
-        A = gen.matrix
-        if j == gen_set.general_index:
-            G.append(np.diag(np.diagonal(A)))
-        else:
-            G.append(np.where(kept_entries(A, tau_edge), A, 0))
+    G = np.array([np.where(kept, gen.matrix, 0) for gen, kept in zip(gen_set.generators, masks)])
     target = gen_set.algebra.target_dimension
     best = None
     for p in _PRIMES:
-        closure = _Closure(np.array(G, dtype=complex), p, gen_set.algebra.kind == "su")
+        closure = _Closure(G, p, gen_set.algebra.kind == "su")
         rounds = closure.grow()
         if best is None or closure.n > best[0].n:
             best = closure, rounds
@@ -226,10 +222,8 @@ def lie_closure(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieClosure
 def closure_block_partition(report: LieClosureReport) -> tuple[tuple[int, ...], ...]:
     """Block partition induced by the closure itself.
 
-    Every off-diagonal entry of ``report.support`` is an edge; the connected
-    components are ordered like the generator-level partition for direct
-    comparison.
+    ``report.support`` is the one mask of :func:`graph_of`: every
+    off-diagonal entry of it is an edge.  The connected components are
+    ordered like the generator-level partition for direct comparison.
     """
-    r, l = np.nonzero(np.triu(report.support, 1))
-    graph = CouplingGraph(len(report.support), frozenset(zip(r.tolist(), l.tolist())))
-    return tuple(tuple(c) for c in connected_components(graph))
+    return tuple(tuple(c) for c in connected_components(graph_of([report.support])))

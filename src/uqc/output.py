@@ -1,8 +1,11 @@
 """What ``uqc`` writes besides verdicts: ``--out`` sets, reports and ``--text``.
 
-:mod:`uqc.io` loads this module on the first use of one of its public names
-(``io.write_document``, ``io.render_verdict_text``, ...), so a command that
-writes neither, ``check`` without ``--text`` above all, does not build it.
+This module makes every ``--text`` form, each from its report document.
+:mod:`uqc.cli` loads it on first use, and :mod:`uqc.io` on the first use of
+one of the three names it re-exports (``io.write_document``,
+``io.generator_set_to_document``, ``io.repair_plan_to_document``), so a
+command that writes no ``--out`` set, no ``--text`` and no closure report,
+JSON ``check``, ``check --oracle`` and ``epsilon``, does not build it.
 
 A generator-set document (:func:`generator_set_to_document`) holds each
 matrix as its complex ndarray, all of them d x d with the set's one d.
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import InvalidInput
 from .generators import GeneratorSet
 from .io import _one_based
-from .universality import extract_coupling_graph
+from .universality import coupling_masks, graph_of
 
 
 def generator_set_to_document(gen_set: GeneratorSet) -> dict:
@@ -178,23 +181,19 @@ _MAX_EDGE_LINES = 40
 def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
     """The coupling graph's edges, each with the generators that carry it.
 
-    A generator carries an edge when the edge rule applied to it alone keeps
-    the edge; the designated drift carries none.  Carriers are listed in
-    generator order with max(|A_rl|, |A_lr|); edges past the first
+    A generator carries an edge when its mask (:func:`coupling_masks`) keeps
+    either entry of it, so the designated drift carries none.  Carriers are
+    listed in generator order with max(|A_rl|, |A_lr|); edges past the first
     ``_MAX_EDGE_LINES`` are only counted.
     """
-    carriers = [
-        (gen, extract_coupling_graph(gen_set.dim, [gen.matrix], tau_edge).edges)
-        for j, gen in enumerate(gen_set.generators)
-        if j != gen_set.general_index
-    ]
-    edges = sorted(frozenset().union(*(own for _, own in carriers)))
+    masks = coupling_masks(gen_set, tau_edge)
+    edges = sorted(graph_of(masks).edges)
     lines = [f"coupling graph: {gen_set.dim} vertices, {len(edges)} edges"]
     for r, l in edges[:_MAX_EDGE_LINES]:
         sources = ", ".join(
             f"{gen.label}(|{max(abs(gen.matrix[r, l]), abs(gen.matrix[l, r])):.3g}|)"
-            for gen, own in carriers
-            if (r, l) in own
+            for gen, kept in zip(gen_set.generators, masks)
+            if kept[r, l] or kept[l, r]
         )
         lines.append(f"  {r + 1} -- {l + 1}   via {sources}")
     if len(edges) > _MAX_EDGE_LINES:
@@ -202,10 +201,13 @@ def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
     return "\n".join(lines)
 
 
+def _braces(partition) -> str:
+    """A partition of 1-based indices as ``{1,2} {3}``."""
+    return " ".join("{" + ",".join(map(str, c)) + "}" for c in partition)
+
+
 def render_verdict_text(doc: dict, graph_text: str | None = None) -> str:
-    lines = [f"status: {doc['status']}"]
-    comps = " ".join("{" + ",".join(map(str, c)) + "}" for c in doc["components"])
-    lines.append(f"components: {comps}")
+    lines = [f"status: {doc['status']}", f"components: {_braces(doc['components'])}"]
     lines.append(f"block sizes: {', '.join(map(str, doc['block_sizes']))}")
     lines.append(f"permutation: ({', '.join(map(str, doc['permutation']))})")
     gd = doc["general_direction"]
@@ -237,3 +239,33 @@ def render_verdict_text(doc: dict, graph_text: str | None = None) -> str:
     if graph_text:
         lines.append(graph_text)
     return "\n".join(lines)
+
+
+def render_epsilon_text(doc: dict) -> str:
+    lines = [f"epsilon_max (set): {doc['epsilon_max']:.6g}"]
+    for entry in doc["generators"]:
+        if entry["operator_norm"] == 0.0:
+            lines.append(f"  {entry['label']}: zero generator, unconstrained")
+        elif entry["epsilon_max"] is None:
+            lines.append(f"  {entry['label']}: epsilon_max beyond float64, unconstrained")
+        else:
+            lines.append(
+                f"  {entry['label']}: epsilon_max {entry['epsilon_max']:.6g}, "
+                f"|exp(0.99 eps X) - I| = {entry['distance_at_0.99']:.6f} < sqrt(2)"
+            )
+    return "\n".join(lines)
+
+
+def render_closure_text(doc: dict) -> str:
+    return (
+        f"closure dimension: {doc['dimension']} of {doc['target_dimension']}\n"
+        f"rounds: {doc['rounds']}\n"
+        f"closure partition: {_braces(doc['closure_partition'])}"
+    )
+
+
+def render_construct_text(doc: dict) -> str:
+    return (
+        f"wrote {doc['out']}: {doc['algebra']}({doc['dimension']}), "
+        f"{doc['generators']} generator(s)"
+    )

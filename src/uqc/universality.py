@@ -5,16 +5,19 @@ wherever some non-designated generator has a nonzero (r, l) entry.  With a
 valid diagonal drift, a nontrivial invariant coordinate subspace exists if
 and only if this graph is disconnected, so the whole universality decision
 reduces to connected components plus the drift-spectrum scan.  The graph is
-its edge set and nothing more; which generator carries an edge is worked out
-only where ``uqc check --text`` prints it (``io.render_graph_text``), by the
-same rule applied to one generator at a time.
+its edge set and nothing more.
 
-This module holds the package's single edge rule, :func:`kept_entries`
-(an off-diagonal entry is an edge when ``|A_rl| > tau_edge * max|A|``),
-which :func:`extract_coupling_graph` applies, and its components routine,
-:func:`connected_components`, the union-find of ``linalg.components``,
-which ``linalg.operator_norm`` also runs on a matrix's own support.
-Repair and the closure oracle reuse them.
+This module alone reads a set as its graph.  :func:`coupling_masks` gives,
+in generator order, the entries the graph reads of each generator: the
+designated drift's diagonal, and of every other generator the entries the
+package's single edge rule, :func:`kept_entries`, keeps (an entry is an
+edge when ``|A_rl| > tau_edge * max|A|``).  :func:`graph_of` turns masks
+into edges.  The closure oracle seeds with the entries the masks keep,
+``uqc check --text`` names the generators whose masks carry each edge, and
+the oracle's block partition is :func:`graph_of` of the closure's support.
+The components routine, :func:`connected_components`, is the union-find of
+``linalg.components``, which ``linalg.operator_norm`` also runs on a
+matrix's own support.
 """
 
 from __future__ import annotations
@@ -87,32 +90,34 @@ def kept_entries(A: np.ndarray, tau_edge: float) -> np.ndarray:
     return mags > tau_edge * mags.max(initial=0.0)
 
 
-def extract_coupling_graph(dim: int, matrices, tau_edge: float) -> CouplingGraph:
-    """The edge rule, applied to d x d matrices.
+def coupling_masks(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> list[np.ndarray]:
+    """The d x d boolean mask of the entries the graph reads of each
+    generator, in generator order.
 
-    An off-diagonal entry of a matrix A is kept when ``|A_rl| > tau_edge *
-    max|A|`` (:func:`kept_entries`); the kept entries of all the matrices,
-    symmetrised, are the undirected edges (r < l).  Diagonal matrices
-    contribute nothing.
+    The designated drift's mask is its diagonal, so that it contributes
+    nothing, even through off-diagonal roundoff; every other generator's is
+    :func:`kept_entries`, and an additional diagonal generator contributes
+    nothing vacuously.
     """
     validate_tolerance("tau_edge", tau_edge)
-    kept = np.zeros((dim, dim), dtype=bool)
-    for A in matrices:
-        kept |= kept_entries(A, tau_edge)
+    return [
+        np.eye(gen_set.dim, dtype=bool) if j == gen_set.general_index
+        else kept_entries(gen.matrix, tau_edge)
+        for j, gen in enumerate(gen_set.generators)
+    ]
+
+
+def graph_of(masks) -> CouplingGraph:
+    """The graph of d x d boolean ``masks``: the off-diagonal entries some
+    mask keeps, symmetrised, are the undirected edges (r < l)."""
+    kept = np.logical_or.reduce(masks)
     rr, ll = np.nonzero(np.triu(kept | kept.T, 1))
-    return CouplingGraph(dim=dim, edges=frozenset(zip(rr.tolist(), ll.tolist())))
+    return CouplingGraph(dim=len(kept), edges=frozenset(zip(rr.tolist(), ll.tolist())))
 
 
 def build_coupling_graph(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> CouplingGraph:
-    """Coupling graph of the non-designated generators.
-
-    The designated diagonal contributes nothing, even through off-diagonal
-    roundoff; additional diagonal generators contribute nothing vacuously.
-    """
-    matrices = (
-        gen.matrix for j, gen in enumerate(gen_set.generators) if j != gen_set.general_index
-    )
-    return extract_coupling_graph(gen_set.dim, matrices, tau_edge)
+    """Coupling graph of the set: :func:`graph_of` its :func:`coupling_masks`."""
+    return graph_of(coupling_masks(gen_set, tau_edge))
 
 
 def connected_components(graph: CouplingGraph) -> list[list[int]]:

@@ -21,7 +21,7 @@ from uqc import (
     make_general_direction,
 )
 from uqc.errors import InvalidInput
-from uqc.universality import TAU_EDGE, extract_coupling_graph, kept_entries
+from uqc.universality import TAU_EDGE, graph_of, kept_entries
 
 
 def uqc_env() -> dict:
@@ -162,7 +162,7 @@ def invariant_subspaces_reference(gen_set: GeneratorSet) -> list[tuple[int, ...]
     reasoning, so the result must be the unions of connected components.
     """
     d = gen_set.dim
-    graph = extract_coupling_graph(d, [g.matrix for g in gen_set.generators], TAU_EDGE)
+    graph = graph_of([kept_entries(g.matrix, TAU_EDGE) for g in gen_set.generators])
     masks = np.arange(1 << d, dtype=np.uint64)
     ok = np.ones(1 << d, dtype=bool)
     for r, l in graph.edges:

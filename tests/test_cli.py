@@ -25,6 +25,7 @@ from uqc import io as uio
 from uqc.cli import _resolve_tolerances, build_parser, main
 from uqc.errors import InvalidInput
 from uqc.repair import SELECTION_RULES
+from uqc.universality import kept_entries
 
 from conftest import (
     json_document,
@@ -949,8 +950,9 @@ def test_commands_import_numpy_but_neither_numpy_ma_nor_mpmath(tmp_path):
     # reports at exit which of the modules it imported: every command needs
     # numpy, --version included; none needs numpy.ma, which np.unique
     # imports in numpy 2.4, nor mpmath, nor dataclasses.  The closure oracle
-    # loads under check --oracle and oracle alone, the writer of --out and
-    # --text where one of them is written
+    # loads under check --oracle and oracle alone; uqc.output, the writer of
+    # --out, of the closure report and of every --text, where one of them is
+    # written, so JSON check, check --oracle and epsilon load neither
     reducible, scanned = str(tmp_path / "u3.json"), str(tmp_path / "u6.json")
     uio.write_document(uio.generator_set_to_document(three_level_set()), reducible)
     uio.write_document(uio.generator_set_to_document(_scanned_pair(Algebra("u", 6))), scanned)
@@ -968,8 +970,10 @@ def test_commands_import_numpy_but_neither_numpy_ma_nor_mpmath(tmp_path):
         (["check", reducible], []), (["check", scanned], []),
         (["check", "--text", reducible], [output]),
         (["check", "--oracle", reducible], [oracle]), (["check", "--oracle", scanned], [oracle]),
-        (["epsilon", scanned], []), (["epsilon", "--text", scanned], []),
+        (["check", "--oracle", "--text", reducible], [oracle, output]),
+        (["epsilon", scanned], []), (["epsilon", "--text", scanned], [output]),
         (["oracle", reducible], [oracle, output]),
+        (["oracle", "--text", reducible], [oracle, output]),
         (["repair", reducible, "--out", out], [output]),
         (["repair", reducible, "--style", "sym", "--out", out], [output]),
         (["construct", "--dim", "64", "--out", out], [output]),
@@ -1184,6 +1188,48 @@ def test_check_text_lists_the_generators_that_carry_each_edge(capsys, tmp_path):
         "  2 -- 3   via g3(|1.5|)",
         "  3 -- 4   via a(|2|)",
     ]
+
+
+def test_check_text_carriers_make_up_the_coupling_graph(capsys, tmp_path):
+    # seeded u and su sets, the drift anywhere in the list: each coupling
+    # generator has some pairs at half its own cutoff tau_edge * max|A|,
+    # and the drift off-diagonal roundoff at half TAU_DIAG, which a cutoff
+    # of 1e-13 would keep in any other generator.  The edges --text lists
+    # are build_coupling_graph's, each carried by the generators whose own
+    # kept entries hold it, the drift never
+    rng = np.random.default_rng(2034)
+    path = str(tmp_path / "carriers.json")
+    for trial in range(24):
+        d, m = int(rng.integers(2, 10)), int(rng.integers(2, 5))
+        kind = ("u", "su")[trial % 2]
+        tau_edge = float(rng.choice([1e-13, 1e-12, 1e-10]))
+        s = random_instance(rng, d, m, kind, p=float(rng.uniform(0.1, 0.6)))
+        drift = s.designated.matrix.copy()
+        r, l = rng.choice(d, 2, replace=False)
+        drift[r, l] = 0.5e-12 * np.abs(drift).max()
+        drift[l, r] = -drift[r, l]
+        gens = [Generator(drift, "drift")]
+        for g in s.generators[1:]:
+            A = g.matrix.copy()
+            faint = np.triu(rng.random((d, d)) < 0.3, 1)
+            faint = (faint | faint.T) & (A != 0)
+            A[faint] *= 0.5 * tau_edge * np.abs(A).max() / np.abs(A[faint])
+            gens.append(Generator(A, g.label))
+        at = int(rng.integers(0, m))
+        gens.insert(at, gens.pop(0))
+        s = GeneratorSet(s.algebra, tuple(gens), at)
+        uio.write_document(uio.generator_set_to_document(s), path)
+
+        edges = sorted(build_coupling_graph(s, tau_edge).edges)
+        lines = _graph_lines(capsys, path, "--tau-edge", repr(tau_edge))
+        assert lines[0] == f"coupling graph: {d} vertices, {len(edges)} edges"
+        carriers = [(g, kept_entries(g.matrix, tau_edge)) for j, g in enumerate(s.generators) if j != at]
+        assert lines[1:] == [
+            f"  {r + 1} -- {l + 1}   via " + ", ".join(
+                f"{g.label}(|{max(abs(g.matrix[r, l]), abs(g.matrix[l, r])):.3g}|)"
+                for g, kept in carriers if kept[r, l] or kept[l, r])
+            for r, l in edges
+        ], (trial, s.algebra, tau_edge)
 
 
 @pytest.mark.parametrize("d", [41, 45])

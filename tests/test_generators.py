@@ -282,6 +282,20 @@ def test_spectrum_degeneracy_does_not_see_the_scale():
     assert not spectrum_is_degenerate(np.array([1e-310, 2e-310]))
 
 
+def test_spectrum_degeneracy_is_a_python_bool():
+    # is True / is False, not a numpy.bool_ that compares equal
+    for theta, degenerate in (
+        ([1.0, 2.0, 3.5], False),
+        ([1.0, 2.0, 1.0], True),
+        ([1.0], False),
+        ([0.0, 0.0, 0.0], True),
+    ):
+        assert spectrum_is_degenerate(np.array(theta)) is degenerate, theta
+    for phases, degenerate in (([1.0, 2.0, 3.5], False), ([1.0, 2.0, 1.0], True)):
+        s = GeneratorSet(Algebra("u", 3), (Generator(np.diag(1j * np.array(phases))),))
+        assert check_universality(s).degenerate_spectrum is degenerate, phases
+
+
 def test_zero_phase_gives_unit_relation():
     verdict = check_general_direction(np.array([np.sqrt(2.0), 0.0]), Algebra("u", 2))
     assert verdict.status is IndependenceStatus.DEPENDENT
