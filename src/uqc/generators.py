@@ -438,18 +438,12 @@ def check_general_direction(
     at every d: a relation counts only when max|c_i| < ``bound``, and its
     float64 residual must stay within ``tau_rel``.  A (near-)zero entry of
     the vector is the one relation found without PSLQ, so at ``bound`` 1
-    nothing else can be found.
+    nothing else can be found.  In su(1) the vector is (1,): nothing is.
     """
     validate_tolerance("relation_bound", bound)
     validate_tolerance("tau_rel", tau_rel)
     x = _relation_vector(np.asarray(theta, dtype=float), algebra)
     n = len(x)
-    if n == 1:
-        # su(1): no phases enter the condition, nothing to relate
-        return SpectrumIndependenceVerdict(
-            IndependenceStatus.HEURISTICALLY_INDEPENDENT, None, bound, math.inf
-        )
-
     # a (near-)zero entry is already a unit relation
     small = np.flatnonzero(np.abs(x) <= tau_rel)
     if small.size:

@@ -74,24 +74,15 @@ def operator_norm(A: np.ndarray) -> float:
     ``A`` is block-diagonal over the connected components of its own
     nonzero support (an edge r -- l wherever A_rl or A_lr is nonzero), so
     its norm is the largest over those blocks.  A block of one index is
-    |A_ii|, so a diagonal matrix, such as a drift, takes no SVD; the blocks
-    of each size larger than one take one stacked SVD.  A connected ``A``
-    is one block, whose SVD is that of ``A``; otherwise the result may
-    differ from one dense SVD in the last few ulps.
+    |A_ii|, all of them taken in one ``np.abs``, so a diagonal matrix, such
+    as a drift, takes no SVD; every larger block takes one SVD of its own.
+    A connected ``A`` is one block, whose SVD is that of ``A``; otherwise
+    the result may differ from one dense SVD in the last few ulps.
     """
     d = len(A)
     r, l = np.divmod(np.flatnonzero(A != 0), d)
     off = r != l
     comps = components(d, zip(r[off].tolist(), l[off].tolist()))
-    by_size: dict[int, list[list[int]]] = {}
-    for comp in comps:
-        by_size.setdefault(len(comp), []).append(comp)
-    norm = 0.0
-    for size, group in by_size.items():
-        idx = np.array(group)
-        if size == 1:
-            block_norms = np.abs(A[idx[:, 0], idx[:, 0]])
-        else:
-            block_norms = np.linalg.norm(A[idx[:, :, None], idx[:, None, :]], 2, axis=(1, 2))
-        norm = max(norm, float(block_norms.max()))
-    return norm
+    single = [c[0] for c in comps if len(c) == 1]
+    norms = [float(np.linalg.norm(A[np.ix_(c, c)], 2)) for c in comps if len(c) > 1]
+    return max(norms + [float(np.abs(A[single, single]).max(initial=0.0))])

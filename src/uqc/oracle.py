@@ -12,15 +12,15 @@ falls short of the target.
 
 The set is read as the graph reads it, through the masks of
 :func:`uqc.universality.coupling_masks`: the designated generator by its
-diagonal, every other one without its entries at or below ``tau_edge *
-max|A|``, the one edge rule.  Of each matrix the closure takes the
-skew-Hermitian part, and in su mode the traceless part, both exactly.  The
-algebra generated by S is spanned by S and the right-nested brackets
-[s1, [s2, [..., sm]]] of its elements (Jacobi identity), so each element
-is bracketed only with the seeds, a basis of span S, through
-``linalg.commutator`` and a block of at most ``_BLOCK`` brackets at a
-time.  The basis is kept in reduced row-echelon form over GF(p), each
-element as the 2 d^2 real and imaginary parts of its matrix.
+diagonal, every other one by the entries the one edge rule,
+:func:`~uqc.universality.kept_entries`, keeps.  Of each matrix the closure
+takes the skew-Hermitian part, and in su mode the traceless part, both
+exactly.  The algebra generated by S is spanned by S and the
+right-nested brackets [s1, [s2, [..., sm]]] of its elements (Jacobi
+identity), so each element is bracketed only with the seeds, a basis of
+span S, through ``linalg.commutator`` and a block of at most ``_BLOCK``
+brackets at a time.  The basis is kept in reduced row-echelon form over
+GF(p), each element as the 2 d^2 real and imaginary parts of its matrix.
 ``closure_block_partition`` reads the block structure of the closure off
 the entries where some element of it is nonzero, through the graph's
 :func:`~uqc.universality.graph_of`.  The closure is a desk-scale tool
@@ -136,8 +136,7 @@ class _Closure:
         most d^2 steps.
         """
         p, n = self.p, self.n
-        if n:
-            W = _mod(W - W[:, self.pivots[:n]] @ self.rows[:n], p)
+        W = _mod(W - W[:, self.pivots[:n]] @ self.rows[:n], p)
         W = W[W.any(axis=1)]
         new = []
         for i in range(len(W)):
@@ -154,8 +153,7 @@ class _Closure:
             return
         at, cols = np.array(new).T
         N = _mod(W[at], p)
-        if n:
-            self.rows[:n] = _mod(self.rows[:n] - self.rows[:n, cols] @ N, p)
+        self.rows[:n] = _mod(self.rows[:n] - self.rows[:n, cols] @ N, p)
         self.rows[n : n + len(at)] = N
         self.pivots[n : n + len(at)] = cols
         self.n += len(at)
@@ -163,17 +161,13 @@ class _Closure:
     def grow(self) -> int:
         """Bracket each frontier generation with the seeds; return the count.
 
-        The first frontier is the seeds themselves, of which [s_i, s_j] for
-        j < i alone is bracketed: the others are zero or the negative of one
-        of those.  A row's bracket with a seed is a commutator of residues,
-        exact as an integer, taken mod p.
+        The first frontier is the seeds themselves.  A row's bracket with a
+        seed is a commutator of residues, exact as an integer, taken mod p.
         """
         generations, lo = 0, 0
         while lo < self.n:
             generations += 1
             I, J = np.divmod(np.arange(lo * self.k, self.n * self.k), self.k)
-            keep = J < I
-            I, J = I[keep], J[keep]
             lo = self.n
             for b in range(0, len(I), _BLOCK):
                 block = slice(b, b + _BLOCK)
@@ -194,15 +188,15 @@ def lie_closure(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieClosure
     the larger over the primes tried, a lower bound of the rational one that
     equals it for all but finitely many primes.
 
-    Raises InvalidInput for d > CLOSURE_DIM_LIMIT.
+    Raises InvalidInput for d > CLOSURE_DIM_LIMIT, before the set is read.
     """
-    masks = coupling_masks(gen_set, tau_edge)
     d = gen_set.dim
     if d > CLOSURE_DIM_LIMIT:
         raise InvalidInput(
             f"the Lie-closure oracle is capped at d = {CLOSURE_DIM_LIMIT} "
             f"(got d = {d}); use the coupling-graph check instead"
         )
+    masks = coupling_masks(gen_set, tau_edge)
     G = np.array([np.where(kept, gen.matrix, 0) for gen, kept in zip(gen_set.generators, masks)])
     target = gen_set.algebra.target_dimension
     best = None

@@ -11,7 +11,8 @@ This module alone reads a set as its graph.  :func:`coupling_masks` gives,
 in generator order, the entries the graph reads of each generator: the
 designated drift's diagonal, and of every other generator the entries the
 package's single edge rule, :func:`kept_entries`, keeps (an entry is an
-edge when ``|A_rl| > tau_edge * max|A|``).  :func:`graph_of` turns masks
+edge when ``|A_rl| > tau_edge * max|A|`` and ``A_rl != conj(A_lr)``: a
+Hermitian pair has no skew-Hermitian part).  :func:`graph_of` turns masks
 into edges.  The closure oracle seeds with the entries the masks keep,
 ``uqc check --text`` names the generators whose masks carry each edge, and
 the oracle's block partition is :func:`graph_of` of the closure's support.
@@ -85,9 +86,15 @@ class UniversalityVerdict(NamedTuple):
 
 
 def kept_entries(A: np.ndarray, tau_edge: float) -> np.ndarray:
-    """The edge rule on one matrix: where ``|A_rl| > tau_edge * max|A|``."""
+    """The edge rule on one matrix: where ``|A_rl| > tau_edge * max|A|``
+    and A_rl != conj(A_lr).
+
+    A pair with A_rl = conj(A_lr) is Hermitian roundoff that validation let
+    pass: its skew-Hermitian part is exactly zero, so it couples nothing,
+    whatever ``tau_edge`` is.
+    """
     mags = np.abs(A)
-    return mags > tau_edge * mags.max(initial=0.0)
+    return (mags > tau_edge * mags.max(initial=0.0)) & (A != A.conj().T)
 
 
 def coupling_masks(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> list[np.ndarray]:

@@ -252,10 +252,9 @@ def lie_closure_exact(gen_set: GeneratorSet, tau_edge: float = TAU_EDGE) -> LieC
 
     Test-only reference for ``uqc.lie_closure``, written apart from it.  It
     reads the set as the graph does: the designated generator by its
-    diagonal, every other one without its entries at or below ``tau_edge *
-    max|A|``.  Each float64 entry is the ``Fraction`` it equals; of each
-    matrix it takes the skew-Hermitian part, and in su mode subtracts
-    tr/d, exactly.  Every element is then a vector of the real and then
+    diagonal, every other one by the entries ``kept_entries`` keeps.  Each
+    float64 entry is the ``Fraction`` it equals; of each matrix it takes
+    the skew-Hermitian part, and in su mode subtracts tr/d, exactly.  Every element is then a vector of the real and then
     imaginary parts of its entries, scaled to integers (the span does not
     see the scale), and the closure is grown by bracketing each new element
     with every generator and reducing the bracket, fraction-free, against

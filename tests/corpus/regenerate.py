@@ -21,9 +21,9 @@ The cases, by group (one file under ``expected/`` each):
 - ``odd``: the small documents of ``documents/`` (the ends of float64,
   subnormal couplings, a document only json reads, malformed input that
   must exit 2 with a located message, the equally spaced ladders of u(12)
-  and su(11), whose closures are 79 and 55) through every command, and the
-  tolerance profile, the ``--tau-edge`` flag and unreadable or unwritable
-  paths.
+  and su(11), whose closures are 79 and 55, Hermitian roundoff that
+  validation lets pass) through every command, and the tolerance profile,
+  the ``--tau-edge`` flag and unreadable or unwritable paths.
 
 Help and argparse usage errors are left out: their wording changes between
 Python versions.
@@ -133,6 +133,17 @@ def cases(group: str, names) -> list:
                 ["check", "u3.json"], ["epsilon", "u3.json"], ["oracle", "u3.json"],
                 ["repair", "u3.json", "--out", OUT],
             )),
+            # Hermitian roundoff that validation lets pass couples nothing,
+            # at a cutoff below the entry too
+            *((argv + flag, env)
+              for flag, env in ((["--tau-edge", "1e-13"], None), ([], "strict"))
+              for argv in (
+                  ["check", "hermitian-roundoff-edge.json"],
+                  ["check", "hermitian-roundoff-edge.json", "--text"],
+                  ["check", "hermitian-roundoff-edge.json", "--oracle"],
+                  ["oracle", "hermitian-roundoff-edge.json"],
+                  ["repair", "hermitian-roundoff-edge.json", "--out", OUT],
+              )),
             (["check", "missing.json"], None),
             (["epsilon", "missing.json", "--text"], None),
             (["repair", "u3.json", "--out", "missing/out.json"], None),

@@ -25,6 +25,7 @@ from uqc import (
 from uqc.errors import InvalidInput, ValidationError
 
 from uqc.generators import (
+    RELATION_BOUND,
     TAU_RELATION,
     _first_primes,
     _pslq_relation,
@@ -310,8 +311,14 @@ def test_su_mode_ignores_last_phase():
 
 
 def test_su1_trivially_independent():
-    verdict = check_general_direction(np.array([0.0]), Algebra("su", 1))
-    assert verdict.independent
+    # the relation vector is (1,): no entry is near zero and PSLQ needs two
+    for bound in (1, RELATION_BOUND, 1000):
+        verdict = check_general_direction(np.array([0.0]), Algebra("su", 1), bound)
+        assert verdict.independent
+        assert verdict.status is IndependenceStatus.HEURISTICALLY_INDEPENDENT
+        assert verdict.relation is None
+        assert verdict.search_bound == bound
+        assert verdict.residual == math.inf
 
 
 def test_bound_edge_is_the_same_at_every_d():

@@ -106,6 +106,33 @@ def test_operator_norm_over_planted_blocks_is_within_ulps_of_one_svd():
         assert abs(linalg.operator_norm(A) - want) <= 16 * np.spacing(want)
 
 
+def test_operator_norm_is_the_largest_block_norm_bit_for_bit():
+    # the contract of the block loop: the largest of the |A_ii| of the
+    # single-index blocks, taken in one np.abs, and of one 2-norm per larger
+    # block, its indices ascending, exactly, on permuted block-diagonal
+    # matrices with complex diagonals at any scale
+    rng = np.random.default_rng(61)
+    for k in range(300):
+        d = int(rng.integers(1, 65))
+        cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(0, d)), replace=False))
+        blocks = [np.sort(b) for b in np.split(rng.permutation(d), cuts)]
+        A = np.zeros((d, d), dtype=complex)
+        for block in blocks:
+            n = len(block)
+            B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            # a spanning path keeps each block one component of the support
+            B[rng.random(B.shape) < 0.3] = 0.0
+            B[np.arange(n - 1), np.arange(1, n)] = 1.0 + rng.normal()
+            A[np.ix_(block, block)] = B
+        A *= 10.0 ** rng.uniform(-300, 300)
+        single = [b[0] for b in blocks if len(b) == 1]
+        want = max(
+            [float(np.abs(A[single, single]).max(initial=0.0))]
+            + [float(np.linalg.norm(A[np.ix_(b, b)], 2)) for b in blocks if len(b) > 1]
+        )
+        assert linalg.operator_norm(A) == want, k
+
+
 def test_operator_norm_embedded_rotation():
     # E12 - E21 padded to d=3: singular values (1, 1, 0)
     A = np.zeros((3, 3), dtype=complex)

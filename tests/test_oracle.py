@@ -220,6 +220,16 @@ def test_closure_reads_the_noise_validation_lets_pass_as_the_graph_does():
     cycle[1, 0] += 2.0**-44
     noisy = GeneratorSet(s.algebra, (s.generators[0], Generator(cycle, "cycle")))
     assert lie_closure(noisy).dimension == lie_closure_exact(noisy).dimension == 9
+    # a Hermitian pair within TAU_SYM has a zero skew-Hermitian part: no
+    # edge at any tau_edge, however far below the pair it is
+    rot = s.generators[1].matrix.copy()
+    rot[0, 2] = rot[2, 0] = 4e-13
+    noisy = GeneratorSet(s.algebra, (s.generators[0], Generator(rot, "rot12")))
+    for tau_edge in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+        report = lie_closure(noisy, tau_edge)
+        components = tuple(map(tuple, connected_components(build_coupling_graph(noisy, tau_edge))))
+        assert components == closure_block_partition(report) == ((0, 1), (2,)), tau_edge
+        assert report.dimension == lie_closure_exact(noisy, tau_edge).dimension == 4
 
 
 def _block_diagonal_set(rng, kind, sizes):
@@ -352,6 +362,20 @@ def test_closure_dimension_limit():
     at_limit = Algebra("u", CLOSURE_DIM_LIMIT)
     report = lie_closure(GeneratorSet(at_limit, (make_general_direction(at_limit),)))
     assert report.dimension == 1
+
+
+def test_closure_refuses_a_large_set_before_reading_it():
+    # the cap is checked before the graph's masks of the set are built:
+    # building them first took a 9.5 MB peak at d = 1000
+    s = minimal_pair(Algebra("u", 1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match=f"capped at d = {CLOSURE_DIM_LIMIT}"):
+            lie_closure(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_closure_rounds_count_frontier_generations():

@@ -62,6 +62,21 @@ def test_designated_excluded_even_if_offdiagonal_noise():
     assert build_coupling_graph(noisy, 1e-15).edges == frozenset({(0, 1), (0, 2)})
 
 
+def test_hermitian_roundoff_is_no_edge_at_any_cutoff():
+    # validation lets pass A_13 = A_31 = 4e-13 as Hermitian roundoff (within
+    # TAU_SYM of max|A| = 1); its skew-Hermitian part is zero, so index 3
+    # stays uncoupled below the entry's own magnitude too
+    s = three_level_set()
+    rot = s.generators[1].matrix.copy()
+    rot[0, 2] = rot[2, 0] = 4e-13
+    s = GeneratorSet(s.algebra, (s.generators[0], Generator(rot, "rot12")))
+    for tau_edge in (1e-15, 1e-13, 1e-12):
+        assert build_coupling_graph(s, tau_edge).edges == frozenset({(0, 1)})
+        verdict = check_universality(s, tau_edge=tau_edge)
+        assert verdict.status is VerdictStatus.REDUCIBLE
+        assert verdict.components == ((0, 1), (2,))
+
+
 _BAD_TAU_EDGE = [-1.0, 0.0, 1.0, 2.0, float("nan"), float("inf"), True, "1e-12"]
 
 
