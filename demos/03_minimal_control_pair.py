@@ -5,7 +5,15 @@
 
 import numpy as np
 
-from uqc import Algebra, check_universality, lie_closure, minimal_pair
+from uqc import (
+    Algebra,
+    Generator,
+    GeneratorSet,
+    check_universality,
+    lie_closure,
+    make_general_direction,
+    minimal_pair,
+)
 
 for d in range(2, 7):
     pair = minimal_pair(Algebra("su", d))
@@ -16,8 +24,13 @@ for d in range(2, 7):
         f" / {report.target_dimension:3d}"
     )
 
-# the chain coefficients are free as long as every one is nonzero
-pair = minimal_pair(Algebra("su", 4), coefficients=[2.0, -1.0, 0.5])
+# the chain weights are free as long as every one is nonzero: the same
+# drift with a weighted chain sum_j c_j (E_{j,j+1} - E_{j+1,j}) is universal
+algebra = Algebra("su", 4)
+chain = np.zeros((4, 4), dtype=complex)
+for j, c in enumerate([2.0, -1.0, 0.5]):
+    chain[j, j + 1], chain[j + 1, j] = c, -c
+pair = GeneratorSet(algebra, (make_general_direction(algebra), Generator(chain, "chain")))
 print("\ncustom chain su(4):", check_universality(pair).status.value)
 print(np.round(pair.generators[1].matrix.real, 2))
 

@@ -35,7 +35,7 @@ import sys
 
 from . import __version__, io
 from .errors import InvalidInput
-from .generators import RELATION_BOUND, TAU_CLOSURE_RANK, TAU_RELATION, Algebra
+from .generators import RELATION_BOUND, TAU_RELATION, Algebra
 from .generators import epsilon_bound, least_step_bound, step_bound, validate_tolerance
 from .linalg import operator_norm
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
@@ -54,12 +54,9 @@ _DISTANCE_AT_099 = 2.0 * math.sin(0.99 * math.pi / 4)
 
 
 #: the tolerances a run resolves, at their library defaults; the keys are
-#: the names a document's ``tolerances`` section may hold.  ``tau_rank``,
-#: the rank cutoff of an earlier float closure, is validated and used by
-#: nothing: the closure is exact, and documents that carry it still read
+#: the names a document's ``tolerances`` section may hold
 _TOLERANCE_DEFAULTS = {
     "tau_edge": TAU_EDGE,
-    "tau_rank": TAU_CLOSURE_RANK,
     "tau_rel": TAU_RELATION,
     "relation_bound": RELATION_BOUND,
 }

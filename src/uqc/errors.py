@@ -6,7 +6,7 @@ class UqcError(Exception):
 
 
 class InvalidInput(UqcError):
-    """Malformed or out-of-contract input (bad shapes, zero coefficients, ...)."""
+    """Malformed or out-of-contract input (bad shapes, unknown tolerances, ...)."""
 
 
 class ValidationError(InvalidInput):

@@ -36,9 +36,6 @@ TAU_DIAG = 1e-12
 TAU_SPECTRUM = 1e-9
 #: residual tolerance for accepted integer relations
 TAU_RELATION = 1e-9
-#: default of ``tau_rank``, a tolerance documents may carry that nothing
-#: uses: the closure oracle (:func:`uqc.oracle.lie_closure`) is exact
-TAU_CLOSURE_RANK = 1e-10
 #: default bound on integer-relation coefficients
 RELATION_BOUND = 10
 #: PSLQ's pivot weight gamma (mpmath's and Bailey's choice, sqrt(4/3))
@@ -184,14 +181,13 @@ class GeneratorSet(_Record):
 def validate_tolerance(name: str, value, source: str = "argument"):
     """Return ``value`` if it is admissible for tolerance ``name``.
 
-    ``tau_edge``, ``tau_rank`` and ``tau_rel`` are relative cutoffs, each a
-    finite number in (0, 1).  At 1 or above neither ``tau_edge`` nor
-    ``tau_rel`` separates anything: no entry is an edge (not even a repair
-    bridge), and the relation 1 = 0 passes with residual 1.  At 0 or below
-    every stored entry is an edge.  ``tau_rank`` is checked alike and has
-    no effect: the closure oracle is exact.  ``relation_bound`` must be an
-    integer >= 1.  Bools are rejected everywhere.  ``source`` (flag, input
-    file, profile, argument) is named in the InvalidInput raised otherwise.
+    ``tau_edge`` and ``tau_rel`` are relative cutoffs, each a finite number
+    in (0, 1).  At 1 or above neither separates anything: no entry is an
+    edge (not even a repair bridge), and the relation 1 = 0 passes with
+    residual 1.  At 0 or below every stored entry is an edge.
+    ``relation_bound`` must be an integer >= 1.  Bools are rejected
+    everywhere.  ``source`` (flag, input file, profile, argument) is named
+    in the InvalidInput raised otherwise.
     """
     if name == "relation_bound":
         want = "an integer >= 1"

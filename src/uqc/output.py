@@ -178,6 +178,11 @@ def _matrix_texts(matrices: list) -> list:
 _MAX_EDGE_LINES = 40
 
 
+def _count(n: int, one: str, many: str) -> str:
+    """``n`` with its noun, singular for 1: ``1 edge``, ``2 edges``."""
+    return f"{n} {one if n == 1 else many}"
+
+
 def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
     """The coupling graph's edges, each with the generators that carry it.
 
@@ -188,7 +193,10 @@ def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
     """
     masks = coupling_masks(gen_set, tau_edge)
     edges = sorted(graph_of(masks).edges)
-    lines = [f"coupling graph: {gen_set.dim} vertices, {len(edges)} edges"]
+    lines = [
+        f"coupling graph: {_count(gen_set.dim, 'vertex', 'vertices')}, "
+        f"{_count(len(edges), 'edge', 'edges')}"
+    ]
     for r, l in edges[:_MAX_EDGE_LINES]:
         sources = ", ".join(
             f"{gen.label}(|{max(abs(gen.matrix[r, l]), abs(gen.matrix[l, r])):.3g}|)"
@@ -196,8 +204,9 @@ def render_graph_text(gen_set: GeneratorSet, tau_edge: float) -> str:
             if kept[r, l] or kept[l, r]
         )
         lines.append(f"  {r + 1} -- {l + 1}   via {sources}")
-    if len(edges) > _MAX_EDGE_LINES:
-        lines.append(f"  ... ({len(edges) - _MAX_EDGE_LINES} more edges)")
+    more = len(edges) - _MAX_EDGE_LINES
+    if more > 0:
+        lines.append(f"  ... ({_count(more, 'more edge', 'more edges')})")
     return "\n".join(lines)
 
 

@@ -52,26 +52,22 @@ class RepairPlan(NamedTuple):
     resulting_set: GeneratorSet
 
 
-def _coupling(dim: int, a, b, c, style: BridgeStyle) -> np.ndarray:
-    """sum_k c_k (E_{a_k b_k} - E_{b_k a_k}), or i * sum_k c_k (E_{a_k b_k} +
-    E_{b_k a_k}) in the symmetric style, over distinct off-diagonal pairs.
-
-    ``a``, ``b`` and ``c`` are scalars or arrays of one length.  A negative
-    c_k gives the symmetric entries a real part of -0.0, as i * c_k does in
-    complex arithmetic.
-    """
+def _coupling(dim: int, a, b, style: BridgeStyle) -> np.ndarray:
+    """sum_k (E_{a_k b_k} - E_{b_k a_k}), or i * sum_k (E_{a_k b_k} +
+    E_{b_k a_k}) in the symmetric style, over distinct off-diagonal pairs;
+    ``a`` and ``b`` are scalars or arrays of one length."""
     M = np.zeros((dim, dim), dtype=complex)
     if style is BridgeStyle.ANTISYMMETRIC:
-        M[a, b] = c
-        M[b, a] = -c
+        M[a, b] = 1.0
+        M[b, a] = -1.0
     else:
-        M[a, b] = M[b, a] = 1j * c
+        M[a, b] = M[b, a] = 1j
     return M
 
 
 def bridge_generator(a: int, b: int, dim: int, style: BridgeStyle) -> Generator:
     """Elementary skew-Hermitian coupling of basis indices a and b (0-based)."""
-    return Generator(matrix=_coupling(dim, a, b, 1.0, style), label=f"bridge({a + 1},{b + 1})")
+    return Generator(matrix=_coupling(dim, a, b, style), label=f"bridge({a + 1},{b + 1})")
 
 
 def repair(
@@ -110,18 +106,17 @@ def repair(
 
 def minimal_pair(
     algebra: Algebra,
-    coefficients=None,
     style: BridgeStyle | str = BridgeStyle.ANTISYMMETRIC,
 ) -> GeneratorSet:
     """Two-generator universal set: constructed drift + coupling chain.
 
-    The chain sum_j c_j (E_{j,j+1} - E_{j+1,j}), or i * sum_j c_j (E_{j,j+1}
-    + E_{j+1,j}) in the symmetric style (c_j = 1 by default), couples
-    1-2-...-d into a single path, so the coupling graph is connected for any
-    nonzero coefficients and both styles give the same graph; together with
-    the constructed drift the set is universal.  For d = 1 the drift alone
-    suffices.  Raises InvalidInput for d > CONSTRUCT_DIM_LIMIT before any
-    work is done.
+    The chain sum_j (E_{j,j+1} - E_{j+1,j}), or i * sum_j (E_{j,j+1} +
+    E_{j+1,j}) in the symmetric style, couples 1-2-...-d into a single
+    path, so the coupling graph is connected (as it is for any nonzero
+    weights on the same links) and both styles give the same graph;
+    together with the constructed drift the set is universal.  For d = 1
+    the drift alone suffices.  Raises InvalidInput for d >
+    CONSTRUCT_DIM_LIMIT before any work is done.
     """
     if algebra.dim > CONSTRUCT_DIM_LIMIT:
         raise InvalidInput(
@@ -132,13 +127,6 @@ def minimal_pair(
     d = algebra.dim
     gens = [make_general_direction(algebra)]
     if d > 1:
-        c = np.ones(d - 1) if coefficients is None else np.asarray(coefficients, dtype=float)
-        if c.shape != (d - 1,):
-            raise InvalidInput(f"expected {d - 1} chain coefficients, got {c.shape}")
-        if np.any(c == 0.0):
-            raise InvalidInput("chain coefficients must all be nonzero")
         j = np.arange(d - 1)
-        gens.append(Generator(_coupling(d, j, j + 1, c, style), "chain"))
-    elif coefficients is not None and len(coefficients) != 0:
-        raise InvalidInput("d = 1 admits no chain coefficients")
+        gens.append(Generator(_coupling(d, j, j + 1, style), "chain"))
     return GeneratorSet(algebra=algebra, generators=tuple(gens), general_index=0)

@@ -480,14 +480,22 @@ def test_oracle_commands_give_the_ladder_its_true_dimension(capsys, tmp_path):
             }, (kind, d)
 
 
-def test_tau_rank_is_accepted_and_changes_nothing(capsys, u3_path, tmp_path):
-    # the closure is exact; a document that carries tau_rank still reads
+@pytest.mark.parametrize(
+    "argv", [["check"], ["check", "--oracle"], ["epsilon"], ["oracle"], ["repair"]]
+)
+def test_tau_rank_is_refused_as_an_unknown_key(capsys, tmp_path, argv):
+    # tau_rank was the rank cutoff of a float closure; the closure is exact,
+    # and every command that reads a document refuses the key before any work
     doc = json_document(uio.generator_set_to_document(three_level_set()))
-    doc["tolerances"] = {"tau_rank": 1e-300}
-    path = tmp_path / "absurd.json"
+    doc["tolerances"] = {"tau_rank": 1e-10}
+    path = tmp_path / "tau_rank.json"
     path.write_text(json.dumps(doc))
-    for argv in (["oracle"], ["check", "--oracle"]):
-        assert _run(capsys, [*argv, str(path)]) == _run(capsys, [*argv, u3_path])
+    out_path = tmp_path / "out.json"
+    argv = [argv[0], str(path), *argv[1:]]
+    if argv[0] == "repair":
+        argv += ["--out", str(out_path)]
+    assert _run(capsys, argv) == (2, "", "error: tolerances: unknown key 'tau_rank'\n")
+    assert not out_path.exists()
 
 
 @pytest.fixture()
@@ -599,10 +607,10 @@ def test_tolerance_profile_mapping(monkeypatch):
 
 def test_tolerance_overrides(monkeypatch):
     monkeypatch.delenv("UQC_TOLERANCE_PROFILE", raising=False)
-    file_values = {"tau_edge": 1e-10, "tau_rank": 1e-8, "tau_rel": 1e-7, "relation_bound": 4}
+    file_values = {"tau_edge": 1e-10, "tau_rel": 1e-7, "relation_bound": 4}
     assert _resolve_tolerances(file_values, Namespace()) == file_values
     assert _resolve_tolerances({}, Namespace(tau_edge=None)) == {
-        "tau_edge": 1e-12, "tau_rank": 1e-10, "tau_rel": 1e-9, "relation_bound": 10
+        "tau_edge": 1e-12, "tau_rel": 1e-9, "relation_bound": 10
     }
     with pytest.raises(InvalidInput) as exc:
         _resolve_tolerances({"tau_typo": 1.0}, Namespace())
@@ -617,11 +625,10 @@ def test_tolerance_overrides(monkeypatch):
         ("tau_edge", float("nan")),
         ("tau_edge", True),
         ("tau_edge", "1e-12"),
-        ("tau_rank", 0.0),
-        ("tau_rank", 1.0),
-        ("tau_rank", float("inf")),
         ("tau_rel", -1e-9),
+        ("tau_rel", 0.0),
         ("tau_rel", 1.0),
+        ("tau_rel", float("inf")),
         ("relation_bound", 0),
         ("relation_bound", True),
         ("relation_bound", 10.0),
@@ -657,13 +664,13 @@ def test_file_tolerances_beat_the_profile_and_the_flag_beats_both(capsys, tmp_pa
 def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path, monkeypatch):
     # no tolerance enters the bound, but a bad one exits 2 as in every command
     doc = json_document(uio.generator_set_to_document(three_level_set()))
-    doc["tolerances"] = {"tau_rank": -1.0}
+    doc["tolerances"] = {"tau_rel": -1.0}
     path = tmp_path / "bad_tol.json"
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, ["epsilon", str(path)])
     assert (code, out) == (2, "")
     assert err == (
-        "error: tau_rank (input file tolerances): expected a finite number in (0, 1), got -1.0\n"
+        "error: tau_rel (input file tolerances): expected a finite number in (0, 1), got -1.0\n"
     )
 
     doc["tolerances"] = {"tau_typo": 1.0}
@@ -710,7 +717,7 @@ def test_bad_tau_edge_flag_exit2(capsys, u3_path, tmp_path, command, value):
 
 @pytest.mark.parametrize(
     "tolerances",
-    [{"tau_edge": float("nan")}, {"tau_rank": -1.0}, {"relation_bound": True}],
+    [{"tau_edge": float("nan")}, {"tau_rel": -1.0}, {"relation_bound": True}],
 )
 def test_bad_file_tolerance_exit2(capsys, tmp_path, tolerances):
     doc = json_document(uio.generator_set_to_document(three_level_set()))
@@ -1055,7 +1062,7 @@ _FIELD_VALUES = {
     "label": [3, None, True, 1.5, ["x"], {"a": 1}],
     "tolerances": [
         [], "x", 3, None, {"tau_typo": 1.0}, {"tau_edge": -1.0}, {"tau_edge": "1e-9"},
-        {"tau_edge": True}, {"tau_rank": 0.0}, {"tau_rel": -1e-9}, {"relation_bound": 0.5},
+        {"tau_edge": True}, {"tau_rel": -1e-9}, {"relation_bound": 0.5},
     ],
 }
 
@@ -1222,7 +1229,8 @@ def test_check_text_carriers_make_up_the_coupling_graph(capsys, tmp_path):
 
         edges = sorted(build_coupling_graph(s, tau_edge).edges)
         lines = _graph_lines(capsys, path, "--tau-edge", repr(tau_edge))
-        assert lines[0] == f"coupling graph: {d} vertices, {len(edges)} edges"
+        n = len(edges)
+        assert lines[0] == f"coupling graph: {d} vertices, {n} edge" + "s" * (n != 1)
         carriers = [(g, kept_entries(g.matrix, tau_edge)) for j, g in enumerate(s.generators) if j != at]
         assert lines[1:] == [
             f"  {r + 1} -- {l + 1}   via " + ", ".join(
@@ -1232,14 +1240,26 @@ def test_check_text_carriers_make_up_the_coupling_graph(capsys, tmp_path):
         ], (trial, s.algebra, tau_edge)
 
 
-@pytest.mark.parametrize("d", [41, 45])
-def test_check_text_counts_the_edges_past_the_first_forty(capsys, tmp_path, d):
+@pytest.mark.parametrize(
+    "d, more",
+    [(41, []), (42, ["  ... (1 more edge)"]), (45, ["  ... (4 more edges)"])],
+    ids=["41", "42", "45"],
+)
+def test_check_text_counts_the_edges_past_the_first_forty(capsys, tmp_path, d, more):
     path = str(tmp_path / "chain.json")
     uio.write_document(uio.generator_set_to_document(uqc.minimal_pair(Algebra("u", d))), path)
     lines = _graph_lines(capsys, path)
     listed = [f"  {j} -- {j + 1}   via chain(|1|)" for j in range(1, 41)]
-    more = [f"  ... ({d - 41} more edges)"] if d > 41 else []
     assert lines == [f"coupling graph: {d} vertices, {d - 1} edges", *listed, *more]
+
+
+def test_check_text_counts_one_vertex_and_one_edge_in_the_singular(capsys, tmp_path, u3_path):
+    path = tmp_path / "su1.json"
+    path.write_text('{"algebra":"su","dimension":1,"generators":[{"matrix":[[[0.0,0.0]]]}]}')
+    assert _graph_lines(capsys, str(path)) == ["coupling graph: 1 vertex, 0 edges"]
+    assert _graph_lines(capsys, u3_path) == [
+        "coupling graph: 3 vertices, 1 edge", "  1 -- 2   via rot12(|1|)"
+    ]
 
 
 def test_an_empty_label_is_named_by_its_position_in_matrix_errors(capsys, tmp_path):
