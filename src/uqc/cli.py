@@ -2,16 +2,14 @@
 
 Subcommands: check | repair | construct | epsilon | oracle.  Documents are
 JSON (see :mod:`uqc.io`); exit code 0 means the analysis ran (whatever the
-verdict), 2 flags a parse/validation problem, and 141 (128 + SIGPIPE, what
-a shell reports for a writer killed by a closed pipe) means stdout was a
-pipe whose reader had gone before the output was written, as in ``uqc
-check set.json | true`` when ``true`` exits first; no traceback is printed
-then.  Stdout carries the verdict or report; the sets
-that ``repair`` and ``construct`` build go to ``--out`` alone.  Tolerances
-are resolved here alone: the library defaults, then the edge-threshold tier
-that the environment variable UQC_TOLERANCE_PROFILE (strict | default |
-loose) picks, then the input file's ``tolerances`` section, then the
-``--tau-edge`` flag.
+verdict), 2 flags a parse/validation problem or an output that cannot be
+written, and 141 (128 + SIGPIPE, what a shell reports for a writer killed
+by a closed pipe) means stdout was a pipe whose reader had gone before the
+output was written, as in ``uqc check set.json | true`` when ``true``
+exits first; no traceback is printed then.  Stdout carries the verdict or
+report; the sets that ``repair`` and ``construct`` build go to ``--out``
+alone.  Tolerances are resolved here alone: the library defaults, then the
+input file's ``tolerances`` section, then the ``--tau-edge`` flag.
 
 A command is a function ``_cmd_<name>(args, gen_set, tols)`` of the
 parsed arguments, the set read from the input document (None for
@@ -22,8 +20,9 @@ its report document, a function of :mod:`uqc.output` that makes the
 ``--out`` (or None).  :func:`main` alone does the I/O, the same way for
 every command: it reads the input and resolves the tolerances, writes
 ``--out`` (with the input's ``tolerances`` section, if it has one, as its
-last key), then prints the report as JSON or, loading :mod:`uqc.output`,
-as text and flushes, and maps the exceptions to the exit codes above.
+last key), then prints the report as JSON or, with ``--text``, loading
+:mod:`uqc.output`, as text and flushes, and maps the exceptions to the
+exit codes above.
 """
 
 from __future__ import annotations
@@ -60,22 +59,12 @@ _TOLERANCE_DEFAULTS = {
     "tau_rel": TAU_RELATION,
     "relation_bound": RELATION_BOUND,
 }
-#: UQC_TOLERANCE_PROFILE values and the edge threshold each selects
-_PROFILE_TAU_EDGE = {"strict": 1e-13, "default": TAU_EDGE, "loose": 1e-9}
 
 
 def _resolve_tolerances(overrides: dict, args) -> dict:
     """The run's tolerances by name, in the order of the module docstring;
     each value from the file or the flag is validated, naming its source."""
     tols = dict(_TOLERANCE_DEFAULTS)
-    profile = os.environ.get("UQC_TOLERANCE_PROFILE")
-    if profile:
-        if profile not in _PROFILE_TAU_EDGE:
-            raise InvalidInput(
-                f"unknown tolerance profile {profile!r}; "
-                f"expected one of {sorted(_PROFILE_TAU_EDGE)}"
-            )
-        tols["tau_edge"] = _PROFILE_TAU_EDGE[profile]
     for key, value in overrides.items():
         if key not in _TOLERANCE_DEFAULTS:
             raise InvalidInput(f"tolerances: unknown key {key!r}")
@@ -203,10 +192,22 @@ def _cmd_oracle(args, gen_set, tols):
 _STYLES = [style.value for style in BridgeStyle]
 
 
+def _tau_edge_argument(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--tau-edge",
+        type=float,
+        default=None,
+        help=(
+            "edge cutoff relative to each generator's largest entry, "
+            f"0 < x < 1 (default {TAU_EDGE:g})"
+        ),
+    )
+
+
 def _check_arguments(p: argparse.ArgumentParser):
     p.add_argument("input", help="path to a generator-set JSON document")
     p.add_argument("--oracle", action="store_true", help="also run the Lie-closure oracle")
-    p.add_argument("--tau-edge", type=float, default=None, help="edge-detection threshold")
+    _tau_edge_argument(p)
 
 
 def _repair_arguments(p: argparse.ArgumentParser):
@@ -223,7 +224,7 @@ def _repair_arguments(p: argparse.ArgumentParser):
         ),
     )
     p.add_argument("--out", required=True, help="path for the repaired document")
-    p.add_argument("--tau-edge", type=float, default=None)
+    _tau_edge_argument(p)
 
 
 def _construct_arguments(p: argparse.ArgumentParser):
@@ -239,7 +240,7 @@ def _epsilon_arguments(p: argparse.ArgumentParser):
 
 def _oracle_arguments(p: argparse.ArgumentParser):
     p.add_argument("input")
-    p.add_argument("--tau-edge", type=float, default=None)
+    _tau_edge_argument(p)
 
 
 #: each subcommand, in the order of the help text: its help, the function
@@ -255,15 +256,7 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with the subparser of ``command`` alone, or of
-    every command when ``command`` is None.
-
-    :func:`main` builds the parser of the command its arguments name first,
-    and the whole tree otherwise (``--help``, ``--version``, no command, an
-    unknown one).  Either parser writes the same help, usage and errors for
-    those arguments: the top-level usage names every command either way.
-    """
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uqc",
         description=(
@@ -274,28 +267,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # the whole tree lists its commands itself; a metavar there would also
-    # replace "command" in the error for a missing one
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, add_arguments, run) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=summary)
-            add_arguments(p)
-            fmt = p.add_mutually_exclusive_group()
-            fmt.add_argument(
-                "--json", dest="text", action="store_false", help="JSON output (default)"
-            )
-            fmt.add_argument("--text", dest="text", action="store_true", help="plain-text output")
-            p.set_defaults(text=False, func=run)
+        p = sub.add_parser(name, help=summary)
+        add_arguments(p)
+        p.add_argument("--text", action="store_true", help="plain-text output instead of JSON")
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:
+            # fd 1 was closed when the interpreter started
+            raise InvalidInput("cannot write standard output: it is closed")
         gen_set, overrides = io.load_input_document(args.input) if "input" in args else (None, {})
         tols = _resolve_tolerances(overrides, args)
         doc, text, out = args.func(args, gen_set, tols)
@@ -303,6 +289,10 @@ def main(argv=None) -> int:
             if overrides:
                 out["tolerances"] = overrides
             io.write_document(out, args.out)
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         if args.text:
             from . import output
 
@@ -311,18 +301,18 @@ def main(argv=None) -> int:
             io.dump_json(doc, sys.stdout)
             sys.stdout.write("\n")
         # a short output sits in the buffer until here; flushed at
-        # interpreter exit instead, a closed pipe would escape the handler
+        # interpreter exit instead, a failed write would escape the handler
         sys.stdout.flush()
         return EXIT_OK
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BrokenPipeError:
-        # the reader is gone; send what is still buffered to devnull so that
-        # the flush at interpreter exit does not fail a second time
+    except OSError as exc:
+        # send what is still buffered to devnull so that the flush at
+        # interpreter exit does not fail a second time
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (OSError, ValueError):
             pass
-        return EXIT_BROKEN_PIPE
-
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_INPUT

@@ -186,7 +186,7 @@ def validate_tolerance(name: str, value, source: str = "argument"):
     edge (not even a repair bridge), and the relation 1 = 0 passes with
     residual 1.  At 0 or below every stored entry is an edge.
     ``relation_bound`` must be an integer >= 1.  Bools are rejected
-    everywhere.  ``source`` (flag, input file, profile, argument) is named
+    everywhere.  ``source`` (flag, input file, argument) is named
     in the InvalidInput raised otherwise.
     """
     if name == "relation_bound":

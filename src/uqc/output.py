@@ -84,23 +84,23 @@ def write_document(doc: dict, path: str):
     values (:func:`_matrix_texts`) and streamed a block of rows at a time.
     Their shapes are checked and their floats formatted before the file is
     opened, so a document that json or the shape check refuses leaves the
-    file as it was.
+    file as it was.  A file that cannot be opened or written to the end
+    (a full disk) raises InvalidInput naming ``path``.
     """
     gens = doc["generators"]
     rest = {**doc, "generators": [{**g, "matrix": None} for g in gens]}
     pieces = json.dumps(rest, separators=(",", ":"), allow_nan=False).split('"matrix":null')
     texts = _matrix_texts([g["matrix"] for g in gens])
     try:
-        fh = open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(pieces[0])
+            for text, after in zip(texts, pieces[1:]):
+                fh.write('"matrix":')
+                fh.writelines(text)
+                fh.write(after)
+            fh.write("\n")
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc}") from exc
-    with fh:
-        fh.write(pieces[0])
-        for text, after in zip(texts, pieces[1:]):
-            fh.write('"matrix":')
-            fh.writelines(text)
-            fh.write(after)
-        fh.write("\n")
 
 
 #: matrix entries rendered into one piece of text

@@ -22,8 +22,8 @@ The cases, by group (one file under ``expected/`` each):
   subnormal couplings, a document only json reads, malformed input that
   must exit 2 with a located message, the equally spaced ladders of u(12)
   and su(11), whose closures are 79 and 55, Hermitian roundoff that
-  validation lets pass) through every command, and the tolerance profile,
-  the ``--tau-edge`` flag and unreadable or unwritable paths.
+  validation lets pass) through every command, and the ``--tau-edge``
+  flag and unreadable or unwritable paths.
 
 Help and argparse usage errors are left out: their wording changes between
 Python versions.
@@ -67,7 +67,6 @@ DOCUMENTS = CORPUS / "documents"
 EXPECTED = CORPUS / "expected"
 SEED = 1
 OUT = "out.json"
-PROFILE = "UQC_TOLERANCE_PROFILE"
 
 sys.path.insert(0, str(CORPUS.parents[1] / "bench"))
 from workloads import WORKLOADS, make_doc  # noqa: E402
@@ -102,8 +101,7 @@ def sha256(data: bytes) -> str:
 
 
 def cases(group: str, names) -> list:
-    """The cases of ``group`` on its documents ``names``: (argv, env) pairs,
-    ``env`` the value of UQC_TOLERANCE_PROFILE or None for unset."""
+    """The command lines of ``group``'s cases on its documents ``names``."""
     reads = [["check"], ["check", "--text"], ["epsilon"], ["epsilon", "--text"]]
     if group in ("oracle", "odd"):
         reads += [
@@ -120,34 +118,26 @@ def cases(group: str, names) -> list:
             for d in (1, 2, 7, 64) for algebra in ("u", "su") for style in _STYLES for fmt in _FORMATS
         ]
         argvs += [["construct", "--dim", d, "--out", OUT] for d in ("0", "-3", "1025")]
-        return [(argv, None) for argv in argvs]
-    out = [(argv[:1] + [name] + argv[1:], None) for name in names for argv in reads]
+        return argvs
+    out = [argv[:1] + [name] + argv[1:] for name in names for argv in reads]
     if group == "odd":
         out += [
-            (["check", "u3.json", "--tau-edge", "1e-9"], None),
-            (["check", "u3.json", "--tau-edge", "2"], None),
-            (["oracle", "u3.json", "--tau-edge", "nan"], None),
-            (["check", "u3.json"], "loose"),
-            (["check", "u3.json", "--text"], "strict"),
-            *((argv, "bogus") for argv in (
-                ["check", "u3.json"], ["epsilon", "u3.json"], ["oracle", "u3.json"],
-                ["repair", "u3.json", "--out", OUT],
-            )),
+            ["check", "u3.json", "--tau-edge", "1e-9"],
+            ["check", "u3.json", "--tau-edge", "2"],
+            ["oracle", "u3.json", "--tau-edge", "nan"],
             # Hermitian roundoff that validation lets pass couples nothing,
             # at a cutoff below the entry too
-            *((argv + flag, env)
-              for flag, env in ((["--tau-edge", "1e-13"], None), ([], "strict"))
-              for argv in (
-                  ["check", "hermitian-roundoff-edge.json"],
-                  ["check", "hermitian-roundoff-edge.json", "--text"],
-                  ["check", "hermitian-roundoff-edge.json", "--oracle"],
-                  ["oracle", "hermitian-roundoff-edge.json"],
-                  ["repair", "hermitian-roundoff-edge.json", "--out", OUT],
-              )),
-            (["check", "missing.json"], None),
-            (["epsilon", "missing.json", "--text"], None),
-            (["repair", "u3.json", "--out", "missing/out.json"], None),
-            (["construct", "--dim", "3", "--out", "missing/out.json"], None),
+            *(argv + ["--tau-edge", "1e-13"] for argv in (
+                ["check", "hermitian-roundoff-edge.json"],
+                ["check", "hermitian-roundoff-edge.json", "--text"],
+                ["check", "hermitian-roundoff-edge.json", "--oracle"],
+                ["oracle", "hermitian-roundoff-edge.json"],
+                ["repair", "hermitian-roundoff-edge.json", "--out", OUT],
+            )),
+            ["check", "missing.json"],
+            ["epsilon", "missing.json", "--text"],
+            ["repair", "u3.json", "--out", "missing/out.json"],
+            ["construct", "--dim", "3", "--out", "missing/out.json"],
         ]
     return out
 
@@ -159,19 +149,11 @@ def command_of(argv: list) -> str:
     return " ".join(w for w in words if w != "--out")
 
 
-def run(argv: list, env) -> dict:
+def run(argv: list) -> dict:
     """The record of one case, run in the current directory."""
-    saved = os.environ.pop(PROFILE, None)
-    if env is not None:
-        os.environ[PROFILE] = env
     stdout, stderr = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = uqc_main(argv)
-    finally:
-        os.environ.pop(PROFILE, None)
-        if saved is not None:
-            os.environ[PROFILE] = saved
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = uqc_main(argv)
     out_sha256 = None
     if os.path.exists(OUT):
         with open(OUT, "rb") as fh:
@@ -179,7 +161,6 @@ def run(argv: list, env) -> dict:
         os.remove(OUT)
     return {
         "argv": argv,
-        "env": env,
         "exit": code,
         "stdout": stdout.getvalue().split("\n"),
         "stderr": stderr.getvalue().split("\n"),
@@ -236,15 +217,14 @@ def main() -> int:
             recorded = {}
             if path.exists():
                 recorded = {
-                    (tuple(case["argv"]), case["env"]): case
-                    for case in json.loads(path.read_text())["cases"]
+                    tuple(case["argv"]): case for case in json.loads(path.read_text())["cases"]
                 }
             docs = documents(group)
             records, kept = [], 0
             with written(docs, Path(tmp) / group):
-                for argv, env in cases(group, docs):
-                    new = run(argv, env)
-                    old = recorded.get((tuple(argv), env))
+                for argv in cases(group, docs):
+                    new = run(argv)
+                    old = recorded.get(tuple(argv))
                     if old is not None and mismatch(old, new) is None:
                         new, kept = old, kept + 1
                     records.append(new)

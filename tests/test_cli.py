@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -321,6 +322,45 @@ def test_unwritable_out_exit2(capsys, u3_path, tmp_path, command, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("limit, code", [(26, 2), (27, 0)])
+def test_repair_beyond_the_entry_limit_exit2(capsys, u3_path, tmp_path, monkeypatch, limit, code):
+    # u3 needs one bridge: 3 generators of 3 x 3, 27 entries
+    monkeypatch.setattr(importlib.import_module("uqc.repair"), "REPAIR_ENTRY_LIMIT", limit)
+    out_path = tmp_path / "out.json"
+    got = _run(capsys, ["repair", u3_path, "--out", str(out_path)])
+    assert got[0] == code and out_path.exists() == (code == 0)
+    if code:
+        assert got[1:] == ("", (
+            "error: the repaired set is capped at 26 matrix entries (got 3 generators "
+            "at d = 3); its document grows as generators x d^2\n"
+        ))
+
+
+@pytest.mark.parametrize("target", ["--out", "stdout", "closed stdout"])
+def test_a_failed_write_exits2_with_an_error_line(u3_path, tmp_path, target):
+    # /dev/full opens, and every write to it fails with ENOSPC; a stdout
+    # closed before the interpreter starts is None.  Buffered stdout, as
+    # from a shell, meets the full device only at its flush
+    if target != "closed stdout" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = [sys.executable, "-m", "uqc", "check", u3_path]
+    where = "standard output"
+    if target == "--out":
+        argv = [sys.executable, "-m", "uqc", "construct", "--dim", "5", "--out", "/dev/full"]
+        where = "/dev/full"
+    elif target == "closed stdout":
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    env = uqc_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full" if target == "stdout" else os.devnull, "w") as stdout:
+        proc = subprocess.run(
+            argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {where}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_epsilon_report(capsys, u3_path):
     code, out, _ = _run(capsys, ["epsilon", u3_path])
     assert code == 0
@@ -557,9 +597,20 @@ def test_choice_lists_are_the_library_names(capsys):
         assert all(names in out for names in listed)
 
 
+def test_every_tau_edge_flag_has_the_one_help(capsys):
+    for command in ("check", "repair", "oracle"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert (
+            "--tau-edge TAU_EDGE edge cutoff relative to each generator's largest "
+            "entry, 0 < x < 1 (default 1e-12)"
+        ) in out, command
+
+
 def _weak_coupling_path(tmp_path, tolerances=None) -> str:
     """A u(3) set whose coupling entry at relative 1e-10 is an edge at the
-    default threshold (1e-12), invisible under the loose profile (1e-9)."""
+    default threshold (1e-12), invisible at a threshold of 1e-9."""
     drift = Generator(np.diag(1j * np.sqrt([2.0, 3.0, 5.0])), "d")
     A = np.zeros((3, 3), dtype=complex)
     A[0, 1], A[1, 0] = 1.0, -1.0
@@ -573,40 +624,18 @@ def _weak_coupling_path(tmp_path, tolerances=None) -> str:
     return str(path)
 
 
-def test_tolerance_profile_env(capsys, tmp_path, monkeypatch):
+def test_no_environment_variable_moves_the_threshold(capsys, tmp_path, monkeypatch):
+    # UQC_TOLERANCE_PROFILE is not read: the threshold comes from the
+    # library default, the document and --tau-edge alone
     path = _weak_coupling_path(tmp_path)
-
-    code, out, _ = _run(capsys, ["check", str(path)])
-    assert json.loads(out)["status"] == "universal"
-
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
-    code, out, _ = _run(capsys, ["check", str(path)])
-    assert json.loads(out)["status"] == "reducible"
-
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "bogus")
-    code, _, err = _run(capsys, ["check", str(path)])
-    assert code == 2
-
-    # explicit flag beats the profile
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
-    code, out, _ = _run(capsys, ["check", str(path), "--tau-edge", "1e-12"])
-    assert json.loads(out)["status"] == "universal"
-
-
-def test_tolerance_profile_mapping(monkeypatch):
-    for profile, tau_edge in [("strict", 1e-13), ("default", 1e-12), ("loose", 1e-9)]:
-        monkeypatch.setenv("UQC_TOLERANCE_PROFILE", profile)
-        assert _resolve_tolerances({}, Namespace())["tau_edge"] == tau_edge
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "sloppy")
-    with pytest.raises(InvalidInput) as exc:
-        _resolve_tolerances({}, Namespace())
-    assert str(exc.value) == (
-        "unknown tolerance profile 'sloppy'; expected one of ['default', 'loose', 'strict']"
-    )
-
-
-def test_tolerance_overrides(monkeypatch):
     monkeypatch.delenv("UQC_TOLERANCE_PROFILE", raising=False)
+    unset = _run(capsys, ["check", path])
+    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
+    assert _run(capsys, ["check", path]) == unset
+    assert unset[0] == 0 and json.loads(unset[1])["status"] == "universal"
+
+
+def test_tolerance_overrides():
     file_values = {"tau_edge": 1e-10, "tau_rel": 1e-7, "relation_bound": 4}
     assert _resolve_tolerances(file_values, Namespace()) == file_values
     assert _resolve_tolerances({}, Namespace(tau_edge=None)) == {
@@ -645,15 +674,11 @@ def test_bad_tolerance_override_names_key_and_source(capsys, tmp_path, key, valu
     assert err == f"error: {key} (input file tolerances): expected {want}, got {value!r}\n"
 
 
-def test_file_tolerances_beat_the_profile_and_the_flag_beats_both(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "loose")
+def test_the_flag_beats_file_tolerances(capsys, tmp_path):
     path = _weak_coupling_path(tmp_path, {"tau_edge": 1e-12})
-    code, out, _ = _run(capsys, ["check", path])
-    assert json.loads(out)["status"] == "universal"
     code, out, _ = _run(capsys, ["check", path, "--tau-edge", "1e-9"])
     assert json.loads(out)["status"] == "reducible"
 
-    monkeypatch.delenv("UQC_TOLERANCE_PROFILE")
     path = _weak_coupling_path(tmp_path, {"tau_edge": 1e-9})
     code, out, _ = _run(capsys, ["check", path])
     assert json.loads(out)["status"] == "reducible"
@@ -661,7 +686,7 @@ def test_file_tolerances_beat_the_profile_and_the_flag_beats_both(capsys, tmp_pa
     assert json.loads(out)["status"] == "universal"
 
 
-def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path, monkeypatch):
+def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path):
     # no tolerance enters the bound, but a bad one exits 2 as in every command
     doc = json_document(uio.generator_set_to_document(three_level_set()))
     doc["tolerances"] = {"tau_rel": -1.0}
@@ -677,27 +702,6 @@ def test_epsilon_rejects_bad_tolerances_it_does_not_use(capsys, tmp_path, monkey
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, ["epsilon", str(path)])
     assert (code, out, err) == (2, "", "error: tolerances: unknown key 'tau_typo'\n")
-
-    del doc["tolerances"]
-    path.write_text(json.dumps(doc))
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "bogus")
-    code, out, err = _run(capsys, ["epsilon", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: unknown tolerance profile 'bogus'")
-
-
-@pytest.mark.parametrize("command", ["repair", "construct"])
-def test_a_bad_profile_exits2_before_anything_is_written(capsys, u3_path, tmp_path, monkeypatch, command):
-    # construct reads no document and uses no tolerance, yet a bad profile
-    # stops it as it stops every command, before any set is written
-    out_path = tmp_path / "out.json"
-    argv = ["construct", "--dim", "3"] if command == "construct" else [command, u3_path]
-    argv += ["--out", str(out_path)]
-    monkeypatch.setenv("UQC_TOLERANCE_PROFILE", "bogus")
-    code, out, err = _run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: unknown tolerance profile 'bogus'")
-    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["check", "repair", "oracle"])
@@ -758,6 +762,14 @@ def test_version(capsys):
     assert "uqc" in capsys.readouterr().out
 
 
+def test_json_is_no_flag(capsys, u3_path):
+    # JSON is the output without --text; a --json flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["check", u3_path, "--json"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def _exit_of(parse, argv, capsys):
     """The exit code, stdout and stderr of ``parse(argv)``, which must exit."""
     with pytest.raises(SystemExit) as exc:
@@ -781,8 +793,8 @@ def _exit_of(parse, argv, capsys):
     ],
 )
 def test_help_and_usage_are_those_of_the_whole_parser(capsys, monkeypatch, argv):
-    # main builds the subparser of the command it is given alone; what it
-    # writes for help and usage errors must be what the whole tree writes
+    # help, version and usage errors leave main as argparse writes them:
+    # main adds, drops and remaps nothing before any file is read
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     want = _exit_of(build_parser().parse_args, argv, capsys)
     assert _exit_of(main, argv, capsys) == want

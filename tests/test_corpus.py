@@ -59,7 +59,7 @@ def test_corpus_documents_are_the_recorded_ones(workdir, group):
 @pytest.mark.parametrize("group", corpus.GROUPS)
 def test_corpus_records_every_case_in_order(group):
     # a case added to cases() but never recorded would go untested
-    recorded = [(case["argv"], case["env"]) for case in _EXPECTED[group]["cases"]]
+    recorded = [case["argv"] for case in _EXPECTED[group]["cases"]]
     assert recorded == corpus.cases(group, _EXPECTED[group]["documents"])
 
 
@@ -78,7 +78,7 @@ def test_corpus_outputs_are_the_recorded_ones(workdir, group, command):
     for want in _EXPECTED[group]["cases"]:
         if corpus.command_of(want["argv"]) != command:
             continue
-        why = mismatch(want, corpus.run(want["argv"], want["env"]))
+        why = mismatch(want, corpus.run(want["argv"]))
         if why:
             failures.append(f"{' '.join(want['argv'])}: {why}")
     assert not failures, f"{len(failures)} case(s) differ:\n" + "\n".join(failures[:10])

@@ -179,6 +179,25 @@ def test_repair_builds_the_graph_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_a_repair_past_the_entry_limit_is_refused_before_any_bridge(monkeypatch):
+    # d = 1000 with a diagonal drift alone has 1000 components: 999 bridges,
+    # 10^9 matrix entries and about 10 GB of --out
+    repair_module = importlib.import_module("uqc.repair")
+
+    def no_bridge(*args):
+        raise AssertionError("a bridge was built")
+
+    monkeypatch.setattr(repair_module, "bridge_generator", no_bridge)
+    d = 1000
+    drift = Generator(np.diag(1j * np.sqrt(np.arange(2.0, d + 2))), "drift")
+    with time_limit(10), pytest.raises(InvalidInput) as exc:
+        repair(GeneratorSet(Algebra("u", d), (drift,)))
+    assert str(exc.value) == (
+        f"the repaired set is capped at {repair_module.REPAIR_ENTRY_LIMIT} matrix "
+        "entries (got 1000 generators at d = 1000); its document grows as generators x d^2"
+    )
+
+
 # ---------------------------------------------------------------------------
 # minimal pair
 
