@@ -3,13 +3,14 @@
 Subcommands: check | repair | construct | epsilon | oracle.  Documents are
 JSON (see :mod:`uqc.io`); exit code 0 means the analysis ran (whatever the
 verdict), 2 flags a parse/validation problem or an output that cannot be
-written, and 141 (128 + SIGPIPE, what a shell reports for a writer killed
-by a closed pipe) means stdout was a pipe whose reader had gone before the
-output was written, as in ``uqc check set.json | true`` when ``true``
-exits first; no traceback is printed then.  Stdout carries the verdict or
-report; the sets that ``repair`` and ``construct`` build go to ``--out``
-alone.  Tolerances are resolved here alone: the library defaults, then the
-input file's ``tolerances`` section, then the ``--tau-edge`` flag.
+written (help and version text too), and 141 (128 + SIGPIPE, what a shell
+reports for a writer killed by a closed pipe) means stdout was a pipe
+whose reader had gone before the output was written, as in ``uqc check
+set.json | true`` when ``true`` exits first; no traceback is printed then.
+Stdout carries the verdict or report; the sets that ``repair`` and
+``construct`` build go to ``--out`` alone.  Tolerances are resolved here
+alone: the library defaults, then the input file's ``tolerances``
+section, then the ``--tau-edge`` flag.
 
 A command is a function ``_cmd_<name>(args, gen_set, tols)`` of the
 parsed arguments, the set read from the input document (None for
@@ -129,12 +130,7 @@ def _cmd_check(args, gen_set, tols):
 
 
 def _cmd_repair(args, gen_set, tols):
-    plan = repair(
-        gen_set,
-        style=BridgeStyle(args.style),
-        tau_edge=tols["tau_edge"],
-        selection=args.selection,
-    )
+    plan = repair(gen_set, style=args.style, tau_edge=tols["tau_edge"], selection=args.selection)
     verdict = _verdict(plan.resulting_set, tols)
     # epsilon_bound(plan.resulting_set) without an SVD per bridge: every
     # bridge has operator norm exactly 1, so its bound is pi/2; a set whose
@@ -152,7 +148,7 @@ def _cmd_repair(args, gen_set, tols):
 def _cmd_construct(args, gen_set, tols):
     if args.dim < 1:
         raise InvalidInput(f"--dim must be >= 1, got {args.dim}")
-    pair = minimal_pair(Algebra(kind=args.algebra, dim=args.dim), style=args.style)
+    pair = minimal_pair(Algebra(args.algebra, args.dim), style=args.style)
     doc = {"out": args.out, "algebra": args.algebra, "dimension": args.dim,
            "generators": len(pair.generators)}
     return doc, lambda output: output.render_construct_text(doc), io.generator_set_to_document(pair)
@@ -256,8 +252,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help and version text that stdout does
+    not take raises OSError, which argparse drops; subparsers inherit it."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stderr:
+            super()._print_message(message, file)
+        else:
+            file.write(message)
+            file.flush()  # so that a full device fails here, not at interpreter exit
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqc",
         description=(
             "Decide whether exponentiating a set of skew-Hermitian generators "
@@ -276,12 +284,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_failed(exc: OSError) -> int:
+    """The exit code of a write to stdout that failed with ``exc``."""
+    # send what is still buffered to devnull so that the flush at
+    # interpreter exit does not fail a second time (stdout may be None)
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass
+    if isinstance(exc, BrokenPipeError):
+        # the reader is gone
+        return EXIT_BROKEN_PIPE
+    print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
         if sys.stdout is None:
             # fd 1 was closed when the interpreter started
-            raise InvalidInput("cannot write standard output: it is closed")
+            raise OSError("it is closed")
+        # help and version text raise here if stdout does not take them
+        args = build_parser().parse_args(argv)
+    except OSError as exc:
+        return _stdout_failed(exc)
+    try:
         gen_set, overrides = io.load_input_document(args.input) if "input" in args else (None, {})
         tols = _resolve_tolerances(overrides, args)
         doc, text, out = args.func(args, gen_set, tols)
@@ -305,14 +332,4 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return EXIT_OK
     except OSError as exc:
-        # send what is still buffered to devnull so that the flush at
-        # interpreter exit does not fail a second time
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):
-            pass
-        if isinstance(exc, BrokenPipeError):
-            # the reader is gone
-            return EXIT_BROKEN_PIPE
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _stdout_failed(exc)

@@ -10,12 +10,5 @@ class InvalidInput(UqcError):
 
 
 class ValidationError(InvalidInput):
-    """A generator-set invariant is violated.
-
-    ``generator_index`` identifies the offending generator (0-based), or is
-    None when the problem is not tied to a single generator.
-    """
-
-    def __init__(self, message, generator_index=None):
-        super().__init__(message)
-        self.generator_index = generator_index
+    """A generator of a set breaks one of its rules, which the message
+    names together with the generator's index (and label)."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -26,12 +25,13 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput, ValidationError
 
-#: relative tolerance for |trace| in su mode; a trace within d subnormal
-#: ulps (d * 2**-1074) also passes, since each entry of a matrix scaled into
-#: the subnormal range carries that much rounding whatever its scale
-TAU_TRACE = 1e-12
-#: relative tolerance for off-diagonal entries of the designated generator
-TAU_DIAG = 1e-12
+#: the roundoff that :func:`validate_set` allows, relative to a generator's
+#: largest entry max|A|: in |A + A†|, in the designated generator's
+#: off-diagonal entries and, in su mode, in |trace| / d (a trace within d
+#: subnormal ulps, d * 2**-1074, also passes, since each entry of a matrix
+#: scaled into the subnormal range carries that much rounding whatever its
+#: scale)
+TAU_ROUNDOFF = 1e-12
 #: relative minimum separation of the designated generator's phases
 TAU_SPECTRUM = 1e-9
 #: residual tolerance for accepted integer relations
@@ -44,14 +44,15 @@ _PSLQ_GAMMA = math.sqrt(4.0 / 3.0)
 _PSLQ_MAXSTEPS = 10_000
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is an integer (numpy's too, bools not)."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+def _integer(value, name: str, stop: float = math.inf) -> int:
+    """``value`` as an int if it is an integer (numpy's too, bools not) in
+    [0, ``stop``), or a positive one without ``stop``; otherwise
+    InvalidInput in the words of the document's field ``name``."""
+    low = 1 if stop == math.inf else 0
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value < stop:
+        return int(value)
+    want = "a positive integer" if low else f"an integer in [0, {stop})"
+    raise InvalidInput(f"{name}: expected {want}, got {value!r}")
 
 
 class _Record:
@@ -97,11 +98,8 @@ class Algebra(_Record):
 
     def __init__(self, kind: str, dim: int):
         if kind not in ("u", "su"):
-            raise InvalidInput(f"algebra kind must be 'u' or 'su', got {kind!r}")
-        dim = _integer(dim, "algebra dimension")
-        if dim < 1:
-            raise InvalidInput(f"algebra dimension must be >= 1, got {dim}")
-        self._fill(kind, dim)
+            raise InvalidInput(f"algebra: expected 'u' or 'su', got {kind!r}")
+        self._fill(kind, _integer(dim, "dimension"))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -130,13 +128,16 @@ class Generator(_Record):
 class GeneratorSet(_Record):
     """Ordered generators plus the target algebra, validated once as it is built.
 
-    This is the one gate a generator matrix passes.  Building a set (also by
-    :meth:`with_extra`) gives an empty label ``g{j+1}``, as in documents,
-    stores each matrix (nested lists or a real array, say) as a complex
-    array and runs :func:`validate_set`.  A matrix numpy cannot read as
-    complex (ragged rows, strings) raises ValidationError naming the
-    generator's index and label, as every other per-generator error does.
-    ``general_index`` must be an integer.  Whether the designated drift is
+    This is the one gate a generator set passes, and each of its errors
+    reads as the document field at fault does (:mod:`uqc.io`).  Building a
+    set (also by :meth:`with_extra`) refuses an empty list of generators
+    and a label that is not a string, gives an empty label ``g{j+1}``, as
+    in documents, stores each matrix (nested lists or a real array, say) as
+    a complex array, refuses a ``general_index`` that is not an integer
+    position in the list and runs :func:`validate_set`.  A matrix numpy
+    cannot read as complex (ragged rows, strings) raises ValidationError
+    naming the generator's index and label, as every other per-generator
+    error does.  Whether the designated drift is
     :func:`make_general_direction`'s is read off its phases
     (:func:`is_constructed_direction`), not stored.  A set is equal only to
     itself.
@@ -147,22 +148,25 @@ class GeneratorSet(_Record):
     def __init__(
         self, algebra: Algebra, generators: tuple[Generator, ...], general_index: int = 0
     ):
+        if not generators:
+            raise InvalidInput("generators: expected a non-empty list")
         # each matrix as the complex array validate_set checks; a labelled
         # generator with a complex128 array is kept as it is, not copied
         gens = []
         for j, gen in enumerate(generators):
+            if not isinstance(gen.label, str):
+                # a label a document could not hold
+                raise ValidationError(f"generators[{j}].label: expected a string")
             label = gen.label or f"g{j + 1}"
             try:
                 matrix = np.asarray(gen.matrix, dtype=complex)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
-                    f"generator {j} ({label}) is not a complex matrix: {exc}",
-                    generator_index=j,
-                ) from None
+                    f"generator {j} ({label}) is not a complex matrix: {exc}") from None
             if matrix is not gen.matrix or not gen.label:
                 gen = Generator(matrix, label)
             gens.append(gen)
-        self._fill(algebra, tuple(gens), _integer(general_index, "general_index"))
+        self._fill(algebra, tuple(gens), _integer(general_index, "general_index", len(gens)))
         validate_set(self)
 
     @property
@@ -235,62 +239,45 @@ def phases_of(gen: Generator) -> np.ndarray:
 
 
 def validate_set(raw: GeneratorSet) -> GeneratorSet:
-    """Check every generator-set invariant, returning the set unchanged.
+    """Check each generator of a set, returning the set unchanged.
 
-    Every :class:`GeneratorSet` runs this when built; call it again only to
-    check a set whose arrays were changed in place.  Raises ValidationError,
-    whose message and ``generator_index`` name the offending generator, if
-    a matrix is not d x d or has a NaN or inf entry, if some |A + A†|
-    exceeds TAU_SYM * max|A|, in su mode if some matrix has |trace| too
-    large, or if the designated generator has off-diagonal support.
+    Every :class:`GeneratorSet` runs this when built, after its own checks
+    of the list, the labels and ``general_index``; call it again only to
+    check a set whose arrays were changed in place.  Raises
+    ValidationError, whose message names the offending generator by index
+    (and label), if a matrix is not d x d or has a NaN or inf entry, or if,
+    beyond the roundoff ``TAU_ROUNDOFF`` relative to its largest entry
+    max|A|, some |A + A†| is nonzero, in su mode some trace is, or the
+    designated generator has off-diagonal support.
 
     A degenerate designated spectrum is accepted: the criterion's hypothesis
     then fails, which :func:`uqc.check_universality` reports in its verdict.
     """
-    if len(raw.generators) < 1:
-        raise InvalidInput("generator set must contain at least one generator")
-    if not 0 <= raw.general_index < len(raw.generators):
-        raise InvalidInput(
-            f"general_index {raw.general_index} out of range for "
-            f"{len(raw.generators)} generators"
-        )
     d = raw.algebra.dim
-    scales = []  # max|A| of each generator
     for j, gen in enumerate(raw.generators):
         A = gen.matrix
         if A.shape != (d, d):
             raise ValidationError(
-                f"generator {j} ({gen.label}) has shape {A.shape}, expected {(d, d)}",
-                generator_index=j,
+                f"generator {j} ({gen.label}) has shape {A.shape}, expected {(d, d)}"
             )
-        scales.append(linalg.max_abs(A))
+        scale = linalg.max_abs(A)
         # a NaN or an infinity in A makes max|A| so, and so may finite
         # entries whose magnitude overflows
-        if not math.isfinite(scales[j]) and not np.isfinite(A).all():
-            raise ValidationError(
-                f"generator {j} ({gen.label}) has non-finite entries", generator_index=j
-            )
-        if not linalg.is_skew_hermitian(A, scales[j]):
-            raise ValidationError(
-                f"generator {j} ({gen.label}) is not skew-Hermitian",
-                generator_index=j,
-            )
+        if not math.isfinite(scale) and not np.isfinite(A).all():
+            raise ValidationError(f"generator {j} ({gen.label}) has non-finite entries")
+        # written so that a NaN defect fails
+        if not linalg.max_abs(A + A.conj().T) <= TAU_ROUNDOFF * scale:
+            raise ValidationError(f"generator {j} ({gen.label}) is not skew-Hermitian")
         if raw.algebra.kind == "su" and abs(np.trace(A)) > d * max(
-            TAU_TRACE * scales[j], math.ulp(0.0)
+            TAU_ROUNDOFF * scale, math.ulp(0.0)
         ):
-            raise ValidationError(
-                f"generator {j} ({gen.label}) has nonzero trace in su mode",
-                generator_index=j,
-            )
+            raise ValidationError(f"generator {j} ({gen.label}) has nonzero trace in su mode")
 
     # the entries of the designated generator off its diagonal, a view of
     # its matrix; their magnitudes are taken only if one of them is nonzero
     off = raw.designated.matrix.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
-    if off.any() and linalg.max_abs(off) > TAU_DIAG * scales[raw.general_index]:
-        raise ValidationError(
-            f"designated generator {raw.general_index} is not diagonal",
-            generator_index=raw.general_index,
-        )
+    if off.any() and linalg.max_abs(off) > TAU_ROUNDOFF * linalg.max_abs(raw.designated.matrix):
+        raise ValidationError(f"designated generator {raw.general_index} is not diagonal")
     return raw
 
 

@@ -116,50 +116,37 @@ def parse_input_document(obj: dict) -> tuple[GeneratorSet, dict]:
 
     Returns the validated generator set and the raw ``tolerances`` override
     dict (empty when absent).  Errors always locate the offending field,
-    down to the row and column of a matrix entry.
+    down to the row and column of a matrix entry.  This reads the
+    document's structure (an object, its required fields, each generator's
+    object, label and matrix entries, the ``tolerances`` object); the rules
+    of the values, from ``algebra`` and ``dimension`` to ``general_index``
+    and each matrix's invariants, are :class:`Algebra`'s and
+    :class:`GeneratorSet`'s, whose errors name the field as this does.
     """
     _require(isinstance(obj, dict), "input document must be a JSON object")
     for key in ("algebra", "dimension", "generators"):
         _require(key in obj, f"missing required field {key!r}")
-    kind = obj["algebra"]
-    _require(kind in ("u", "su"), f"algebra: expected 'u' or 'su', got {kind!r}")
-    d = obj["dimension"]
-    _require(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 1,
-        f"dimension: expected a positive integer, got {d!r}",
-    )
-    algebra = Algebra(kind=kind, dim=d)
+    algebra = Algebra(obj["algebra"], obj["dimension"])
 
     raw_gens = obj["generators"]
-    _require(
-        isinstance(raw_gens, list) and len(raw_gens) >= 1,
-        "generators: expected a non-empty list",
-    )
+    _require(isinstance(raw_gens, list), "generators: expected a non-empty list")
     generators = []
     for j, item in enumerate(raw_gens):
         _require(isinstance(item, dict), f"generators[{j}]: expected an object")
-        label = item.get("label", f"g{j + 1}")
+        label = item.get("label", "")
+        # checked here too, so that the label is named before the matrix is read
         _require(
             isinstance(label, str), f"generators[{j}].label: expected a string"
         )
         label = label or f"g{j + 1}"
         _require("matrix" in item, f"generators[{j}] ({label}): missing matrix")
-        M = _parse_matrix(item["matrix"], d, f"generators[{j}] ({label}) matrix")
-        generators.append(Generator(matrix=M, label=label))
-
-    general_index = obj.get("general_index", 0)
-    _require(
-        isinstance(general_index, int)
-        and not isinstance(general_index, bool)
-        and 0 <= general_index < len(generators),
-        f"general_index: expected an integer in [0, {len(generators)}), "
-        f"got {general_index!r}",
-    )
+        M = _parse_matrix(item["matrix"], algebra.dim, f"generators[{j}] ({label}) matrix")
+        generators.append(Generator(M, label))
 
     tolerances = obj.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances: expected an object")
 
-    return GeneratorSet(algebra, tuple(generators), general_index), tolerances
+    return GeneratorSet(algebra, tuple(generators), obj.get("general_index", 0)), tolerances
 
 
 def load_input_document(path: str) -> tuple[GeneratorSet, dict]:
@@ -250,8 +237,9 @@ def _read_matrix_text(data: bytes) -> dict:
         obj = json.loads(b"".join(pieces).decode("utf-8"))
     except (ValueError, RecursionError):
         raise _NotPlain from None
-    gens = obj.get("generators") if isinstance(obj, dict) else None
-    d = obj.get("dimension") if isinstance(obj, dict) else None
+    if not isinstance(obj, dict):
+        raise _NotPlain
+    gens, d = obj.get("generators"), obj.get("dimension")
     if not (
         isinstance(gens, list)
         and len(gens) == len(spans)

@@ -1,10 +1,7 @@
 """Dense complex linear algebra for skew-Hermitian operators.
 
 Everything here works on plain ``numpy`` arrays of shape (d, d) with complex
-dtype; ``commutator`` also takes stacks of them.  ``is_skew_hermitian`` holds
-when ``A + A.conj().T`` vanishes up to ``TAU_SYM`` relative to the largest
-entry; all predicates and thresholds below are relative so the routines are
-scale-invariant.
+dtype; ``commutator`` also takes stacks of them.
 """
 
 from __future__ import annotations
@@ -13,19 +10,10 @@ import numpy as np
 
 from .errors import InvalidInput
 
-#: relative tolerance for the skew-Hermitian symmetry defect
-TAU_SYM = 1e-12
-
 
 def max_abs(A: np.ndarray) -> float:
     """Largest entry magnitude (0.0 for an empty array)."""
     return float(np.max(np.abs(A))) if A.size else 0.0
-
-
-def is_skew_hermitian(A: np.ndarray, scale: float) -> bool:
-    """``A + A†`` within ``TAU_SYM`` of the largest entry of ``A``, at any
-    scale; ``scale`` is that entry's magnitude, ``max_abs(A)``."""
-    return max_abs(A + A.conj().T) <= TAU_SYM * scale
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -147,4 +147,4 @@ def minimal_pair(
     if d > 1:
         j = np.arange(d - 1)
         gens.append(Generator(_coupling(d, j, j + 1, style), "chain"))
-    return GeneratorSet(algebra=algebra, generators=tuple(gens), general_index=0)
+    return GeneratorSet(algebra, tuple(gens))

@@ -361,6 +361,66 @@ def test_a_failed_write_exits2_with_an_error_line(u3_path, tmp_path, target):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["--version"], "full"), (["check", "--help"], "full"), (["--version"], "closed")],
+    ids=["version-full", "help-full", "version-closed"],
+)
+def test_help_and_version_that_cannot_be_written_exit2(argv, target, buffered):
+    # argparse writes these itself: it ignores a failed write, which
+    # unbuffered is the write and buffered the flush at interpreter exit,
+    # and it writes to stderr when stdout is closed
+    if target == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = [sys.executable, "-m", "uqc", *argv]
+    if target == "closed":
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    env = uqc_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full" if target == "full" else os.devnull, "w") as stdout:
+        proc = subprocess.run(
+            argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+#: i diag(1, 2) as a document's rows of [re, im] pairs
+_DRIFT_ROWS = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("algebra", "U"), ("algebra", None),
+        ("dimension", 2.0), ("dimension", "2"), ("dimension", True), ("dimension", 0),
+        ("dimension", -1),
+        ("generators", []),
+        ("general_index", 1), ("general_index", -1), ("general_index", 0.0),
+        ("general_index", True), ("general_index", "0"), ("general_index", None),
+        ("label", 5), ("label", None), ("label", False), ("label", 0),
+    ],
+)
+def test_one_rule_one_message(capsys, tmp_path, field, value):
+    # each of these rules has one owner, Algebra or GeneratorSet, whose
+    # message uqc check prints as it is
+    doc = {"algebra": "u", "dimension": 2, "generators": [{"matrix": _DRIFT_ROWS}]}
+    if field == "label":
+        doc["generators"][0]["label"] = value
+    else:
+        doc[field] = value
+    gens = tuple(Generator(np.diag([1j, 2j]), g.get("label", "")) for g in doc["generators"])
+    with pytest.raises(InvalidInput) as err:
+        GeneratorSet(Algebra(doc["algebra"], doc["dimension"]), gens, doc.get("general_index", 0))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["check", str(path)]) == (2, "", f"error: {err.value}\n")
+
+
 def test_epsilon_report(capsys, u3_path):
     code, out, _ = _run(capsys, ["epsilon", u3_path])
     assert code == 0
@@ -1138,9 +1198,8 @@ def test_a_hermitian_coupling_is_refused_at_every_scale(capsys, tmp_path, scale)
     drift = uqc.make_general_direction(algebra).matrix
     hermitian = np.zeros((3, 3), dtype=complex)
     hermitian[[0, 1, 1, 2], [1, 0, 2, 1]] = scale
-    with pytest.raises(uqc.ValidationError, match=r"^generator 1 \(coupling\) is not skew-Hermitian$") as err:
+    with pytest.raises(uqc.ValidationError, match=r"^generator 1 \(coupling\) is not skew-Hermitian$"):
         GeneratorSet(algebra, (Generator(drift, "drift"), Generator(hermitian, "coupling")))
-    assert err.value.generator_index == 1
     path = _write_raw(tmp_path / "herm.json", [("drift", drift), ("coupling", hermitian)])
     for command in ("check", "epsilon"):
         assert _run(capsys, [command, path]) == (
@@ -1212,7 +1271,7 @@ def test_check_text_lists_the_generators_that_carry_each_edge(capsys, tmp_path):
 def test_check_text_carriers_make_up_the_coupling_graph(capsys, tmp_path):
     # seeded u and su sets, the drift anywhere in the list: each coupling
     # generator has some pairs at half its own cutoff tau_edge * max|A|,
-    # and the drift off-diagonal roundoff at half TAU_DIAG, which a cutoff
+    # and the drift off-diagonal roundoff at half TAU_ROUNDOFF, which a cutoff
     # of 1e-13 would keep in any other generator.  The edges --text lists
     # are build_coupling_graph's, each carried by the generators whose own
     # kept entries hold it, the drift never

@@ -53,6 +53,25 @@ def test_complex_entries_round_trip_exactly():
     assert np.array_equal(gen_set.generators[1].matrix, A)
 
 
+@pytest.mark.parametrize("label", ["", "x", "g1", 5, None, False, 0, 1.5, b"x"], ids=repr)
+def test_every_accepted_set_reads_back(tmp_path, label):
+    # a set the library accepts is a document the reader takes: a label that
+    # is not a string is refused, in the reader's words, as the set is built
+    gens = (Generator(np.diag([1j, 2j]), "drift"), Generator(np.zeros((2, 2)), label))
+    try:
+        s = GeneratorSet(Algebra("u", 2), gens)
+    except InvalidInput as exc:
+        assert not isinstance(label, str)
+        assert str(exc) == "generators[1].label: expected a string"
+        return
+    path = tmp_path / "set.json"
+    uio.write_document(uio.generator_set_to_document(s), str(path))
+    back, _ = uio.load_input_document(str(path))
+    assert [g.label for g in back.generators] == ["drift", label or "g2"]
+    for g_in, g_out in zip(s.generators, back.generators):
+        assert np.array_equal(g_in.matrix, g_out.matrix)
+
+
 def test_missing_field():
     doc = _doc()
     del doc["algebra"]

@@ -200,9 +200,9 @@ def test_an_entry_below_the_edge_rule_stays_out_of_the_closure():
 
 
 def test_closure_reads_the_noise_validation_lets_pass_as_the_graph_does():
-    # validation lets pass a drift off-diagonal within TAU_DIAG, which read
+    # validation lets pass a drift off-diagonal within TAU_ROUNDOFF, which read
     # as it stands would couple index 3, and a Hermitian part within
-    # TAU_SYM, which the skew-Hermitian part drops
+    # TAU_ROUNDOFF, which the skew-Hermitian part drops
     s = three_level_set()
     drift, rot = s.generators[0].matrix.copy(), s.generators[1].matrix.copy()
     drift[0, 2], drift[2, 0] = 2.0**-44, -(2.0**-44)
@@ -220,7 +220,7 @@ def test_closure_reads_the_noise_validation_lets_pass_as_the_graph_does():
     cycle[1, 0] += 2.0**-44
     noisy = GeneratorSet(s.algebra, (s.generators[0], Generator(cycle, "cycle")))
     assert lie_closure(noisy).dimension == lie_closure_exact(noisy).dimension == 9
-    # a Hermitian pair within TAU_SYM has a zero skew-Hermitian part: no
+    # a Hermitian pair within TAU_ROUNDOFF has a zero skew-Hermitian part: no
     # edge at any tau_edge, however far below the pair it is
     rot = s.generators[1].matrix.copy()
     rot[0, 2] = rot[2, 0] = 4e-13

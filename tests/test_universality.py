@@ -64,7 +64,7 @@ def test_designated_excluded_even_if_offdiagonal_noise():
 
 def test_hermitian_roundoff_is_no_edge_at_any_cutoff():
     # validation lets pass A_13 = A_31 = 4e-13 as Hermitian roundoff (within
-    # TAU_SYM of max|A| = 1); its skew-Hermitian part is zero, so index 3
+    # TAU_ROUNDOFF of max|A| = 1); its skew-Hermitian part is zero, so index 3
     # stays uncoupled below the entry's own magnitude too
     s = three_level_set()
     rot = s.generators[1].matrix.copy()
