@@ -35,7 +35,7 @@ import sys
 
 from . import __version__, io
 from .errors import InvalidInput
-from .generators import RELATION_BOUND, TAU_RELATION, Algebra
+from .generators import ALGEBRA_KINDS, RELATION_BOUND, TAU_RELATION, Algebra
 from .generators import epsilon_bound, least_step_bound, step_bound, validate_tolerance
 from .linalg import operator_norm
 from .repair import SELECTION_RULES, BridgeStyle, minimal_pair, repair
@@ -225,7 +225,7 @@ def _repair_arguments(p: argparse.ArgumentParser):
 
 def _construct_arguments(p: argparse.ArgumentParser):
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--algebra", choices=["u", "su"], default="u")
+    p.add_argument("--algebra", choices=ALGEBRA_KINDS, default="u")
     p.add_argument("--style", choices=_STYLES, default="antisym")
     p.add_argument("--out", required=True)
 

@@ -88,6 +88,10 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+#: the target algebras, by the name a document gives them
+ALGEBRA_KINDS = ("u", "su")
+
+
 class Algebra(_Record):
     """Target algebra: all skew-Hermitian ('u') or traceless ones ('su').
 
@@ -97,8 +101,9 @@ class Algebra(_Record):
     __slots__ = ("kind", "dim")
 
     def __init__(self, kind: str, dim: int):
-        if kind not in ("u", "su"):
-            raise InvalidInput(f"algebra: expected 'u' or 'su', got {kind!r}")
+        if kind not in ALGEBRA_KINDS:
+            kinds = " or ".join(map(repr, ALGEBRA_KINDS))
+            raise InvalidInput(f"algebra: expected {kinds}, got {kind!r}")
         self._fill(kind, _integer(dim, "dimension"))
 
     def __eq__(self, other):
@@ -277,7 +282,9 @@ def validate_set(raw: GeneratorSet) -> GeneratorSet:
     # its matrix; their magnitudes are taken only if one of them is nonzero
     off = raw.designated.matrix.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
     if off.any() and linalg.max_abs(off) > TAU_ROUNDOFF * linalg.max_abs(raw.designated.matrix):
-        raise ValidationError(f"designated generator {raw.general_index} is not diagonal")
+        raise ValidationError(
+            f"generator {raw.general_index} ({raw.designated.label}) is designated but not diagonal"
+        )
     return raw
 
 

@@ -14,8 +14,9 @@ rows of [re, im] pairs: byte for byte what
 ``json.dumps(separators=(",", ":"))`` gives the same document with its
 arrays turned into lists.  One ``json.dumps`` formats the floats of every
 pair that is not (+0.0, +0.0); the rest of each row is the text of a zero
-row, built once per document.  The reports of a repair and of the closure
-oracle (:func:`repair_plan_to_document`, :func:`closure_report_to_document`)
+row, built once per document, and the text is made a row at a time.  The
+reports of a repair and of the closure oracle
+(:func:`repair_plan_to_document`, :func:`closure_report_to_document`)
 number basis indices from 1, as :mod:`uqc.io` does.
 """
 
@@ -81,7 +82,7 @@ def write_document(doc: dict, path: str):
     escaped, so with the keys :func:`generator_set_to_document` writes and
     those of a ``tolerances`` section, ``"matrix":null`` stands in that
     text only where a matrix goes.  The matrices are rendered from their
-    values (:func:`_matrix_texts`) and streamed a block of rows at a time.
+    values (:func:`_matrix_texts`) and streamed a row at a time.
     Their shapes are checked and their floats formatted before the file is
     opened, so a document that json or the shape check refuses leaves the
     file as it was.  A file that cannot be opened or written to the end
@@ -103,24 +104,19 @@ def write_document(doc: dict, path: str):
         raise InvalidInput(f"cannot write {path}: {exc}") from exc
 
 
-#: matrix entries rendered into one piece of text
-_BLOCK_ENTRIES = 1 << 16
-
-
 def _matrix_texts(matrices: list) -> list:
     """The compact JSON text of each d x d array of ``matrices``, all of one
-    d, as rows of [re, im] pairs of floats: for each, an iterator over
-    pieces of whole rows.
+    d, as rows of [re, im] pairs of floats: for each, an iterator over its
+    text, a row a piece between the brackets.
 
-    The text is made before any of it is written.  The pairs that are not
-    (+0.0, +0.0) are gathered from all the matrices at once, and one
-    ``json.dumps`` formats their floats in document order: json raises its
-    own ``ValueError`` for the first NaN or infinity.  A block of rows is
-    the text of as many all-zero rows, built once per document, with the
-    two floats of each such pair put in place of its zeros: a row costs
-    Python work per nonzero pair only, and copies of the zero text between
-    them.  The rows are rendered a block of about :data:`_BLOCK_ENTRIES`
-    entries at a time, so that a large matrix costs no text of its size.
+    The live pairs, those that are not (+0.0, +0.0), are found with one mask
+    per matrix over its float bits, and one ``json.dumps`` formats their
+    floats in document order before any text is made: json raises its own
+    ``ValueError`` for the first NaN or infinity.  A row with no live pair
+    is the text of a zero row, built once per document; any other row is
+    that text with the two floats of each live pair put in place of its
+    zeros, so a row costs Python work per live pair only.  The text is made
+    a row at a time, so that a large matrix costs no text of its size.
     """
     if not matrices:
         return []
@@ -129,47 +125,38 @@ def _matrix_texts(matrices: list) -> list:
         raise ValueError(f"matrices of shapes {[np.shape(M) for M in matrices]} "
                          "are not all d x d with one d")
     d = shape[0]
-    # the document's float words one after another: the nonzero ones, and
-    # where they stand
-    bits = [np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64) for M in matrices]
-    nonzero = [np.flatnonzero(b != 0) for b in bits]  # faster than on the words
-    words = np.concatenate(list(map(np.take, bits, nonzero)))
-    where = np.concatenate([n + k * 2 * d * d for k, n in enumerate(nonzero)])
-    # the live pairs, and their two words, one of which may be +0.0
-    pair = where >> 1
-    new = np.diff(pair, prepend=-1) != 0
-    live = pair[new]
-    floats = np.zeros((len(live), 2), dtype=np.uint64)
-    floats[np.cumsum(new) - 1, where & 1] = words
-    texts = json.dumps(floats.view(np.float64).ravel().tolist(), separators=(",", ":"), allow_nan=False)
-    texts = texts[1:-1].split(",")  # [""] when no pair is live
-    re_text, im_text = texts[0::2], texts[1::2]
-    # each live pair's matrix, row and column, and its block of rows
-    step = max(1, _BLOCK_ENTRIES // (2 * d))
-    n_blocks = -(-d // step)
-    m, rc = np.divmod(live, d * d)
-    r, c = np.divmod(rc, d)
-    row = 10 * d + 2  # "[", d times "[0.0,0.0],", less a ",", "]", ","
-    # the two 0.0 of each live pair's "[0.0,0.0]" in the block of zero rows
-    # are replaced; the zero text kept runs from the "]" of one such pair to
-    # the "[" of the next, both included
-    opens = (r % step) * row + c * 10 + 1
-    cuts = np.searchsorted(m * n_blocks + r // step, np.arange(len(matrices) * n_blocks + 1)).tolist()
-    kept_from = (opens + len("[0.0,0.0")).tolist()
-    kept_to = (opens + 1).tolist()
-    zero_row = "[" + ",".join(["[0.0,0.0]"] * d) + "]"
-    text = ",".join([zero_row] * min(step, d))
+    # each matrix's pairs as two float words, and where its live ones stand
+    pairs = [np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
+             for M in matrices]
+    live = [np.flatnonzero(np.logical_or(p[:, 0], p[:, 1])) for p in pairs]
+    floats = np.concatenate([p[n] for p, n in zip(pairs, live)]).view(np.float64)
+    # the "re,im" text of each live pair ([""] when none is): no float's
+    # text holds a "]"
+    texts = json.dumps(floats.tolist(), separators=(",", ":"), allow_nan=False)[2:-2].split("],[")
+    # each live pair's row, numbered through the document, and column
+    rows, cols = np.divmod(np.concatenate([n + k * d * d for k, n in enumerate(live)]), d)
+    cuts = np.searchsorted(rows, np.arange(len(matrices) * d + 1)).tolist()
+    # a zero row and the "," before it; a live pair's text replaces the
+    # "0.0,0.0" at 10 c + 3
+    zero = ",[" + ",".join(["[0.0,0.0]"] * d) + "]"
+    at = cols * 10 + 3
+    kept_to, kept_from = at.tolist(), (at + 7).tolist()
+
+    def row_text(i: int, first: bool) -> str:
+        # a matrix's first row goes without its ","
+        lo, hi = cuts[i], cuts[i + 1]
+        if lo == hi:
+            return zero[first:]
+        pieces = [""] * (2 * (hi - lo) + 1)  # kept, pair, kept, ...
+        pieces[0::2] = map(zero.__getitem__, map(
+            slice, [first, *kept_from[lo:hi]], [*kept_to[lo:hi], None]))
+        pieces[1::2] = texts[lo:hi]
+        return "".join(pieces)
 
     def chunks(k: int):
         yield "["
-        for b, lo in enumerate(range(0, d, step), k * n_blocks):
-            i, j = cuts[b], cuts[b + 1]
-            pieces = [","] * (4 * (j - i) + 1)  # kept, re, ",", im, kept, ...
-            pieces[0::4] = map(text.__getitem__, map(
-                slice, [0, *kept_from[i:j]], [*kept_to[i:j], min(step, d - lo) * row - 1]))
-            pieces[1::4] = re_text[i:j]
-            pieces[3::4] = im_text[i:j]
-            yield ("," if lo else "") + "".join(pieces)
+        for i in range(k * d, (k + 1) * d):
+            yield row_text(i, i == k * d)
         yield "]"
 
     return [chunks(k) for k in range(len(matrices))]

@@ -61,8 +61,11 @@ def test_validate_accepts_degenerate_spectrum():
 
 def test_validate_rejects_nondiagonal_designated():
     A = np.array([[1j, 1], [-1, 2j]])
-    with pytest.raises(ValidationError, match=r"^designated generator 0 is not diagonal$"):
+    with pytest.raises(ValidationError, match=r"^generator 0 \(g1\) is designated but not diagonal$"):
         GeneratorSet(Algebra("u", 2), (Generator(A),))
+    drift = Generator(np.diag([1j, 2j]), "drift")
+    with pytest.raises(ValidationError, match=r"^generator 1 \(c\) is designated but not diagonal$"):
+        GeneratorSet(Algebra("u", 2), (drift, Generator(A, "c")), general_index=1)
 
 
 def test_validate_rejects_traceful_in_su_mode():

@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -16,7 +18,6 @@ from uqc import (
     repair,
 )
 from uqc import io as uio
-from uqc import output as uout
 from uqc.cli import main
 from uqc.errors import InvalidInput
 
@@ -420,28 +421,51 @@ def _random_array(rng, d: int) -> np.ndarray:
     return M
 
 
+def _row_boundary_arrays(d: int) -> list:
+    """d x d arrays whose live pairs, those not (+0.0, +0.0), stand where a
+    row's text begins and ends: one live pair in the first column of a row,
+    one in the last, a lone (-0.0, +0.0), and none at all."""
+    first, last, signed, empty = (np.zeros((d, d), dtype=complex) for _ in range(4))
+    first[d // 2, 0] = 1.5 - 2j
+    last[0, d - 1] = complex(0.0, -0.0)
+    signed[d - 1, d // 2] = complex(-0.0, 0.0)
+    return [first, last, signed, empty]
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_dump_json_renders_arrays_like_json(seed, tmp_path, monkeypatch):
+def test_dump_json_renders_arrays_like_json(seed, tmp_path):
     # write_document against json.dumps of the document with every array
-    # listified, with the rows of a matrix looked up in blocks of any size
+    # listified, for random arrays and for live pairs at a row's two ends
     rng = np.random.default_rng([seed, 29])
     for d in (1, 2, 3, int(rng.integers(4, 25))):
-        # the writer module's constant: io only hands write_document on
-        monkeypatch.setattr(uout, "_BLOCK_ENTRIES", int(rng.choice([1, 2, 7, 64, 1 << 16])))
-        doc = {
-            "dimension": d,
-            "generators": [
-                {"label": f"g{j}", "matrix": _random_array(rng, d)} for j in range(4)
-            ],
-        }
-        try:
-            want = _reference_json(doc)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                _written(doc, tmp_path)
-            assert str(got.value) == str(exc)
-            continue
-        assert _written(doc, tmp_path) == want
+        for matrices in ([_random_array(rng, d) for _ in range(4)], _row_boundary_arrays(d)):
+            doc = {
+                "dimension": d,
+                "generators": [{"label": f"g{j}", "matrix": M} for j, M in enumerate(matrices)],
+            }
+            try:
+                want = _reference_json(doc)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    _written(doc, tmp_path)
+                assert str(got.value) == str(exc)
+                continue
+            assert _written(doc, tmp_path) == want
+
+
+def test_the_writer_works_a_row_at_a_time(tmp_path):
+    # the d = 1024 pair is a 21 MB file; the writer holds a mask per
+    # matrix and the text of a row, never the text of a matrix
+    doc = uio.generator_set_to_document(minimal_pair(Algebra("u", 1024)))
+    path = str(tmp_path / "pair.json")
+    tracemalloc.start()
+    try:
+        uio.write_document(doc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 20e6
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
